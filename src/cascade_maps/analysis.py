@@ -39,6 +39,7 @@ __all__ = [
     "star_values",
     "build_markov",
     "detect_periodic_orbit",
+    "excess_window_sum",
     "census",
     "bifurcation_scan",
     "central_component_reaches_boundary",
@@ -52,7 +53,6 @@ XI2 = (2.0 + math.sqrt(3.0)) / 4.0
 PERIOD2_WINDOW_END = (5.0 + math.sqrt(5.0)) / 8.0
 
 RECURRENCE_TOL = 1e-9
-DEDUP_HAUSDORFF = 1e-6
 FINGERPRINT_WINDOW = 12
 
 OrbitType = Literal["in_phase", "anti_phase", "ripple", "other"]
@@ -332,13 +332,69 @@ def _classify_orbit_kind(orbit: np.ndarray, t: Threshold, tol: float) -> OrbitTy
     return "other"
 
 
-def _orbit_fingerprint(orbit: np.ndarray, t: Threshold, window: int) -> float:
-    cur = LatticeState(sites=orbit[0])
+def excess_window_sum(
+    s: LatticeState, t: Threshold, transient: int, window: int
+) -> float:
+    """Total excess over ``window`` steps after discarding a transient.
+
+    This is the ``window_fingerprint`` of an :class:`AttractorRecord`: on a
+    super-stable attractor whose period divides the window the sum is an
+    exact invariant of the attractor, independent of phase.
+    """
+    if transient < 0:
+        raise ParameterError("transient must be >= 0")
+    if window < 1:
+        raise ParameterError("window must be >= 1")
+    cur = s
+    for _ in range(transient):
+        cur = step(cur, t)
     total = 0.0
     for _ in range(window):
         cur = step(cur, t)
         total += cur.last_excess
     return total
+
+
+def _recurrences(
+    t: Threshold, x: np.ndarray, transient: int, max_period: int, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least return periods of a batch of orbits after a transient.
+
+    ``x`` has shape (M, N).  After ``transient`` steps, row i's period is
+    the least ``p <= max_period`` with a max-norm return to its
+    post-transient state within ``tol``, or 0 if there is none.  Returns
+    ``(periods, history)`` with ``history[k]`` the states ``k`` steps after
+    the transient; stepping stops once every row has a period, so only
+    ``history[:periods.max() + 1]`` is filled in that case.
+    """
+    for _ in range(transient):
+        x, _ = step_batch(x, t)
+    history = np.empty((max_period + 1,) + x.shape)
+    history[0] = x
+    periods = np.zeros(x.shape[0], dtype=int)
+    for p in range(1, max_period + 1):
+        x, _ = step_batch(x, t)
+        history[p] = x
+        hit = (periods == 0) & (np.max(np.abs(x - history[0]), axis=1) <= tol)
+        periods[hit] = p
+        if periods.all():
+            break
+    return periods, history
+
+
+def _attractor_record(
+    orbit: np.ndarray, t: Threshold, tol: float, fingerprint_window: int
+) -> AttractorRecord:
+    """Record of one period of an orbit, in canonical phase."""
+    canon = _canonical_rotation(orbit.copy())
+    return AttractorRecord(
+        period=orbit.shape[0],
+        orbit=canon,
+        kind=_classify_orbit_kind(canon, t, tol),
+        window_fingerprint=excess_window_sum(
+            LatticeState(sites=canon[0]), t, 0, fingerprint_window
+        ),
+    )
 
 
 def detect_periodic_orbit(
@@ -358,28 +414,10 @@ def detect_periodic_orbit(
     """
     if tol <= 0.0:
         raise ParameterError("tol must be positive")
-    cur = s0
-    for _ in range(transient):
-        cur = step(cur, t)
-    ref = cur.sites
-    history = [ref]
-    x = cur
-    period = 0
-    for p in range(1, max_period + 1):
-        x = step(x, t)
-        history.append(x.sites)
-        if np.max(np.abs(x.sites - ref)) <= tol:
-            period = p
-            break
-    if period == 0:
+    periods, history = _recurrences(t, s0.sites[None, :], transient, max_period, tol)
+    if periods[0] == 0:
         return None
-    orbit = _canonical_rotation(np.array(history[:period]))
-    return AttractorRecord(
-        period=period,
-        orbit=orbit,
-        kind=_classify_orbit_kind(orbit, t, tol),
-        window_fingerprint=_orbit_fingerprint(orbit, t, fingerprint_window),
-    )
+    return _attractor_record(history[: periods[0], 0], t, tol, fingerprint_window)
 
 
 _MASK64 = (1 << 64) - 1
@@ -407,12 +445,6 @@ def _census_initial_states(seed: int, samples: int, n: int) -> np.ndarray:
     return out
 
 
-def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two orbits' state sets (max norm)."""
-    d = np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
-    return max(float(d.min(axis=1).max()), float(d.min(axis=0).max()))
-
-
 def census(
     t: Threshold,
     n_sites: int,
@@ -427,71 +459,29 @@ def census(
 
     All samples are advanced together through the transient; a sample's
     period is the least ``p <= max_period`` with a max-norm return to its
-    post-transient state within ``tol``.  Orbits are deduplicated by exact
-    state content first, then merged when their Hausdorff distance is below
-    ``DEDUP_HAUSDORFF``.  The result is sorted by decreasing hit count
-    (ties by fingerprint, period and orbit) and is a pure function of the
-    arguments.
+    post-transient state within ``tol``, and samples without one are left
+    out of the counts.  Orbits are grouped by their exact state content,
+    which is rotation invariant and exact because super-stable orbits
+    repeat bit-identically after clipping.  The result is sorted by
+    decreasing hit count (ties by fingerprint, period and orbit) and is a
+    pure function of the arguments.
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
     x = _census_initial_states(seed, samples, n_sites)
-    for _ in range(transient):
-        x, _ = step_batch(x, t)
-    ref = x.copy()
-    history = np.empty((max_period + 1, samples, n_sites))
-    history[0] = ref
-    periods = np.zeros(samples, dtype=int)
-    for p in range(1, max_period + 1):
-        x, _ = step_batch(x, t)
-        history[p] = x
-        hit = (periods == 0) & (np.max(np.abs(x - ref), axis=1) <= tol)
-        periods[hit] = p
+    periods, history = _recurrences(t, x, transient, max_period, tol)
 
-    # Group samples by the multiset of orbit states (rotation invariant and
-    # exact: super-stable orbits repeat bit-identically after clipping).
-    groups: dict[bytes, tuple[np.ndarray, int]] = {}
-    for i in range(samples):
-        p = periods[i]
-        if p == 0:
-            continue
-        orbit = history[:p, i, :]
-        sorted_rows = orbit[np.lexsort(orbit.T[::-1])]
-        key = sorted_rows.tobytes()
-        if key in groups:
-            groups[key] = (groups[key][0], groups[key][1] + 1)
-        else:
-            groups[key] = (orbit.copy(), 1)
+    groups: dict[bytes, list] = {}
+    for i in np.flatnonzero(periods):
+        orbit = history[: periods[i], i]
+        key = orbit[np.lexsort(orbit.T[::-1])].tobytes()
+        groups.setdefault(key, [orbit, 0])[1] += 1
 
-    entries: list[tuple[AttractorRecord, int]] = []
-    for orbit, hits in groups.values():
-        canon = _canonical_rotation(orbit)
-        record = AttractorRecord(
-            period=orbit.shape[0],
-            orbit=canon,
-            kind=_classify_orbit_kind(canon, t, tol),
-            window_fingerprint=_orbit_fingerprint(canon, t, fingerprint_window),
-        )
-        entries.append((record, hits))
-
-    # Merge records closer than the dedup distance (defensive: exact grouping
-    # already collapses super-stable orbits).
-    merged: list[tuple[AttractorRecord, int]] = []
-    for record, hits in sorted(
-        entries,
-        key=lambda e: (e[0].window_fingerprint, e[0].period, tuple(e[0].orbit.ravel())),
-    ):
-        for k, (other, other_hits) in enumerate(merged):
-            if (
-                other.n_sites == record.n_sites
-                and _hausdorff(other.orbit, record.orbit) <= DEDUP_HAUSDORFF
-            ):
-                merged[k] = (other, other_hits + hits)
-                break
-        else:
-            merged.append((record, hits))
-
-    merged.sort(
+    entries = [
+        (_attractor_record(orbit, t, tol, fingerprint_window), hits)
+        for orbit, hits in groups.values()
+    ]
+    entries.sort(
         key=lambda e: (
             -e[1],
             e[0].window_fingerprint,
@@ -499,7 +489,7 @@ def census(
             tuple(e[0].orbit.ravel()),
         )
     )
-    return merged
+    return entries
 
 
 def bifurcation_scan(

@@ -165,11 +165,10 @@ def _window_sums(u: np.ndarray, c1: float, transient: int, window: int) -> np.nd
 def _block_offsets(
     ux: np.ndarray, uy: np.ndarray, spec: GridSpec, i0: int, i1: int
 ) -> np.ndarray:
-    """Offsets array (m, N) for cells with x index in [i0, i1)."""
-    r = spec.resolution
-    m = (i1 - i0) * r
+    """Offsets array (m, N) for x indices in [i0, i1) times every y in ``uy``."""
+    m = (i1 - i0) * uy.size
     u = np.empty((m, spec.n_sites))
-    u[:, 0] = np.repeat(ux[i0:i1], r)
+    u[:, 0] = np.repeat(ux[i0:i1], uy.size)
     u[:, 1] = np.tile(uy, i1 - i0)
     for k, pinned in enumerate(spec.pinned_sites):
         u[:, 2 + k] = pinned - 0.5
@@ -218,11 +217,7 @@ def cell_fingerprint(t: Threshold, spec: GridSpec, i: int, j: int) -> float:
         raise ParameterError("cell index out of range")
     ux = _axis_offsets(spec.x_range, r)
     uy = _axis_offsets(spec.y_range, r)
-    u = np.empty((1, spec.n_sites))
-    u[0, 0] = ux[i]
-    u[0, 1] = uy[j]
-    for k, pinned in enumerate(spec.pinned_sites):
-        u[0, 2 + k] = pinned - 0.5
+    u = _block_offsets(ux, uy[j : j + 1], spec, i, i + 1)
     return float(_window_sums(u, t.c1, spec.transient, spec.window)[0])
 
 

@@ -11,7 +11,6 @@ rejected.  Exit codes: 0 success, 2 usage error, 3 runtime failure.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import sys
 from dataclasses import dataclass
@@ -290,8 +289,6 @@ def _validate(cfg: RunConfig) -> None:
     for key in ("sites", "resolution", "window", "samples", "steps", "n", "workers"):
         if getattr(cfg, key) < 1:
             raise UsageError(f"{key} must be >= 1")
-    if cfg.sites < 1:
-        raise UsageError("sites must be >= 1")
     if cfg.transient < 0 or cfg.j < 0 or cfg.max_iter < 1 or cfg.max_period < 1:
         raise UsageError("negative iteration counts are not allowed")
     if cfg.format not in ("csv", "pgm", "ppm"):
@@ -305,10 +302,7 @@ def _emit_table(header, rows, out: Optional[str]) -> None:
         io.write_csv(header, rows, out)
         print(f"wrote {out}")
     else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([io._format_field(v) for v in row])
+        io.write_rows(sys.stdout, header, rows)
 
 
 def _run_orbit(cfg: RunConfig) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import colorsys
 import csv
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .basins import BasinGrid
 
 __all__ = [
     "format_real",
+    "write_rows",
     "write_csv",
     "read_csv",
     "grid_to_image",
@@ -42,18 +43,23 @@ def _format_field(value) -> str:
     return str(value)
 
 
-def write_csv(header: Sequence[str], rows: Sequence[Sequence], path: str) -> None:
-    """Write a table with a header row; reals get 17 significant digits.
+def write_rows(fh: TextIO, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """Write a header row and data rows as CSV to an open text stream.
 
-    Every row, the header included, ends in ``"\\r\\n"`` (the ``csv``
-    module's excel dialect).
+    Reals are written in shortest round-trip form.  Every row, the header
+    included, ends in ``"\\r\\n"`` (the ``csv`` module's excel dialect).
     """
+    writer = csv.writer(fh)
+    writer.writerow(list(header))
+    for row in rows:
+        writer.writerow([_format_field(v) for v in row])
+
+
+def write_csv(header: Sequence[str], rows: Sequence[Sequence], path: str) -> None:
+    """Write a table with a header row to ``path`` via :func:`write_rows`."""
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(header))
-            for row in rows:
-                writer.writerow([_format_field(v) for v in row])
+            write_rows(fh, header, rows)
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path!r}: {exc}") from exc
 

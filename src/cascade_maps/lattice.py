@@ -29,7 +29,6 @@ __all__ = [
     "step",
     "step_batch",
     "iterate",
-    "excess_window_sum",
 ]
 
 
@@ -139,29 +138,7 @@ def iterate(
         if buf is not None:
             buf[j % buf.shape[0]] = cur.sites
     states = None
-    if buf is not None and buf.shape[0] > 0:
+    if buf is not None:
         states = np.roll(buf, -(k % buf.shape[0]), axis=0) if k > buf.shape[0] else buf
     return cur, trace, states
 
-
-def excess_window_sum(
-    s: LatticeState, t: Threshold, transient: int, window: int
-) -> float:
-    """Total excess over ``window`` steps after discarding a transient.
-
-    This is the fingerprint used to colour basins: on a super-stable
-    attractor whose period divides the window the sum is an exact
-    invariant of the attractor, independent of phase.
-    """
-    if transient < 0:
-        raise ParameterError("transient must be >= 0")
-    if window < 1:
-        raise ParameterError("window must be >= 1")
-    cur = s
-    for _ in range(transient):
-        cur = step(cur, t)
-    total = 0.0
-    for _ in range(window):
-        cur = step(cur, t)
-        total += cur.last_excess
-    return total

@@ -5,7 +5,6 @@ import pytest
 from scipy.optimize import brentq
 
 import cascade_maps as cm
-from cascade_maps.analysis import _hausdorff
 from cascade_maps.errors import BracketError, ParameterError
 
 SEED = 0x5EED_CA5CADE
@@ -275,6 +274,16 @@ def test_census_records_match_direct_detection():
         T84, cm.LatticeState(sites=[T84.c2, T84.c1]), 100, 64
     )
     assert np.array_equal(by_kind["anti_phase"].orbit, direct.orbit)
+    # many attractors: each record is reproduced from its own first state
+    t = cm.make_threshold(0.95)
+    entries = cm.census(t, 4, 2_000, seed=SEED)
+    assert len(entries) == 22
+    for rec, _ in entries:
+        direct = cm.detect_periodic_orbit(t, cm.LatticeState(sites=rec.orbit[0]), 0, 64)
+        assert direct.period == rec.period
+        assert np.array_equal(direct.orbit, rec.orbit)
+        assert direct.kind == rec.kind
+        assert direct.window_fingerprint == rec.window_fingerprint
 
 
 def test_census_records_recur_when_resimulated():
@@ -290,11 +299,15 @@ def test_census_validates_sample_count():
         cm.census(T84, 2, 0, seed=1)
 
 
-def test_hausdorff_distance_helper():
-    a = np.array([[0.1, 0.2], [0.3, 0.4]])
-    assert _hausdorff(a, a) == 0.0
-    b = a + 1e-7
-    assert _hausdorff(a, b) == pytest.approx(1e-7, rel=1e-6)
+def test_census_orbits_return_exactly_at_many_attractors():
+    # Grouping by exact orbit bytes needs every detected return to be
+    # bit-exact, not merely within the recurrence tolerance.
+    t = cm.make_threshold(0.95)
+    for rec, _ in cm.census(t, 8, 2_000, seed=SEED):
+        s = cm.LatticeState(sites=rec.orbit[0])
+        for _ in range(rec.period):
+            s = cm.step(s, t)
+        assert np.array_equal(s.sites, rec.orbit[0])
 
 
 # ----------------------------------------------------------- bifurcation scan

@@ -180,6 +180,13 @@ def test_iterate_zero_steps():
     assert final is s and trace.size == 0 and states is None
 
 
+def test_iterate_zero_steps_with_ring_buffer_gives_empty_states():
+    s = cm.LatticeState(sites=[0.5, 0.5])
+    final, trace, states = cm.iterate(s, T84, 0, record_last=2)
+    assert final is s and trace.size == 0
+    assert states.shape == (0, 2)
+
+
 def test_iterate_trace_repeats_periodic_pattern():
     s = cm.LatticeState(sites=[T84.c1, T84.c1])
     _, trace, _ = cm.iterate(s, T84, 4)
