@@ -290,11 +290,11 @@ def _power_iteration(matrix: np.ndarray, tol: float = 1e-10, max_iter: int = 200
 
 def _canonical_rotation(orbit: np.ndarray) -> np.ndarray:
     """Lexicographically least rotation of the orbit's state sequence."""
-    p = orbit.shape[0]
+    p, n = orbit.shape
     if p == 1:
         return orbit
-    keys = [tuple(np.roll(orbit, -r, axis=0).ravel()) for r in range(p)]
-    best = min(range(p), key=keys.__getitem__)
+    flat = orbit.ravel().tolist()
+    best = min(range(p), key=lambda r: flat[r * n :] + flat[: r * n])
     return np.roll(orbit, -best, axis=0)
 
 
@@ -367,6 +367,8 @@ def _recurrences(
     the transient; stepping stops once every row has a period, so only
     ``history[:periods.max() + 1]`` is filled in that case.
     """
+    if max_period < 1:
+        raise ParameterError("max_period must be >= 1")
     for _ in range(transient):
         x, _ = step_batch(x, t)
     history = np.empty((max_period + 1,) + x.shape)

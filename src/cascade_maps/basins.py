@@ -22,6 +22,7 @@ is bit-identical for any worker count.
 from __future__ import annotations
 
 import dataclasses
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -179,8 +180,10 @@ def render_basins(t: Threshold, spec: GridSpec, workers: int = 1) -> BasinGrid:
     """Render the fingerprint grid and bucket it into classes.
 
     Deterministic and schedule independent: cells are pure functions of
-    their centre, and each worker writes a disjoint row block.
+    their centre, and each worker writes a disjoint row block.  At most
+    ``os.cpu_count()`` threads are started, whatever ``workers`` asks for.
     """
+    workers = min(workers, os.cpu_count() or 1)
     r = spec.resolution
     ux = _axis_offsets(spec.x_range, r)
     uy = _axis_offsets(spec.y_range, r)

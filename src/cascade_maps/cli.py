@@ -16,6 +16,8 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import analysis, basins, io
 from .errors import DomainError, ParameterError
 from .lattice import LatticeState
@@ -371,11 +373,10 @@ def _run_basin(cfg: RunConfig) -> None:
         r = cfg.resolution
         cx = basins._axis_centers(grid.spec.x_range, r)
         cy = basins._axis_centers(grid.spec.y_range, r)
-        rows = [
-            (i, j, cx[i], cy[j], grid.fingerprints[i, j], int(grid.classes[i, j]))
-            for i in range(r)
-            for j in range(r)
-        ]
+        ii, jj = np.divmod(np.arange(r * r), r)
+        rows = zip(
+            ii, jj, cx[ii], cy[jj], grid.fingerprints.ravel(), grid.classes.ravel()
+        )
         io.write_csv(header, rows, out)
     else:
         io.write_image(grid, out, cfg.format)

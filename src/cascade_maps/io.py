@@ -1,7 +1,10 @@
 """Stable file formats: CSV tables and raw PGM/PPM images.
 
 Real numbers are written in shortest round-trip form, so a written value
-parses back to the identical double.  Images are binary "P5"/"P6" with
+parses back to the identical double.  CSV rows may come from any iterable
+(a lazy ``zip`` over arrays included) and are streamed in fixed-size
+chunks, formatted column by column, so the writer holds at most one chunk
+of rows and their strings in memory.  Images are binary "P5"/"P6" with
 the grid transposed so that x grows to the right and y grows upward.
 The colour palette spaces class hues evenly on a 12-colour wheel from
 blue (lowest fingerprint class) down to red (highest).
@@ -11,7 +14,8 @@ from __future__ import annotations
 
 import colorsys
 import csv
-from typing import Sequence, TextIO
+from itertools import islice
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -43,19 +47,49 @@ def _format_field(value) -> str:
     return str(value)
 
 
-def write_rows(fh: TextIO, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+#: Rows formatted per chunk; bounds the writer's memory for any table size.
+_CHUNK_ROWS = 16384
+_FLOAT_TYPES = frozenset((float, np.float64))
+_INT_TYPES = frozenset((int, np.int64, np.int32))
+
+
+def _format_column(col: tuple) -> list[str]:
+    """Format one column of a chunk, as ``_format_field`` would per value.
+
+    A column of exact ``float``/``np.float64`` values formats each distinct
+    64-bit pattern once (so ``-0.0`` stays apart from ``0.0``); an all-int
+    column goes through ``str``; anything else (a mixed int/float column,
+    ``np.float32``, ``bool``, strings) is formatted value by value.
+    """
+    kinds = set(map(type, col))
+    if kinds <= _FLOAT_TYPES:
+        bits = np.array(col, dtype=np.float64).view(np.int64)
+        uniq, inverse = np.unique(bits, return_inverse=True)
+        text = [format_real(v) for v in uniq.view(np.float64).tolist()]
+        return list(map(text.__getitem__, inverse.tolist()))
+    if kinds <= _INT_TYPES:
+        return list(map(str, col))
+    return [_format_field(v) for v in col]
+
+
+def write_rows(fh: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a header row and data rows as CSV to an open text stream.
 
-    Reals are written in shortest round-trip form.  Every row, the header
-    included, ends in ``"\\r\\n"`` (the ``csv`` module's excel dialect).
+    ``rows`` may be any iterable of equal-length rows; it is read once, in
+    chunks of ``_CHUNK_ROWS`` rows, so memory is bounded by the chunk.  A
+    chunk whose rows differ in length raises ``ValueError``.  Reals are
+    written in shortest round-trip form.  Every row, the header included,
+    ends in ``"\\r\\n"`` (the ``csv`` module's excel dialect).
     """
     writer = csv.writer(fh)
     writer.writerow(list(header))
-    for row in rows:
-        writer.writerow([_format_field(v) for v in row])
+    it = iter(rows)
+    while chunk := list(islice(it, _CHUNK_ROWS)):
+        cols = [_format_column(col) for col in zip(*chunk, strict=True)]
+        writer.writerows(zip(*cols) if cols else chunk)
 
 
-def write_csv(header: Sequence[str], rows: Sequence[Sequence], path: str) -> None:
+def write_csv(header: Sequence[str], rows: Iterable[Sequence], path: str) -> None:
     """Write a table with a header row to ``path`` via :func:`write_rows`."""
     try:
         with open(path, "w", newline="") as fh:

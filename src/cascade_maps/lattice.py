@@ -99,15 +99,22 @@ def step_batch(x: np.ndarray, t: Threshold) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cascade_batch(y: np.ndarray, c1: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised cascade sweep over rows of ``y`` (shape (M, N))."""
-    m, n = y.shape
-    out = np.empty_like(y)
-    carry = np.zeros(m)
-    for i in range(n):
-        yh = y[:, i] + carry
-        over = yh > c1
-        out[:, i] = np.where(over, c1, yh)
-        carry = np.where(over, yh - c1, 0.0)
+    """Vectorised cascade sweep over rows of ``y`` (shape (M, N)).
+
+    Copies ``y`` once and sweeps its site columns in place: ``min(yh, c1)``
+    is the clipped value and ``max(yh - c1, 0)`` the carry.  For finite
+    input this is bit-identical to :func:`cascade`: ``yh - c1 > 0`` exactly
+    when ``yh > c1`` (gradual underflow), and ``yh == c1`` carries ``+0.0``.
+    ``y`` itself is not modified.
+    """
+    out = y.copy()
+    carry = np.zeros(y.shape[0])
+    for i in range(y.shape[1]):
+        yh = out[:, i]
+        np.add(yh, carry, out=yh)
+        np.subtract(yh, c1, out=carry)
+        np.maximum(carry, 0.0, out=carry)
+        np.minimum(yh, c1, out=yh)
     return out, carry
 
 

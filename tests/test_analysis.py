@@ -299,6 +299,16 @@ def test_census_validates_sample_count():
         cm.census(T84, 2, 0, seed=1)
 
 
+@pytest.mark.parametrize("max_period", [-1, 0])
+def test_recurrence_search_validates_max_period(max_period):
+    with pytest.raises(ParameterError, match="max_period"):
+        cm.census(T84, 2, 10, seed=1, max_period=max_period)
+    with pytest.raises(ParameterError, match="max_period"):
+        cm.detect_periodic_orbit(
+            T84, cm.LatticeState(sites=[0.3, 0.6]), 10, max_period=max_period
+        )
+
+
 def test_census_orbits_return_exactly_at_many_attractors():
     # Grouping by exact orbit bytes needs every detected return to be
     # bit-exact, not merely within the recurrence tolerance.

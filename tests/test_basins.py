@@ -1,9 +1,11 @@
 import dataclasses
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 import cascade_maps as cm
+from cascade_maps import basins
 from cascade_maps.basins import _bucket_fingerprints
 from cascade_maps.errors import ParameterError
 
@@ -82,6 +84,33 @@ def test_render_is_deterministic_and_worker_independent():
     assert np.array_equal(g1.fingerprints, g2.fingerprints)
     assert np.array_equal(g1.fingerprints, g4.fingerprints)
     assert np.array_equal(g1.classes, g4.classes)
+
+
+def test_render_starts_no_more_threads_than_cpus(monkeypatch):
+    # An inline executor records the pool size, so no real thread starts.
+    requested = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(basins, "ThreadPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(basins.os, "cpu_count", lambda: 3)
+    spec = cm.GridSpec(resolution=8)
+    g = cm.render_basins(T84, spec, workers=10**6)
+    assert requested == [3]
+    assert np.array_equal(g.fingerprints, cm.render_basins(T84, spec).fingerprints)
 
 
 def test_cell_fingerprint_reproduces_grid_exactly():

@@ -1,8 +1,11 @@
+import csv
 import hashlib
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import cascade_maps as cm
 from cascade_maps import io as cio
@@ -41,6 +44,93 @@ def test_csv_empty_table_gives_header_only(tmp_path):
     # newline="" keeps the "\r\n" row ending that write_csv emits
     with open(path, newline="") as fh:
         assert fh.read() == "a,b\r\n"
+
+
+def _oracle_write_rows(fh, header, rows):
+    # The original one-row-at-a-time writer, kept as the reference.
+    def field(value):
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return str(value)
+
+    writer = csv.writer(fh)
+    writer.writerow(list(header))
+    for row in rows:
+        writer.writerow([field(v) for v in row])
+
+
+def _csv_text(write, header, rows):
+    buf = io.StringIO(newline="")
+    write(buf, header, rows)
+    return buf.getvalue()
+
+
+_EDGE_FLOATS = st.sampled_from(
+    [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 0.1]
+)
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | _EDGE_FLOATS
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_TEXT = st.text(st.sampled_from(',"\r\n a\u00e9')) | st.sampled_from(
+    ['""', "a,b", "\r\n", ""]
+)
+_COLUMNS = {
+    "float": _FLOATS,
+    "float64": _FLOATS.map(np.float64),
+    "float_and_float64": _FLOATS | _FLOATS.map(np.float64),
+    "float32": st.floats(width=32).map(np.float32),
+    "int": st.integers(),
+    "int64": _INT64.map(np.int64),
+    "int_and_int32": st.integers() | st.integers(-(2**31), 2**31 - 1).map(np.int32),
+    "bool": st.booleans(),
+    "int_and_float": st.integers() | _FLOATS,
+    "text": _TEXT,
+}
+
+
+@st.composite
+def _tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMNS)), min_size=1, max_size=5))
+    n_rows = draw(st.integers(0, 30))
+    cols = [draw(st.lists(_COLUMNS[k], min_size=n_rows, max_size=n_rows)) for k in kinds]
+    return [f"c{k}" for k in range(len(kinds))], list(zip(*cols))
+
+
+@given(_tables())
+def test_write_rows_matches_per_row_writer(table):
+    header, rows = table
+    expect = _csv_text(_oracle_write_rows, header, rows)
+    assert _csv_text(cio.write_rows, header, rows) == expect
+    assert _csv_text(cio.write_rows, header, iter(rows)) == expect
+
+
+def test_write_rows_streams_tables_longer_than_one_chunk():
+    n = 2 * cio._CHUNK_ROWS + 7
+    rng = np.random.default_rng(19)
+    # Few distinct values per column, with -0.0 and 0.0 in every chunk.
+    reals = rng.choice([-0.0, 0.0, 0.25, 1 / 3, math.nan], size=n)
+    cols = (
+        np.arange(n),
+        reals,
+        reals.tolist(),
+        rng.integers(-5, 5, size=n).astype(np.int32),
+        [str(k % 3) + ',"x"' for k in range(n)],
+        [1 if k % 2 else 2.5 for k in range(n)],
+    )
+    header = [f"c{k}" for k in range(len(cols))]
+    expect = _csv_text(_oracle_write_rows, header, list(zip(*cols)))
+    assert _csv_text(cio.write_rows, header, zip(*cols)) == expect
+
+
+def test_write_rows_keeps_zero_width_rows():
+    rows = [(), ()]
+    expect = _csv_text(_oracle_write_rows, [], rows)
+    assert expect == "\r\n\r\n\r\n"
+    assert _csv_text(cio.write_rows, [], rows) == expect
+
+
+def test_write_rows_rejects_ragged_rows():
+    with pytest.raises(ValueError):
+        cio.write_rows(io.StringIO(), ["a", "b"], [(1, 2), (3,)])
 
 
 def test_csv_write_failure_reports_path():

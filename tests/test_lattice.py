@@ -257,3 +257,24 @@ def test_cascade_batch_matches_scalar_cascade():
         x, e = cm.cascade(y[i], T84)
         assert np.array_equal(x, bx[i])
         assert e == be[i]
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(0, 64), min_size=3, max_size=3), min_size=1, max_size=40
+    )
+)
+def test_cascade_batch_is_bitwise_scalar_cascade_at_exact_ties(grid):
+    # On a dyadic grid every carry and sum is exact, so many sites land on
+    # yh == c1 exactly, where the batch kernel's max/min form must still give
+    # the scalar branch's clip and its +0.0 carry.
+    t = cm.make_threshold(0.875)
+    y = np.array(grid, dtype=float) / 64.0
+    y[0] = [1.0, 0.75, t.c1]  # ties with and without an incoming carry
+    before = y.copy()
+    bx, be = cascade_batch(y, t.c1)
+    assert y.tobytes() == before.tobytes()
+    for i in range(y.shape[0]):
+        x, e = cm.cascade(y[i], t)
+        assert x.tobytes() == bx[i].tobytes()
+        assert np.float64(e).tobytes() == be[i].tobytes()
