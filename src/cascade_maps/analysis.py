@@ -426,25 +426,21 @@ _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
 
-def _splitmix64(z: int) -> int:
-    """One round of the splitmix64 finaliser (the documented seed mixer)."""
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return z ^ (z >> 31)
-
-
 def _census_initial_states(seed: int, samples: int, n: int) -> np.ndarray:
-    """Deterministic initial states: coordinate (i, j) depends only on the
-    master seed and its flat index, so any processing order gives the same
-    sample set."""
-    out = np.empty((samples, n))
-    base = seed & _MASK64
-    for i in range(samples):
-        for j in range(n):
-            z = (base + (i * n + j + 1) * _SPLITMIX_GAMMA) & _MASK64
-            bits = _splitmix64(z) >> 11
-            out[i, j] = (bits + 0.5) * 2.0**-53  # strictly inside (0, 1)
-    return out
+    """Deterministic initial states: coordinate (i, j) is output
+    ``k = i*n + j + 1`` of splitmix64 from the master seed, so any
+    processing order gives the same sample set.
+
+    All k are computed at once in ``uint64`` arrays, which wrap modulo
+    2**64 without the overflow warning of ``uint64`` scalars.
+    """
+    k = np.arange(1, samples * n + 1, dtype=np.uint64)
+    z = np.uint64(seed & _MASK64) + k * np.uint64(_SPLITMIX_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    bits = (z ^ (z >> np.uint64(31))) >> np.uint64(11)
+    # strictly inside (0, 1)
+    return ((bits.astype(np.float64) + 0.5) * 2.0**-53).reshape(samples, n)
 
 
 def census(

@@ -14,9 +14,13 @@ evaluated as ``1 - 4u**2``, which is bit-identical for ``+u`` and ``-u``.
 Reflected cells therefore run bit-identical orbits from step one, making
 the class map exactly symmetric under ``(x, y) -> (1-x, 1-y)``.
 
-Cells are independent work items: the renderer optionally splits the grid
-into row blocks across threads, each writing its own slice, so the output
-is bit-identical for any worker count.
+Cells are numbered ``k = i*r + j`` and simulated in fixed chunks of
+``_CHUNK_CELLS`` cells, small enough for a chunk's arrays to stay in cache
+for all of its steps.  Chunks are independent work items, optionally spread
+over threads, each writing its own slice, so the output is bit-identical
+for any worker count and the working set does not grow with the grid.  On
+the unit square cell ``k`` mirrors cell ``r*r - 1 - k``, so only the first
+half of the cells is simulated and the rest is reflected.
 """
 
 from __future__ import annotations
@@ -146,16 +150,20 @@ def _window_sums(u: np.ndarray, c1: float, transient: int, window: int) -> np.nd
     """Fingerprints for a block of cells given centre offsets ``u`` (m, N).
 
     The first step maps each site through ``1 - 4u**2`` (the symmetric form
-    of the logistic map at ``1/2 + u``); later steps use the standard form.
+    of the logistic map at ``1/2 + u``); later steps evaluate the standard
+    form ``(4x)(1 - x)`` into two reused buffers.
     """
     y = 1.0 - 4.0 * (u * u)
     x, e = cascade_batch(y, c1)
     total = np.zeros(u.shape[0])
     if transient < 1:
         total += e
+    s = np.empty_like(y)
     k = 1
     while k < transient + window:
-        y = 4.0 * x * (1.0 - x)
+        np.multiply(4.0, x, out=y)
+        np.subtract(1.0, x, out=s)
+        np.multiply(y, s, out=y)
         x, e = cascade_batch(y, c1)
         k += 1
         if k > transient:
@@ -163,14 +171,20 @@ def _window_sums(u: np.ndarray, c1: float, transient: int, window: int) -> np.nd
     return total
 
 
-def _block_offsets(
-    ux: np.ndarray, uy: np.ndarray, spec: GridSpec, i0: int, i1: int
+#: Cells per work item.  16384 cells keep each (m, 2) array at 256 KB, so a
+#: chunk stays in a core's L2 cache for all of its steps; much smaller
+#: chunks make two render threads contend for the interpreter lock.
+_CHUNK_CELLS = 16384
+
+
+def _cell_offsets(
+    ux: np.ndarray, uy: np.ndarray, spec: GridSpec, k0: int, k1: int
 ) -> np.ndarray:
-    """Offsets array (m, N) for x indices in [i0, i1) times every y in ``uy``."""
-    m = (i1 - i0) * uy.size
-    u = np.empty((m, spec.n_sites))
-    u[:, 0] = np.repeat(ux[i0:i1], uy.size)
-    u[:, 1] = np.tile(uy, i1 - i0)
+    """Offsets array (m, N) for cells ``k0 <= k < k1``, ``k = i*len(uy) + j``."""
+    i, j = np.divmod(np.arange(k0, k1), uy.size)
+    u = np.empty((k1 - k0, spec.n_sites))
+    u[:, 0] = ux[i]
+    u[:, 1] = uy[j]
     for k, pinned in enumerate(spec.pinned_sites):
         u[:, 2 + k] = pinned - 0.5
     return u
@@ -180,33 +194,38 @@ def render_basins(t: Threshold, spec: GridSpec, workers: int = 1) -> BasinGrid:
     """Render the fingerprint grid and bucket it into classes.
 
     Deterministic and schedule independent: cells are pure functions of
-    their centre, and each worker writes a disjoint row block.  At most
-    ``os.cpu_count()`` threads are started, whatever ``workers`` asks for.
+    their centre, and each fixed chunk of ``_CHUNK_CELLS`` cells writes a
+    disjoint slice.  At most ``os.cpu_count()`` threads are started,
+    whatever ``workers`` asks for.  On the unit square only the first
+    ``(r*r + 1) // 2`` cells are simulated; the rest are their exact
+    mirror images (see the module docstring).
     """
     workers = min(workers, os.cpu_count() or 1)
     r = spec.resolution
     ux = _axis_offsets(spec.x_range, r)
     uy = _axis_offsets(spec.y_range, r)
-    fingerprints = np.empty((r, r))
+    cells = r * r
+    mirrored = (*spec.x_range, *spec.y_range) == _UNIT + _UNIT
+    n = (cells + 1) // 2 if mirrored else cells
+    flat = np.empty(cells)
 
-    def run_block(i0: int, i1: int) -> None:
-        u = _block_offsets(ux, uy, spec, i0, i1)
-        sums = _window_sums(u, t.c1, spec.transient, spec.window)
-        fingerprints[i0:i1] = sums.reshape(i1 - i0, r)
+    def run_chunk(k0: int) -> None:
+        k1 = min(k0 + _CHUNK_CELLS, n)
+        u = _cell_offsets(ux, uy, spec, k0, k1)
+        flat[k0:k1] = _window_sums(u, t.c1, spec.transient, spec.window)
 
+    starts = range(0, n, _CHUNK_CELLS)
     if workers <= 1:
-        run_block(0, r)
+        for k0 in starts:
+            run_chunk(k0)
     else:
-        bounds = np.linspace(0, r, workers + 1).astype(int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(run_block, int(bounds[k]), int(bounds[k + 1]))
-                for k in range(workers)
-                if bounds[k] < bounds[k + 1]
-            ]
+            futures = [pool.submit(run_chunk, k0) for k0 in starts]
             for fut in futures:
                 fut.result()
+    flat[n:] = flat[: cells - n][::-1]
 
+    fingerprints = flat.reshape(r, r)
     classes, class_table = _bucket_fingerprints(fingerprints)
     return BasinGrid(
         spec=spec, fingerprints=fingerprints, classes=classes, class_table=class_table
@@ -220,7 +239,8 @@ def cell_fingerprint(t: Threshold, spec: GridSpec, i: int, j: int) -> float:
         raise ParameterError("cell index out of range")
     ux = _axis_offsets(spec.x_range, r)
     uy = _axis_offsets(spec.y_range, r)
-    u = _block_offsets(ux, uy[j : j + 1], spec, i, i + 1)
+    k = i * r + j
+    u = _cell_offsets(ux, uy, spec, k, k + 1)
     return float(_window_sums(u, t.c1, spec.transient, spec.window)[0])
 
 

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import cascade_maps as cm
+from cascade_maps import analysis
 from cascade_maps.errors import BracketError, ParameterError
 
 SEED = 0x5EED_CA5CADE
@@ -318,6 +320,32 @@ def test_census_orbits_return_exactly_at_many_attractors():
         for _ in range(rec.period):
             s = cm.step(s, t)
         assert np.array_equal(s.sites, rec.orbit[0])
+
+
+def _splitmix_states_oracle(seed, samples, n):
+    # The scalar splitmix64 loop the census seeds were first defined by.
+    mask = (1 << 64) - 1
+    out = np.empty((samples, n))
+    for i in range(samples):
+        for j in range(n):
+            z = ((seed & mask) + (i * n + j + 1) * 0x9E3779B97F4A7C15) & mask
+            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+            bits = (z ^ (z >> 31)) >> 11
+            out[i, j] = (bits + 0.5) * 2.0**-53
+    return out
+
+
+@pytest.mark.parametrize("seed", [SEED, 0, 1, -1, -5, 2**64 - 1, 2**64, 2**70 + 3])
+@pytest.mark.parametrize("samples, n", [(0, 2), (1, 1), (300, 1), (300, 8)])
+def test_census_initial_states_match_scalar_splitmix(seed, samples, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = analysis._census_initial_states(seed, samples, n)
+    want = _splitmix_states_oracle(seed, samples, n)
+    assert got.shape == want.shape == (samples, n)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------- bifurcation scan

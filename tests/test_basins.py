@@ -1,4 +1,6 @@
 import dataclasses
+import threading
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -129,6 +131,53 @@ def test_class_map_mirror_symmetric(t):
     g = cm.render_basins(t, cm.GridSpec(resolution=101))
     assert np.array_equal(g.classes, g.classes[::-1, ::-1])
     assert np.array_equal(g.fingerprints, g.fingerprints[::-1, ::-1])
+
+
+def _direct_fingerprints(t, spec):
+    # Oracle: one block simulating every cell of the grid, none reflected.
+    r = spec.resolution
+    ux = basins._axis_offsets(spec.x_range, r)
+    uy = basins._axis_offsets(spec.y_range, r)
+    u = basins._cell_offsets(ux, uy, spec, 0, r * r)
+    return basins._window_sums(u, t.c1, spec.transient, spec.window)
+
+
+@pytest.mark.parametrize(
+    "r, chunk",
+    [(2, 1), (3, 1), (3, 7), (8, 1), (8, 7), (8, 4096), (101, 4096)],
+)
+def test_render_matches_direct_simulation_of_every_cell(monkeypatch, r, chunk):
+    monkeypatch.setattr(basins, "_CHUNK_CELLS", chunk)
+    specs = [
+        cm.GridSpec(resolution=r),
+        cm.GridSpec(resolution=r, pinned_sites=(0.3,)),
+        cm.GridSpec(resolution=r, x_range=(0.1, 0.6)),
+    ]
+    for t in (T84, T94):
+        for spec in specs:
+            want = _direct_fingerprints(t, spec).tobytes()
+            for workers in (1, 2):
+                g = cm.render_basins(t, spec, workers=workers)
+                assert g.fingerprints.tobytes() == want, (t.c1, spec, workers)
+
+
+def test_render_memory_is_bounded_by_the_output_and_one_chunk():
+    r = 601
+    spec = cm.GridSpec(resolution=r)
+    threads = threading.active_count()
+    tracemalloc.start()
+    try:
+        cm.render_basins(T84, spec, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert threading.active_count() == threads
+    # Per cell: 8 B of fingerprints, 4 B of classes and two int64 bucketing
+    # temporaries.  Per chunk of 16384 cells, at most sixteen (m, N) double
+    # arrays; a fixed allowance, so a chunk that grows with the grid fails.
+    per_cell = 8 + 4 + 2 * 8
+    per_chunk = 16384 * 16 * spec.n_sites * 8
+    assert peak < per_cell * r * r + per_chunk
 
 
 def test_pinned_sites_slice():
