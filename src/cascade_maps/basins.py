@@ -265,6 +265,22 @@ def _bucket_fingerprints(fingerprints: np.ndarray) -> tuple[np.ndarray, dict[int
     return classes, {k: rep for k, rep in enumerate(reps)}
 
 
+def _check_regions(
+    eps_list: Sequence[float],
+    point: Optional[tuple[float, float]],
+    radii: Sequence[float],
+) -> None:
+    """Reject the corner boxes and disks that no grid can count (NaN included)."""
+    if not all(eps > 0.0 for eps in eps_list):
+        raise ParameterError("corner box size must be positive")
+    if point is not None:
+        px, py = point
+        if not (0.0 < px < 1.0 and 0.0 < py < 1.0):
+            raise ParameterError("accumulation point must lie in the open square")
+        if not all(radius > 0.0 for radius in radii):
+            raise ParameterError("disk radius must be positive")
+
+
 def label_components(
     g: BasinGrid,
     eps_list: Sequence[float] = (),
@@ -278,6 +294,7 @@ def label_components(
     counts over grid-rasterised disks.  Components are counted as meeting a
     region when any member cell centre falls inside it.
     """
+    _check_regions(eps_list, point, radii)
     classes = g.classes
     r = g.spec.resolution
     component_ids = np.zeros((r, r), dtype=np.int32)
@@ -295,8 +312,6 @@ def label_components(
 
     corner_counts: dict[tuple[str, float], int] = {}
     for eps in eps_list:
-        if eps <= 0.0:
-            raise ParameterError("corner box size must be positive")
         lo_x, hi_x = cx <= eps, cx >= 1.0 - eps
         lo_y, hi_y = cy <= eps, cy >= 1.0 - eps
         for corner, mx, my in (
@@ -311,12 +326,8 @@ def label_components(
     disk_counts: dict[float, int] = {}
     if point is not None:
         px, py = point
-        if not (0.0 < px < 1.0 and 0.0 < py < 1.0):
-            raise ParameterError("accumulation point must lie in the open square")
         dist2 = (cx[:, None] - px) ** 2 + (cy[None, :] - py) ** 2
         for radius in radii:
-            if radius <= 0.0:
-                raise ParameterError("disk radius must be positive")
             sel = component_ids[dist2 <= radius * radius]
             disk_counts[float(radius)] = int(np.unique(sel).size)
 
@@ -348,6 +359,7 @@ def corner_accumulation(
         raise ParameterError("eps_list must be strictly decreasing")
     if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise ParameterError("resolutions must be strictly increasing")
+    _check_regions(eps_list, None, ())
     header = ["resolution", "eps", "corner", "components"]
     rows: list[tuple] = []
     for r in resolutions:
@@ -368,6 +380,7 @@ def interior_accumulation(
 ) -> tuple[list[str], list[tuple]]:
     """Component counts over disks around an interior point (one render)."""
     radii = [float(x) for x in radii]
+    _check_regions((), point, radii)
     stats = label_components(
         render_basins(t, spec, workers=workers), point=point, radii=radii
     )

@@ -374,7 +374,7 @@ def _run_basin(cfg: RunConfig) -> None:
         cx = basins._axis_centers(grid.spec.x_range, r)
         cy = basins._axis_centers(grid.spec.y_range, r)
         ii, jj = np.divmod(np.arange(r * r), r)
-        rows = zip(
+        rows = io.Columns(
             ii, jj, cx[ii], cy[jj], grid.fingerprints.ravel(), grid.classes.ravel()
         )
         io.write_csv(header, rows, out)

@@ -4,7 +4,10 @@ Real numbers are written in shortest round-trip form, so a written value
 parses back to the identical double.  CSV rows may come from any iterable
 (a lazy ``zip`` over arrays included) and are streamed in fixed-size
 chunks, formatted column by column, so the writer holds at most one chunk
-of rows and their strings in memory.  Images are binary "P5"/"P6" with
+of rows and their strings in memory.  A table of numeric numpy columns
+wrapped in :class:`Columns` skips the rows altogether: each chunk is
+sliced from the arrays and joined with ``","`` directly, since numeric
+text never needs CSV quoting.  Images are binary "P5"/"P6" with
 the grid transposed so that x grows to the right and y grows upward.
 The colour palette spaces class hues evenly on a 12-colour wheel from
 blue (lowest fingerprint class) down to red (highest).
@@ -15,13 +18,14 @@ from __future__ import annotations
 import colorsys
 import csv
 from itertools import islice
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from .basins import BasinGrid
 
 __all__ = [
+    "Columns",
     "format_real",
     "write_rows",
     "write_csv",
@@ -53,26 +57,69 @@ _FLOAT_TYPES = frozenset((float, np.float64))
 _INT_TYPES = frozenset((int, np.int64, np.int32))
 
 
+class Columns:
+    """Equal-length 1-D numpy arrays read as the columns of a table.
+
+    Each array must be ``float64`` or of an integer dtype; the arrays are
+    held as given, not copied.  Iterating yields the same row tuples as
+    ``zip(*arrays)``, so any consumer of rows can read a ``Columns``, while
+    :func:`write_rows` formats it column by column without building rows.
+    """
+
+    __slots__ = ("arrays",)
+
+    def __init__(self, *arrays: np.ndarray):
+        self.arrays = tuple(map(np.asarray, arrays))
+        for a in self.arrays:
+            if a.ndim != 1:
+                raise ValueError(f"a column must be 1-D, got shape {a.shape}")
+            if a.dtype != np.float64 and a.dtype.kind not in "iu":
+                raise ValueError(f"a column must be float64 or integer, got {a.dtype}")
+        if len({a.shape[0] for a in self.arrays}) > 1:
+            raise ValueError("columns must have equal lengths")
+
+    def __len__(self) -> int:
+        return self.arrays[0].shape[0] if self.arrays else 0
+
+    def __iter__(self) -> Iterator[tuple]:
+        return zip(*self.arrays)
+
+
+def _format_array(values: np.ndarray) -> list[str]:
+    """Format a 1-D ``float64`` or integer array, each distinct value once.
+
+    Doubles are told apart by their 64-bit pattern, so ``-0.0`` stays apart
+    from ``0.0`` and NaN payloads from each other.  Integers go through
+    ``str`` as Python ints, so ``uint64`` values above ``2**63`` are exact.
+    """
+    if values.dtype == np.float64:
+        uniq, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        text = [format_real(v) for v in uniq.view(np.float64).tolist()]
+    else:
+        uniq, inverse = np.unique(values, return_inverse=True)
+        text = [str(v) for v in uniq.tolist()]
+    return np.array(text, dtype=object)[inverse].tolist()
+
+
 def _format_column(col: tuple) -> list[str]:
     """Format one column of a chunk, as ``_format_field`` would per value.
 
-    A column of exact ``float``/``np.float64`` values formats each distinct
-    64-bit pattern once (so ``-0.0`` stays apart from ``0.0``); an all-int
-    column goes through ``str``; anything else (a mixed int/float column,
+    A column of exact ``float``/``np.float64`` values goes through
+    :func:`_format_array`; an all-int column goes through ``str`` (Python
+    ints may not fit ``int64``); anything else (a mixed int/float column,
     ``np.float32``, ``bool``, strings) is formatted value by value.
     """
     kinds = set(map(type, col))
     if kinds <= _FLOAT_TYPES:
-        bits = np.array(col, dtype=np.float64).view(np.int64)
-        uniq, inverse = np.unique(bits, return_inverse=True)
-        text = [format_real(v) for v in uniq.view(np.float64).tolist()]
-        return list(map(text.__getitem__, inverse.tolist()))
+        return _format_array(np.array(col, dtype=np.float64))
     if kinds <= _INT_TYPES:
         return list(map(str, col))
     return [_format_field(v) for v in col]
 
 
-def write_rows(fh: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_rows(
+    fh: TextIO, header: Sequence[str], rows: Iterable[Sequence] | Columns
+) -> None:
     """Write a header row and data rows as CSV to an open text stream.
 
     ``rows`` may be any iterable of equal-length rows; it is read once, in
@@ -80,17 +127,32 @@ def write_rows(fh: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> N
     chunk whose rows differ in length raises ``ValueError``.  Reals are
     written in shortest round-trip form.  Every row, the header included,
     ends in ``"\\r\\n"`` (the ``csv`` module's excel dialect).
+
+    A :class:`Columns` table is formatted a chunk of array slices at a time
+    and joined with ``","`` without the ``csv`` module: numeric text is never
+    empty and holds no ``,``, ``"``, ``\\r`` or ``\\n``, so the excel dialect
+    would quote none of it, and the bytes are the same as for its rows.
     """
     writer = csv.writer(fh)
     writer.writerow(list(header))
+    if isinstance(rows, Columns):
+        for k0 in range(0, len(rows), _CHUNK_ROWS):
+            cols = [_format_array(a[k0 : k0 + _CHUNK_ROWS]) for a in rows.arrays]
+            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
+        return
     it = iter(rows)
     while chunk := list(islice(it, _CHUNK_ROWS)):
         cols = [_format_column(col) for col in zip(*chunk, strict=True)]
         writer.writerows(zip(*cols) if cols else chunk)
 
 
-def write_csv(header: Sequence[str], rows: Iterable[Sequence], path: str) -> None:
-    """Write a table with a header row to ``path`` via :func:`write_rows`."""
+def write_csv(
+    header: Sequence[str], rows: Iterable[Sequence] | Columns, path: str
+) -> None:
+    """Write a table with a header row to ``path`` via :func:`write_rows`.
+
+    ``rows`` is an iterable of rows or a :class:`Columns` table.
+    """
     try:
         with open(path, "w", newline="") as fh:
             write_rows(fh, header, rows)

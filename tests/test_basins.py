@@ -295,6 +295,28 @@ def test_corner_accumulation_validates_monotone_args():
         cm.corner_accumulation(T84, spec, eps_list=[0.1], resolutions=[32, 16])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec: cm.corner_accumulation(T84, spec, [0.1, -0.1], [16, 32]),
+        lambda spec: cm.corner_accumulation(T84, spec, [0.0], [16]),
+        lambda spec: cm.corner_accumulation(T84, spec, [float("nan")], [16]),
+        lambda spec: cm.interior_accumulation(T84, spec, (1.5, 0.5), [0.1]),
+        lambda spec: cm.interior_accumulation(T84, spec, (0.5, 0.0), [0.1]),
+        lambda spec: cm.interior_accumulation(T84, spec, (0.5, 0.5), [0.1, -0.1]),
+        lambda spec: cm.interior_accumulation(T84, spec, (0.5, 0.5), [0.0]),
+        lambda spec: cm.interior_accumulation(T84, spec, (0.5, 0.5), [float("nan")]),
+    ],
+)
+def test_accumulation_rejects_bad_regions_before_rendering(monkeypatch, call):
+    def no_render(*args, **kwargs):
+        raise AssertionError("rendered a grid for invalid regions")
+
+    monkeypatch.setattr(basins, "render_basins", no_render)
+    with pytest.raises(ParameterError):
+        call(cm.GridSpec(resolution=16))
+
+
 def test_interior_accumulation_counts_grow_with_radius_above_xi2():
     header, rows = cm.interior_accumulation(
         T94, cm.GridSpec(resolution=149), (0.75, 0.75), [0.02, 0.05, 0.1, 0.2]

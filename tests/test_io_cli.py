@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 import cascade_maps as cm
 from cascade_maps import io as cio
@@ -131,6 +131,96 @@ def test_write_rows_keeps_zero_width_rows():
 def test_write_rows_rejects_ragged_rows():
     with pytest.raises(ValueError):
         cio.write_rows(io.StringIO(), ["a", "b"], [(1, 2), (3,)])
+
+
+_NAN_PAYLOADS = np.array(
+    [0x7FF8000000000001, 0xFFF8000000000ABC, 0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF],
+    dtype=np.uint64,
+).view(np.float64)
+_ARRAY_VALUES = {
+    np.float64: _FLOATS | st.sampled_from(_NAN_PAYLOADS.tolist()),
+    np.int32: st.integers(-(2**31), 2**31 - 1),
+    np.int64: _INT64,
+    np.uint8: st.integers(0, 255),
+    np.uint64: st.integers(2**63, 2**64 - 1) | st.integers(0, 2**64 - 1),
+}
+_LENGTHS = (
+    0,
+    1,
+    cio._CHUNK_ROWS - 1,
+    cio._CHUNK_ROWS + 1,
+    2 * cio._CHUNK_ROWS + 7,
+)
+
+
+@st.composite
+def _numeric_columns(draw):
+    # A few drawn values per column, spread over a long table by a seeded
+    # pick, so that every chunk repeats values and mixes their bit patterns.
+    n = draw(st.sampled_from(_LENGTHS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arrays = []
+    for dtype in draw(st.lists(st.sampled_from(list(_ARRAY_VALUES)), min_size=1, max_size=4)):
+        pool = draw(st.lists(_ARRAY_VALUES[dtype], min_size=1, max_size=6))
+        pool = np.array(pool, dtype=dtype)
+        values = pool[rng.integers(0, len(pool), size=2 * n)]
+        # A strided view checks that no column needs to be contiguous.
+        arrays.append(values[::2] if draw(st.booleans()) else values[:n])
+    return arrays
+
+
+# Examples run up to 2*_CHUNK_ROWS + 7 rows, so shrinking a failure would
+# take minutes; the unshrunk example is reported instead.
+@settings(
+    max_examples=30,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
+@given(_numeric_columns())
+def test_write_rows_columns_match_per_row_writer(arrays):
+    header = [f"c{k}" for k in range(len(arrays))]
+    expect = _csv_text(_oracle_write_rows, header, list(zip(*arrays)))
+    got = _csv_text(cio.write_rows, header, cio.Columns(*arrays))
+    # Compared as lists of rows: a failing diff of the whole text is very slow.
+    assert got.split("\r\n") == expect.split("\r\n")
+
+
+def test_columns_iterate_as_zip():
+    arrays = (
+        np.arange(5),
+        np.linspace(-1.0, 1.0, 5),
+        np.array([0, 1, 2**63, 2**64 - 1, 7], dtype=np.uint64),
+        np.arange(5, dtype=np.int32),
+    )
+    rows = list(cio.Columns(*arrays))
+    assert rows == list(zip(*arrays))
+    assert [tuple(map(type, row)) for row in rows] == [
+        tuple(map(type, row)) for row in zip(*arrays)
+    ]
+    assert len(cio.Columns(*arrays)) == 5
+    assert list(cio.Columns()) == [] and len(cio.Columns()) == 0
+
+
+def test_columns_hold_arrays_without_copy():
+    a = np.arange(4.0)
+    assert cio.Columns(a, np.arange(4)).arrays[0] is a
+
+
+@pytest.mark.parametrize(
+    "arrays",
+    [
+        (np.arange(3), np.arange(4.0)),
+        (np.zeros((2, 2)),),
+        (np.zeros(3, dtype=bool),),
+        (np.zeros(3, dtype=np.float32),),
+        (np.array([1, 2.5, "x"], dtype=object),),
+        (np.array(["1", "2"]),),
+    ],
+    ids=["unequal", "2-D", "bool", "float32", "object", "str"],
+)
+def test_columns_reject_non_numeric_or_unequal_arrays(arrays):
+    with pytest.raises(ValueError):
+        cio.Columns(*arrays)
 
 
 def test_csv_write_failure_reports_path():
@@ -381,6 +471,59 @@ def test_main_basin_csv_round_trip(tmp_path):
         assert float(row[4]) == grid.fingerprints[i, j]
 
 
+def _capture_render(monkeypatch):
+    grids = []
+    render = cm.basins.render_basins
+
+    def recording_render(*args, **kwargs):
+        grids.append(render(*args, **kwargs))
+        return grids[-1]
+
+    monkeypatch.setattr(cm.basins, "render_basins", recording_render)
+    return grids
+
+
+def _basin_rows(grid):
+    r = grid.spec.resolution
+    cx = cm.basins._axis_centers(grid.spec.x_range, r)
+    cy = cm.basins._axis_centers(grid.spec.y_range, r)
+    ii, jj = np.divmod(np.arange(r * r), r)
+    return zip(ii, jj, cx[ii], cy[jj], grid.fingerprints.ravel(), grid.classes.ravel())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("c1", ["0.84", "0.95"])
+@pytest.mark.parametrize("r", [2, 31])
+def test_main_basin_csv_matches_row_writer(capsys, monkeypatch, tmp_path, r, c1, workers):
+    grids = _capture_render(monkeypatch)
+    out = tmp_path / "grid.csv"
+    argv = ["basin", "--c1", c1, "--res", str(r), "--workers", str(workers),
+            "--format", "csv", "--out", str(out)]
+    assert main(argv) == 0
+    [grid] = grids
+    expect = tmp_path / "rows.csv"
+    cio.write_csv(["i", "j", "x", "y", "fingerprint", "class"], _basin_rows(grid), str(expect))
+    assert out.read_bytes() == expect.read_bytes()
+
+
+def test_main_basin_csv_rows_end_in_the_class(capsys, monkeypatch, tmp_path):
+    grids = _capture_render(monkeypatch)
+    seen = []
+    write_csv = cio.write_csv
+
+    def listing_write_csv(header, rows, path):
+        seen.extend(list(rows))
+        write_csv(header, seen, path)
+
+    monkeypatch.setattr(cio, "write_csv", listing_write_csv)
+    out = str(tmp_path / "grid.csv")
+    assert main(["basin", "--c1", "0.95", "--res", "31", "--format", "csv", "--out", out]) == 0
+    [grid] = grids
+    assert {len(row) for row in seen} == {6}
+    assert [row[-1] for row in seen] == grid.classes.ravel().tolist()
+    assert [(row[0], row[1]) for row in seen] == [(i, j) for i in range(31) for j in range(31)]
+
+
 def test_main_accumulation_point(capsys):
     rc = main(
         [
@@ -399,6 +542,25 @@ def test_main_accumulation_point(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "radius,components"
     assert [ln.split(",")[1] for ln in lines[1:]] == ["1", "1"]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--point", "1.5,0.5"], "accumulation point must lie in the open square"),
+        (["--point", "0.5,0.5", "--radii", "0.1,-0.1"], "disk radius must be positive"),
+        (["--corner", "--eps", "0.1,-0.1"], "corner box size must be positive"),
+    ],
+)
+def test_main_accumulation_rejects_bad_regions_without_rendering(
+    capsys, monkeypatch, flags, message
+):
+    def no_render(*args, **kwargs):
+        raise AssertionError("rendered a grid for invalid regions")
+
+    monkeypatch.setattr(cm.basins, "render_basins", no_render)
+    assert main(["accumulation", "--c1", "0.95", *flags]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def test_main_unknown_subcommand(capsys):
