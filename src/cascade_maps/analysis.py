@@ -366,22 +366,29 @@ def _recurrences(
     ``(periods, history)`` with ``history[k]`` the states ``k`` steps after
     the transient; stepping stops once every row has a period, so only
     ``history[:periods.max() + 1]`` is filled in that case.
+
+    The batch is stepped column-major, the kernel's fast path.  The history
+    is stored site-major, as (max_period + 1, N, M), so that each stored
+    state ``x.T`` is one contiguous copy and the return check reduces over
+    whole contiguous site rows; it is returned as a (max_period + 1, M, N)
+    view of that buffer.
     """
     if max_period < 1:
         raise ParameterError("max_period must be >= 1")
+    x = np.asfortranarray(x)
     for _ in range(transient):
         x, _ = step_batch(x, t)
-    history = np.empty((max_period + 1,) + x.shape)
-    history[0] = x
+    history = np.empty((max_period + 1,) + x.shape[::-1])
+    history[0] = x.T
     periods = np.zeros(x.shape[0], dtype=int)
     for p in range(1, max_period + 1):
         x, _ = step_batch(x, t)
-        history[p] = x
-        hit = (periods == 0) & (np.max(np.abs(x - history[0]), axis=1) <= tol)
+        history[p] = x.T
+        hit = (periods == 0) & (np.max(np.abs(history[p] - history[0]), axis=0) <= tol)
         periods[hit] = p
         if periods.all():
             break
-    return periods, history
+    return periods, history.transpose(0, 2, 1)
 
 
 def _attractor_record(
@@ -412,9 +419,9 @@ def detect_periodic_orbit(
     After the transient, looks for the least ``p <= max_period`` with a
     max-norm return to the reference state within ``tol``, canonicalises
     the phase and classifies the synchronisation pattern.  Returns None if
-    no recurrence is found.
+    no recurrence is found.  ``tol`` must be positive (NaN is rejected).
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN fails the comparison and is rejected too
         raise ParameterError("tol must be positive")
     periods, history = _recurrences(t, s0.sites[None, :], transient, max_period, tol)
     if periods[0] == 0:
@@ -457,7 +464,8 @@ def census(
 
     All samples are advanced together through the transient; a sample's
     period is the least ``p <= max_period`` with a max-norm return to its
-    post-transient state within ``tol``, and samples without one are left
+    post-transient state within ``tol`` (``tol >= 0``; 0 asks for a
+    bit-exact return, NaN is rejected), and samples without one are left
     out of the counts.  Orbits are grouped by their exact state content,
     which is rotation invariant and exact because super-stable orbits
     repeat bit-identically after clipping.  The result is sorted by
@@ -466,6 +474,8 @@ def census(
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
+    if not tol >= 0.0:  # NaN fails the comparison and is rejected too
+        raise ParameterError("tol must be non-negative")
     x = _census_initial_states(seed, samples, n_sites)
     periods, history = _recurrences(t, x, transient, max_period, tol)
 

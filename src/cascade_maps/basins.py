@@ -20,7 +20,9 @@ for all of its steps.  Chunks are independent work items, optionally spread
 over threads, each writing its own slice, so the output is bit-identical
 for any worker count and the working set does not grow with the grid.  On
 the unit square cell ``k`` mirrors cell ``r*r - 1 - k``, so only the first
-half of the cells is simulated and the rest is reflected.
+half of the cells is simulated and the rest is reflected.  A chunk's (m, N)
+arrays are column-major, so the cascade sweep reads each site column as one
+contiguous run (the fast path of :func:`cascade_maps.lattice.cascade_batch`).
 """
 
 from __future__ import annotations
@@ -180,9 +182,10 @@ _CHUNK_CELLS = 16384
 def _cell_offsets(
     ux: np.ndarray, uy: np.ndarray, spec: GridSpec, k0: int, k1: int
 ) -> np.ndarray:
-    """Offsets array (m, N) for cells ``k0 <= k < k1``, ``k = i*len(uy) + j``."""
+    """Column-major offsets array (m, N) for cells ``k0 <= k < k1``,
+    ``k = i*len(uy) + j``."""
     i, j = np.divmod(np.arange(k0, k1), uy.size)
-    u = np.empty((k1 - k0, spec.n_sites))
+    u = np.empty((k1 - k0, spec.n_sites), order="F")
     u[:, 0] = ux[i]
     u[:, 1] = uy[j]
     for k, pinned in enumerate(spec.pinned_sites):

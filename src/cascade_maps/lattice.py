@@ -12,6 +12,12 @@ rows of an array, and is the kernel behind the basin renderer and the
 attractor census.  Scalar and batched paths perform the identical IEEE
 operations in the same order, so single orbits advanced either way agree
 bit for bit.
+
+Layout contract of the batch kernels: an (M, N) batch may have any memory
+order, and the result keeps the input's order.  The sweep reads one site
+column at a time, so column-major (Fortran) order, where each column is one
+contiguous run, is the fast path; the renderer and the census keep their
+batches column-major.  The values do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -43,9 +49,11 @@ class LatticeState:
         arr = np.array(self.sites, dtype=float, copy=True)
         if arr.ndim != 1 or arr.size < 1:
             raise DomainError("sites must be a non-empty 1-D vector")
-        if np.any((arr < 0.0) | (arr > 1.0)):
+        # Written as "not inside" so that NaN, which fails every comparison,
+        # is rejected too; min and max propagate NaN.
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise DomainError("site values must lie in [0, 1]")
-        if self.last_excess < 0.0:
+        if not self.last_excess >= 0.0:
             raise DomainError("last_excess must be non-negative")
         arr.setflags(write=False)
         object.__setattr__(self, "sites", arr)
@@ -93,6 +101,8 @@ def step_batch(x: np.ndarray, t: Threshold) -> tuple[np.ndarray, np.ndarray]:
     ``x`` has shape (M, N): M orbits of N sites.  Returns the new states
     and the M emitted excesses.  Purely elementwise over orbits, so the
     result does not depend on how a larger batch is split into blocks.
+    Any memory order of ``x`` is accepted and kept by the new states;
+    column-major is the fast path (see the module docstring).
     """
     y = 4.0 * x * (1.0 - x)
     return cascade_batch(y, t.c1)
@@ -105,9 +115,11 @@ def cascade_batch(y: np.ndarray, c1: float) -> tuple[np.ndarray, np.ndarray]:
     is the clipped value and ``max(yh - c1, 0)`` the carry.  For finite
     input this is bit-identical to :func:`cascade`: ``yh - c1 > 0`` exactly
     when ``yh > c1`` (gradual underflow), and ``yh == c1`` carries ``+0.0``.
-    ``y`` itself is not modified.
+    ``y`` itself is not modified.  The copy keeps ``y``'s memory order, so
+    any order is accepted and kept; with column-major ``y`` each swept
+    column is contiguous, which is the fast path.
     """
-    out = y.copy()
+    out = y.copy(order="K")
     carry = np.zeros(y.shape[0])
     for i in range(y.shape[1]):
         yh = out[:, i]

@@ -322,6 +322,97 @@ def test_census_orbits_return_exactly_at_many_attractors():
         assert np.array_equal(s.sites, rec.orbit[0])
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+def test_census_rejects_negative_or_nan_tol(tol):
+    with pytest.raises(ParameterError, match="tol"):
+        cm.census(T84, 2, 10, seed=1, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_detect_rejects_non_positive_or_nan_tol(tol):
+    with pytest.raises(ParameterError, match="tol"):
+        cm.detect_periodic_orbit(
+            T84, cm.LatticeState(sites=[0.3, 0.6]), 10, 16, tol=tol
+        )
+
+
+def test_census_accepts_zero_tol():
+    # Super-stable orbits repeat bit-exactly, so an exact return test finds
+    # the same attractors as the default tolerance.
+    exact = cm.census(T84, 2, 500, seed=SEED, tol=0.0)
+    default = cm.census(T84, 2, 500, seed=SEED)
+    assert _record_bytes(exact) == _record_bytes(default)
+    assert sum(h for _, h in exact) == 500
+
+
+def _recurrences_oracle(t, x, transient, max_period, tol):
+    # The row-major recurrence search the census was first written with:
+    # (M, N) batches in C order and a (max_period + 1, M, N) history.
+    if max_period < 1:
+        raise ParameterError("max_period must be >= 1")
+    for _ in range(transient):
+        x, _ = cm.step_batch(x, t)
+    history = np.empty((max_period + 1,) + x.shape)
+    history[0] = x
+    periods = np.zeros(x.shape[0], dtype=int)
+    for p in range(1, max_period + 1):
+        x, _ = cm.step_batch(x, t)
+        history[p] = x
+        hit = (periods == 0) & (np.max(np.abs(x - history[0]), axis=1) <= tol)
+        periods[hit] = p
+        if periods.all():
+            break
+    return periods, history
+
+
+def _record_bytes(entries):
+    return [
+        (
+            r.period,
+            r.orbit.shape,
+            r.orbit.tobytes(),
+            r.kind,
+            np.float64(r.window_fingerprint).tobytes(),
+            hits,
+        )
+        for r, hits in entries
+    ]
+
+
+@pytest.mark.parametrize("c1", [0.84, 0.9, 0.95, 0.98])
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_census_matches_row_major_recurrence_oracle(c1, n):
+    t = cm.make_threshold(c1)
+    x = analysis._census_initial_states(SEED, 400, n)
+    tol = analysis.RECURRENCE_TOL
+    periods, history = analysis._recurrences(t, x, 100, 64, tol)
+    want_periods, want_history = _recurrences_oracle(t, x, 100, 64, tol)
+    assert periods.tolist() == want_periods.tolist()
+    assert history.shape == want_history.shape
+    filled = periods.max() + 1 if periods.all() else 65
+    assert history[:filled].tobytes() == want_history[:filled].tobytes()
+
+    starts = [cm.LatticeState(sites=row) for row in x[:6]]
+    starts.append(cm.LatticeState(sites=np.full(n, 0.5)))
+
+    def run():
+        detected = [
+            cm.detect_periodic_orbit(t, s, transient, max_period)
+            for s in starts
+            for transient, max_period in [(100, 64), (0, 64), (3, 2)]
+        ]
+        return (
+            _record_bytes(cm.census(t, n, 400, seed=SEED)),
+            [None if rec is None else _record_bytes([(rec, 0)]) for rec in detected],
+        )
+
+    got = run()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(analysis, "_recurrences", _recurrences_oracle)
+        want = run()
+    assert got[0] and got == want
+
+
 def _splitmix_states_oracle(seed, samples, n):
     # The scalar splitmix64 loop the census seeds were first defined by.
     mask = (1 << 64) - 1

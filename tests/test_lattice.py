@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cascade_maps as cm
+from cascade_maps import analysis, basins
 from cascade_maps.errors import DomainError, ParameterError
 from cascade_maps.lattice import cascade_batch, step_batch
 
@@ -26,6 +27,20 @@ def test_state_validation():
         cm.LatticeState(sites=[])
     with pytest.raises(DomainError):
         cm.LatticeState(sites=[0.5], last_excess=-1.0)
+
+
+@pytest.mark.parametrize("sites", [[np.nan, 0.5], [0.5, np.nan], [np.nan]])
+def test_state_rejects_nan_sites(sites):
+    with pytest.raises(DomainError, match="site values"):
+        cm.LatticeState(sites=sites)
+
+
+def test_state_rejects_nan_last_excess():
+    with pytest.raises(DomainError, match="last_excess"):
+        cm.LatticeState(sites=[0.5, 0.5], last_excess=np.nan)
+    # The closed bounds stay legal.
+    s = cm.LatticeState(sites=[0.0, 1.0], last_excess=0.0)
+    assert s.sites.tolist() == [0.0, 1.0]
 
 
 # ------------------------------------------------------------------- cascade
@@ -278,3 +293,70 @@ def test_cascade_batch_is_bitwise_scalar_cascade_at_exact_ties(grid):
         x, e = cm.cascade(y[i], t)
         assert x.tobytes() == bx[i].tobytes()
         assert np.float64(e).tobytes() == be[i].tobytes()
+
+
+# ------------------------------------------------------ batch memory layout
+
+
+def _layouts(y):
+    """The same values as C-ordered, column-major and strided batches."""
+    doubled = np.asfortranarray(np.repeat(y, 2, axis=0))
+    return {
+        "C": np.ascontiguousarray(y),
+        "F": np.asfortranarray(y),
+        "strided": doubled[::2],
+    }
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(0, 64), min_size=3, max_size=3), min_size=1, max_size=40
+    ),
+    st.sampled_from(["cascade_batch", "step_batch"]),
+)
+def test_batch_kernels_do_not_depend_on_memory_order(grid, kernel):
+    # Dyadic values make ties yh == c1 common (see the test above), so the
+    # sign of every zero carry is compared too.
+    t = cm.make_threshold(0.875)
+    y = np.array(grid, dtype=float) / 64.0
+    y[0] = [1.0, 0.75, t.c1]
+    run = {
+        "cascade_batch": lambda a: cascade_batch(a, t.c1),
+        "step_batch": lambda a: step_batch(a, t),
+    }[kernel]
+    want_x, want_e = run(np.ascontiguousarray(y))
+    for name, a in _layouts(y).items():
+        before = a.tobytes()
+        x, e = run(a)
+        assert a.tobytes() == before, name
+        assert x.shape == y.shape
+        assert x.tobytes() == want_x.tobytes(), name
+        assert e.tobytes() == want_e.tobytes(), name
+        if name == "F":
+            assert x.flags.f_contiguous
+        if name == "C":
+            assert x.flags.c_contiguous
+
+
+def _spy(monkeypatch, module, name, batches):
+    # Swap the module attribute its callers look up at call time, as the
+    # benchmark tracer does, and record the layout of every batch passed.
+    inner = getattr(module, name)
+
+    def wrapper(x, *args):
+        batches.append((x.ndim, x.flags.f_contiguous))
+        return inner(x, *args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_render_and_census_pass_column_major_batches(monkeypatch):
+    batches = []
+    _spy(monkeypatch, basins, "cascade_batch", batches)
+    _spy(monkeypatch, analysis, "step_batch", batches)
+    spec = cm.GridSpec(resolution=8, transient=5, window=4)
+    cm.render_basins(T90, spec, workers=1)
+    assert len(batches) == spec.transient + spec.window
+    cm.census(T90, 3, 50, seed=7, transient=5, max_period=8)
+    assert len(batches) > spec.transient + spec.window + 5
+    assert set(batches) == {(2, True)}
