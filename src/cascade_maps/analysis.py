@@ -289,13 +289,19 @@ def _power_iteration(matrix: np.ndarray, tol: float = 1e-10, max_iter: int = 200
 
 
 def _canonical_rotation(orbit: np.ndarray) -> np.ndarray:
-    """Lexicographically least rotation of the orbit's state sequence."""
+    """Lexicographically least rotation of the orbit's state sequence.
+
+    The least rotation starts at a least state, so only rotations starting
+    at a state equal to it are compared; ties go to the first such index.
+    """
     p, n = orbit.shape
     if p == 1:
         return orbit
+    least = orbit[np.lexsort(orbit.T[::-1])[0]]
+    starts = np.flatnonzero((orbit == least).all(axis=1)).tolist()
     flat = orbit.ravel().tolist()
-    best = min(range(p), key=lambda r: flat[r * n :] + flat[: r * n])
-    return np.roll(orbit, -best, axis=0)
+    best = min(starts, key=lambda r: flat[r * n :] + flat[: r * n])
+    return np.concatenate((orbit[best:], orbit[:best]))
 
 
 def _lag_matches(orbit: np.ndarray, lag: int, t: Threshold, tol: float) -> bool:
@@ -306,18 +312,13 @@ def _lag_matches(orbit: np.ndarray, lag: int, t: Threshold, tol: float) -> bool:
     the receiving site's own clip one step later.  Both partners must still
     lie inside C for the slot to count as matching.
     """
-    p, n = orbit.shape
     lo, hi = t.c_interval
-    for i in range(n - 1):
-        for j in range(p):
-            a = orbit[j, i]
-            b = orbit[(j + lag) % p, i + 1]
-            if abs(a - b) <= tol:
-                continue
-            if lo <= a <= hi and lo <= b <= hi:
-                continue
-            return False
-    return True
+    k = lag % orbit.shape[0]
+    a = orbit[:, :-1]
+    b = np.concatenate((orbit[k:, 1:], orbit[:k, 1:]))  # orbit[(j + lag) % p, i + 1]
+    ok = np.abs(a - b) <= tol
+    ok |= (np.minimum(a, b) >= lo) & (np.maximum(a, b) <= hi)
+    return bool(ok.all())
 
 
 def _classify_orbit_kind(orbit: np.ndarray, t: Threshold, tol: float) -> OrbitType:
@@ -450,6 +451,42 @@ def _census_initial_states(seed: int, samples: int, n: int) -> np.ndarray:
     return ((bits.astype(np.float64) + 0.5) * 2.0**-53).reshape(samples, n)
 
 
+#: Cap on the orbit states (samples x period) that ``census`` groups at
+#: once; each block's copies stay small next to the recurrence history.
+_GROUP_BLOCK_STATES = 4096
+
+
+def _group_orbits(periods: np.ndarray, history: np.ndarray) -> dict[bytes, list[int]]:
+    """Group resolved samples by the bytes of their row-sorted orbit.
+
+    ``periods`` and ``history`` are as returned by :func:`_recurrences`.
+    Returns ``{key: [lowest sample index, hits]}``, where ``key`` is the
+    orbit ``history[:p, i]`` with its states sorted lexicographically, as
+    C-ordered bytes.  Samples of one period are sorted and deduplicated a
+    block at a time, in increasing sample order.
+    """
+    groups: dict[bytes, list[int]] = {}
+    for p in np.unique(periods[periods > 0]).tolist():
+        idx = np.flatnonzero(periods == p)
+        size = max(1, _GROUP_BLOCK_STATES // p)
+        for start in range(0, idx.size, size):
+            block = idx[start : start + size]
+            sub = history[:p, block]  # (p, B, N)
+            order = np.lexsort(sub.transpose(2, 1, 0)[::-1], axis=-1)  # (B, p)
+            rows = sub[order, np.arange(block.size)[:, None]]  # (B, p, N), sorted
+            keys = rows.reshape(block.size, -1).view(np.dtype((np.void, rows[0].nbytes)))
+            uniq, first, hits = np.unique(
+                keys.ravel(), return_index=True, return_counts=True
+            )
+            for key, i, h in zip(uniq.tolist(), block[first].tolist(), hits.tolist()):
+                entry = groups.get(key)
+                if entry is None:
+                    groups[key] = [i, h]
+                else:
+                    entry[1] += h
+    return groups
+
+
 def census(
     t: Threshold,
     n_sites: int,
@@ -468,9 +505,13 @@ def census(
     bit-exact return, NaN is rejected), and samples without one are left
     out of the counts.  Orbits are grouped by their exact state content,
     which is rotation invariant and exact because super-stable orbits
-    repeat bit-identically after clipping.  The result is sorted by
-    decreasing hit count (ties by fingerprint, period and orbit) and is a
-    pure function of the arguments.
+    repeat bit-identically after clipping: the samples of one period are
+    taken in blocks of at most ``_GROUP_BLOCK_STATES`` orbit states, each
+    block's orbits are row-sorted and deduplicated at once, and the blocks
+    merge by the sorted orbit's bytes.  Each group keeps its lowest sample
+    index as representative and records that sample's orbit.  The result
+    is sorted by decreasing hit count (ties by fingerprint, period and
+    orbit) and is a pure function of the arguments.
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
@@ -478,23 +519,19 @@ def census(
         raise ParameterError("tol must be non-negative")
     x = _census_initial_states(seed, samples, n_sites)
     periods, history = _recurrences(t, x, transient, max_period, tol)
-
-    groups: dict[bytes, list] = {}
-    for i in np.flatnonzero(periods):
-        orbit = history[: periods[i], i]
-        key = orbit[np.lexsort(orbit.T[::-1])].tobytes()
-        groups.setdefault(key, [orbit, 0])[1] += 1
-
+    # Build records in first-occurrence order, as one pass over the samples
+    # would, so that the stable sort below breaks any tie as it always has.
+    reps = sorted(_group_orbits(periods, history).values())
     entries = [
-        (_attractor_record(orbit, t, tol, fingerprint_window), hits)
-        for orbit, hits in groups.values()
+        (_attractor_record(history[: periods[i], i], t, tol, fingerprint_window), hits)
+        for i, hits in reps
     ]
     entries.sort(
         key=lambda e: (
             -e[1],
             e[0].window_fingerprint,
             e[0].period,
-            tuple(e[0].orbit.ravel()),
+            e[0].orbit.ravel().tolist(),
         )
     )
     return entries

@@ -373,7 +373,7 @@ def _run_basin(cfg: RunConfig) -> None:
         r = cfg.resolution
         cx = basins._axis_centers(grid.spec.x_range, r)
         cy = basins._axis_centers(grid.spec.y_range, r)
-        ii, jj = np.divmod(np.arange(r * r), r)
+        ii, jj = np.divmod(np.arange(r * r, dtype=np.int32), r)
         rows = io.Columns(
             ii, jj, cx[ii], cy[jj], grid.fingerprints.ravel(), grid.classes.ravel()
         )

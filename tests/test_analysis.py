@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import cascade_maps as cm
@@ -411,6 +413,145 @@ def test_census_matches_row_major_recurrence_oracle(c1, n):
         m.setattr(analysis, "_recurrences", _recurrences_oracle)
         want = run()
     assert got[0] and got == want
+
+
+def _census_oracle(t, n_sites, samples, seed, tol):
+    # The per-sample grouping loop the census was first written with: one
+    # lexsort and one tobytes key per resolved sample, first sample kept.
+    x = analysis._census_initial_states(seed, samples, n_sites)
+    periods, history = analysis._recurrences(t, x, 100, 64, tol)
+    groups = {}
+    for i in np.flatnonzero(periods):
+        orbit = history[: periods[i], i]
+        key = orbit[np.lexsort(orbit.T[::-1])].tobytes()
+        groups.setdefault(key, [orbit, 0])[1] += 1
+    entries = [
+        (analysis._attractor_record(orbit, t, tol, analysis.FINGERPRINT_WINDOW), hits)
+        for orbit, hits in groups.values()
+    ]
+    entries.sort(
+        key=lambda e: (
+            -e[1],
+            e[0].window_fingerprint,
+            e[0].period,
+            tuple(e[0].orbit.ravel()),
+        )
+    )
+    return entries
+
+
+@pytest.mark.parametrize("c1", [0.84, 0.9, 0.95, 0.98])
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+def test_census_grouping_matches_per_sample_oracle(c1, n, tol):
+    t = cm.make_threshold(c1)
+    want = _record_bytes(_census_oracle(t, n, 300, SEED, tol))
+    assert want
+    # One sample per block, the default cap, and every sample of a period
+    # in one block.
+    for block in (1, analysis._GROUP_BLOCK_STATES, 10**9):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(analysis, "_GROUP_BLOCK_STATES", block)
+            assert _record_bytes(cm.census(t, n, 300, seed=SEED, tol=tol)) == want
+
+
+def _canonical_rotation_oracle(orbit):
+    # Every rotation compared as a Python list; ties go to the first index.
+    p, n = orbit.shape
+    if p == 1:
+        return orbit
+    flat = orbit.ravel().tolist()
+    best = min(range(p), key=lambda r: flat[r * n :] + flat[: r * n])
+    return np.roll(orbit, -best, axis=0)
+
+
+def _lag_matches_oracle(orbit, lag, t, tol):
+    # The slot-by-slot loop, stopping at the first mismatch.
+    p, n = orbit.shape
+    lo, hi = t.c_interval
+    for i in range(n - 1):
+        for j in range(p):
+            a = orbit[j, i]
+            b = orbit[(j + lag) % p, i + 1]
+            if abs(a - b) <= tol:
+                continue
+            if lo <= a <= hi and lo <= b <= hi:
+                continue
+            return False
+    return True
+
+
+@st.composite
+def _dyadic_orbits(draw, t):
+    # A few distinct-or-not rows of eighths (plus the ends and middle of C),
+    # strung into a cycle that often repeats its least state.
+    lo, hi = t.c_interval
+    values = st.sampled_from([k / 8 for k in range(9)] + [lo, hi, 0.5 * (lo + hi)])
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=1, max_size=3))
+    seq = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=9))
+    return np.array([rows[k] for k in seq], dtype=np.float64)
+
+
+@given(st.data())
+def test_canonical_rotation_matches_all_rotations_oracle(data):
+    orbit = data.draw(_dyadic_orbits(T84))
+    got = analysis._canonical_rotation(orbit.copy())
+    want = _canonical_rotation_oracle(orbit.copy())
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300)
+@given(
+    st.data(),
+    st.sampled_from([0.84, 0.95]),
+    st.integers(0, 30),
+    st.sampled_from([0.0, 1e-9, 0.125]),
+)
+def test_lag_matches_agrees_with_slot_loop(data, c1, lag, tol):
+    # Each site is the previous one ``lag`` steps later, except in up to two
+    # slots set to an end or the middle of C (or 0 or 1), so matches, misses
+    # and exempt slots on the edge of C are all common.
+    t = cm.make_threshold(c1)
+    lo, hi = t.c_interval
+    orbit = data.draw(_dyadic_orbits(t))
+    p = len(orbit)
+    for i in range(1, orbit.shape[1]):
+        orbit[:, i] = np.roll(orbit[:, i - 1], lag)
+        for j in data.draw(st.sets(st.integers(0, p - 1), max_size=2)):
+            orbit[j, i] = data.draw(st.sampled_from([lo, hi, 0.5 * (lo + hi), 0.0, 1.0]))
+    for k in (lag, lag + 1):
+        got = analysis._lag_matches(orbit, k, t, tol)
+        assert type(got) is bool
+        assert got == _lag_matches_oracle(orbit, k, t, tol)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_census_memory_is_bounded_by_the_recurrence_search():
+    # Grouping and records add at most a fixed allowance to the history:
+    # a grouping that copied every resolved orbit at once would add
+    # periods x samples x N doubles, over 10 MB here.
+    t = cm.make_threshold(0.95)
+    samples, n = 3000, 8
+    tol = analysis.RECURRENCE_TOL
+    cm.census(t, n, 100, seed=SEED)  # warm imports and caches outside the trace
+
+    def search():
+        x = analysis._census_initial_states(SEED, samples, n)
+        analysis._recurrences(t, x, 100, 64, tol)
+
+    base = _traced_peak(search)
+    peak = _traced_peak(lambda: cm.census(t, n, samples, seed=SEED))
+    assert peak <= base + (1 << 20)
 
 
 def _splitmix_states_oracle(seed, samples, n):
