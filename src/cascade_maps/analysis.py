@@ -364,32 +364,55 @@ def _recurrences(
     ``x`` has shape (M, N).  After ``transient`` steps, row i's period is
     the least ``p <= max_period`` with a max-norm return to its
     post-transient state within ``tol``, or 0 if there is none.  Returns
-    ``(periods, history)`` with ``history[k]`` the states ``k`` steps after
-    the transient; stepping stops once every row has a period, so only
-    ``history[:periods.max() + 1]`` is filled in that case.
+    ``(periods, x0)`` with ``x0`` the (M, N) post-transient states; no
+    history is kept, and :func:`_orbit_states` rebuilds an orbit from its
+    row of ``x0``.
 
-    The batch is stepped column-major, the kernel's fast path.  The history
-    is stored site-major, as (max_period + 1, N, M), so that each stored
-    state ``x.T`` is one contiguous copy and the return check reduces over
-    whole contiguous site rows; it is returned as a (max_period + 1, M, N)
-    view of that buffer.
+    The batch is stepped column-major, the kernel's fast path.  A row
+    whose period is found retires from the stepped batch at once; rows
+    are independent, so the survivors' bits do not change.  Stepping
+    stops once every row has a period.
     """
     if max_period < 1:
         raise ParameterError("max_period must be >= 1")
+    if transient < 0:
+        raise ParameterError("transient must be >= 0")
+    if x.shape[1] < 1:
+        raise ParameterError("n_sites must be >= 1")
     x = np.asfortranarray(x)
     for _ in range(transient):
         x, _ = step_batch(x, t)
-    history = np.empty((max_period + 1,) + x.shape[::-1])
-    history[0] = x.T
+    x0 = ref = x
     periods = np.zeros(x.shape[0], dtype=int)
+    live = np.arange(x.shape[0])
     for p in range(1, max_period + 1):
         x, _ = step_batch(x, t)
-        history[p] = x.T
-        hit = (periods == 0) & (np.max(np.abs(history[p] - history[0]), axis=0) <= tol)
-        periods[hit] = p
-        if periods.all():
-            break
-    return periods, history.transpose(0, 2, 1)
+        hit = np.max(np.abs(x.T - ref.T), axis=0) <= tol  # over contiguous site rows
+        if hit.any():
+            periods[live[hit]] = p
+            stay = ~hit
+            if not stay.any():
+                break
+            live = live[stay]
+            x = np.asfortranarray(x[stay])
+            ref = np.asfortranarray(ref[stay])
+    return periods, x0
+
+
+def _orbit_states(t: Threshold, x0: np.ndarray, p: int) -> np.ndarray:
+    """States 0 .. p-1 of the orbits from the (B, N) states ``x0``, as (p, B, N).
+
+    ``step_batch`` is elementwise over rows, so each row's states are
+    bit-identical to the ones stepped from it in any larger batch.  The
+    states are stored site-major, as (p, N, B), and returned as a view.
+    """
+    x = np.asfortranarray(x0)
+    out = np.empty((p,) + x.shape[::-1])
+    out[0] = x.T
+    for k in range(1, p):
+        x, _ = step_batch(x, t)
+        out[k] = x.T
+    return out.transpose(0, 2, 1)
 
 
 def _attractor_record(
@@ -418,31 +441,36 @@ def detect_periodic_orbit(
     """Find the periodic orbit reached from ``s0``, if any.
 
     After the transient, looks for the least ``p <= max_period`` with a
-    max-norm return to the reference state within ``tol``, canonicalises
-    the phase and classifies the synchronisation pattern.  Returns None if
-    no recurrence is found.  ``tol`` must be positive (NaN is rejected).
+    max-norm return to the post-transient state within ``tol``, keeping no
+    history; the orbit is then rebuilt by stepping ``p - 1`` more times
+    from that state, canonicalised in phase and classified by its
+    synchronisation pattern.  Returns None if no recurrence is found.
+    ``tol`` must be positive (NaN is rejected) and ``transient`` must be
+    non-negative.
     """
     if not tol > 0.0:  # NaN fails the comparison and is rejected too
         raise ParameterError("tol must be positive")
-    periods, history = _recurrences(t, s0.sites[None, :], transient, max_period, tol)
+    periods, x0 = _recurrences(t, s0.sites[None, :], transient, max_period, tol)
     if periods[0] == 0:
         return None
-    return _attractor_record(history[: periods[0], 0], t, tol, fingerprint_window)
+    orbit = _orbit_states(t, x0, int(periods[0]))[:, 0]
+    return _attractor_record(orbit, t, tol, fingerprint_window)
 
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
 
-def _census_initial_states(seed: int, samples: int, n: int) -> np.ndarray:
-    """Deterministic initial states: coordinate (i, j) is output
-    ``k = i*n + j + 1`` of splitmix64 from the master seed, so any
-    processing order gives the same sample set.
+def _census_initial_states(seed: int, samples: int, n: int, first: int = 0) -> np.ndarray:
+    """Deterministic initial states of samples ``first .. first+samples-1``:
+    coordinate (i, j) is output ``k = i*n + j + 1`` of splitmix64 from the
+    master seed, so any processing order, or split into chunks, gives the
+    same sample set.
 
     All k are computed at once in ``uint64`` arrays, which wrap modulo
     2**64 without the overflow warning of ``uint64`` scalars.
     """
-    k = np.arange(1, samples * n + 1, dtype=np.uint64)
+    k = np.arange(first * n + 1, (first + samples) * n + 1, dtype=np.uint64)
     z = np.uint64(seed & _MASK64) + k * np.uint64(_SPLITMIX_GAMMA)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -451,40 +479,61 @@ def _census_initial_states(seed: int, samples: int, n: int) -> np.ndarray:
     return ((bits.astype(np.float64) + 0.5) * 2.0**-53).reshape(samples, n)
 
 
-#: Cap on the orbit states (samples x period) that ``census`` groups at
-#: once; each block's copies stay small next to the recurrence history.
+#: Samples per census chunk: the recurrence search and the grouping run
+#: over one chunk at a time, so the census's working memory depends on
+#: neither ``samples`` nor ``max_period``.
+_CENSUS_CHUNK = 16384
+
+#: Cap on the orbit states (samples x period) that ``census`` rebuilds and
+#: groups at once.
 _GROUP_BLOCK_STATES = 4096
 
 
-def _group_orbits(periods: np.ndarray, history: np.ndarray) -> dict[bytes, list[int]]:
-    """Group resolved samples by the bytes of their row-sorted orbit.
+def _group_orbits(
+    t: Threshold,
+    periods: np.ndarray,
+    x0: np.ndarray,
+    groups: dict[bytes, list],
+    first: int,
+) -> None:
+    """Add one chunk's resolved samples to ``groups``.
 
-    ``periods`` and ``history`` are as returned by :func:`_recurrences`.
-    Returns ``{key: [lowest sample index, hits]}``, where ``key`` is the
-    orbit ``history[:p, i]`` with its states sorted lexicographically, as
-    C-ordered bytes.  Samples of one period are sorted and deduplicated a
-    block at a time, in increasing sample order.
+    ``periods`` and ``x0`` are as returned by :func:`_recurrences` for
+    samples ``first, first + 1, ...``.  ``groups`` maps ``key`` to
+    ``[lowest sample index, hits, orbit]``, where ``key`` is the orbit
+    with its states sorted lexicographically, as C-ordered bytes, and
+    ``orbit`` is the (p, N) orbit of that lowest sample.  Samples of one
+    period are rebuilt with :func:`_orbit_states`, sorted and deduplicated
+    a block at a time, in increasing sample order; chunks are added in
+    increasing sample order too, so a group's first sample is its lowest.
     """
-    groups: dict[bytes, list[int]] = {}
+    state = np.dtype((np.void, x0.shape[1] * x0.itemsize))
     for p in np.unique(periods[periods > 0]).tolist():
         idx = np.flatnonzero(periods == p)
+        # Samples whose post-transient states are bit-identical have
+        # identical orbits: rebuild each distinct state once, at its first
+        # sample, and weight it by its number of samples.
+        distinct = np.ascontiguousarray(x0[idx]).view(state).ravel()
+        _, firsts, counts = np.unique(distinct, return_index=True, return_counts=True)
+        by_first = np.argsort(firsts)
+        idx, counts = idx[firsts[by_first]], counts[by_first]
         size = max(1, _GROUP_BLOCK_STATES // p)
         for start in range(0, idx.size, size):
             block = idx[start : start + size]
-            sub = history[:p, block]  # (p, B, N)
+            sub = _orbit_states(t, x0[block], p)  # (p, B, N)
             order = np.lexsort(sub.transpose(2, 1, 0)[::-1], axis=-1)  # (B, p)
             rows = sub[order, np.arange(block.size)[:, None]]  # (B, p, N), sorted
             keys = rows.reshape(block.size, -1).view(np.dtype((np.void, rows[0].nbytes)))
-            uniq, first, hits = np.unique(
-                keys.ravel(), return_index=True, return_counts=True
+            uniq, firsts, inverse = np.unique(
+                keys.ravel(), return_index=True, return_inverse=True
             )
-            for key, i, h in zip(uniq.tolist(), block[first].tolist(), hits.tolist()):
+            hits = np.bincount(inverse, counts[start : start + size]).astype(int)
+            for key, j, h in zip(uniq.tolist(), firsts.tolist(), hits.tolist()):
                 entry = groups.get(key)
                 if entry is None:
-                    groups[key] = [i, h]
+                    groups[key] = [first + int(block[j]), h, sub[:, j].copy()]
                 else:
                     entry[1] += h
-    return groups
 
 
 def census(
@@ -499,32 +548,49 @@ def census(
 ) -> list[tuple[AttractorRecord, int]]:
     """Seeded random-start survey of attractors with basin-hit counts.
 
-    All samples are advanced together through the transient; a sample's
+    The samples run in chunks of ``_CENSUS_CHUNK``, each generated from
+    its own splitmix indices.  A chunk is advanced through the transient
+    together, and only its post-transient states are kept; a sample's
     period is the least ``p <= max_period`` with a max-norm return to its
     post-transient state within ``tol`` (``tol >= 0``; 0 asks for a
-    bit-exact return, NaN is rejected), and samples without one are left
-    out of the counts.  Orbits are grouped by their exact state content,
-    which is rotation invariant and exact because super-stable orbits
-    repeat bit-identically after clipping: the samples of one period are
-    taken in blocks of at most ``_GROUP_BLOCK_STATES`` orbit states, each
-    block's orbits are row-sorted and deduplicated at once, and the blocks
-    merge by the sorted orbit's bytes.  Each group keeps its lowest sample
-    index as representative and records that sample's orbit.  The result
-    is sorted by decreasing hit count (ties by fingerprint, period and
-    orbit) and is a pure function of the arguments.
+    bit-exact return, NaN is rejected), a sample retires from the stepped
+    batch once its period is found, and samples without one are left out
+    of the counts.  ``transient`` must be non-negative and ``n_sites`` at
+    least 1.  Orbits are grouped by their exact state content, which is
+    rotation invariant and exact because super-stable orbits repeat
+    bit-identically after clipping: the samples of one period are rebuilt
+    from their post-transient states, each distinct state once, in blocks
+    of at most ``_GROUP_BLOCK_STATES`` orbit states, each block's orbits are
+    row-sorted and deduplicated at once, and the blocks and chunks merge
+    by the sorted orbit's bytes.  Each group keeps its lowest sample index
+    as representative and records that sample's orbit.  Apart from the
+    groups found, working memory is bounded by the chunk, whatever
+    ``samples`` and ``max_period``.  The result is sorted by decreasing hit
+    count (ties by fingerprint, period and orbit) and is a pure function
+    of the arguments.
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
     if not tol >= 0.0:  # NaN fails the comparison and is rejected too
         raise ParameterError("tol must be non-negative")
-    x = _census_initial_states(seed, samples, n_sites)
-    periods, history = _recurrences(t, x, transient, max_period, tol)
+    groups: dict[bytes, list] = {}
+    for first in range(0, samples, _CENSUS_CHUNK):
+        # The initial states go straight into the search, and each chunk's
+        # arrays are freed before the next chunk is made, so that no more
+        # than one chunk's states are alive at a time.
+        m = min(_CENSUS_CHUNK, samples - first)
+        periods, x0 = _recurrences(
+            t, _census_initial_states(seed, m, n_sites, first), transient, max_period, tol
+        )
+        _group_orbits(t, periods, x0, groups, first)
+        del periods, x0
     # Build records in first-occurrence order, as one pass over the samples
     # would, so that the stable sort below breaks any tie as it always has.
-    reps = sorted(_group_orbits(periods, history).values())
+    # Each representative's orbit is dropped once its record holds a copy.
+    reps = sorted(groups.values(), key=lambda g: g[0])
+    del groups
     entries = [
-        (_attractor_record(history[: periods[i], i], t, tol, fingerprint_window), hits)
-        for i, hits in reps
+        (_attractor_record(rep.pop(), t, tol, fingerprint_window), rep[1]) for rep in reps
     ]
     entries.sort(
         key=lambda e: (

@@ -303,6 +303,20 @@ def test_census_validates_sample_count():
         cm.census(T84, 2, 0, seed=1)
 
 
+@pytest.mark.parametrize("transient", [-1, -5])
+def test_recurrence_search_rejects_negative_transient(transient):
+    with pytest.raises(ParameterError, match="transient"):
+        cm.census(T84, 2, 50, seed=1, transient=transient)
+    with pytest.raises(ParameterError, match="transient"):
+        cm.detect_periodic_orbit(T84, cm.LatticeState(sites=[0.3, 0.6]), transient, 16)
+
+
+@pytest.mark.parametrize("n_sites", [0, -1])
+def test_census_rejects_lattice_without_sites(n_sites):
+    with pytest.raises(ParameterError, match="n_sites"):
+        cm.census(T84, n_sites, 10, seed=1)
+
+
 @pytest.mark.parametrize("max_period", [-1, 0])
 def test_recurrence_search_validates_max_period(max_period):
     with pytest.raises(ParameterError, match="max_period"):
@@ -381,45 +395,23 @@ def _record_bytes(entries):
     ]
 
 
-@pytest.mark.parametrize("c1", [0.84, 0.9, 0.95, 0.98])
-@pytest.mark.parametrize("n", [2, 3, 8])
-def test_census_matches_row_major_recurrence_oracle(c1, n):
-    t = cm.make_threshold(c1)
-    x = analysis._census_initial_states(SEED, 400, n)
-    tol = analysis.RECURRENCE_TOL
-    periods, history = analysis._recurrences(t, x, 100, 64, tol)
-    want_periods, want_history = _recurrences_oracle(t, x, 100, 64, tol)
-    assert periods.tolist() == want_periods.tolist()
-    assert history.shape == want_history.shape
-    filled = periods.max() + 1 if periods.all() else 65
-    assert history[:filled].tobytes() == want_history[:filled].tobytes()
-
-    starts = [cm.LatticeState(sites=row) for row in x[:6]]
-    starts.append(cm.LatticeState(sites=np.full(n, 0.5)))
-
-    def run():
-        detected = [
-            cm.detect_periodic_orbit(t, s, transient, max_period)
-            for s in starts
-            for transient, max_period in [(100, 64), (0, 64), (3, 2)]
-        ]
-        return (
-            _record_bytes(cm.census(t, n, 400, seed=SEED)),
-            [None if rec is None else _record_bytes([(rec, 0)]) for rec in detected],
-        )
-
-    got = run()
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(analysis, "_recurrences", _recurrences_oracle)
-        want = run()
-    assert got[0] and got == want
+def _detect_oracle(t, s0, transient, max_period, tol=analysis.RECURRENCE_TOL):
+    # Single-orbit detection as first written: the orbit is read straight
+    # out of the row-major history.
+    periods, history = _recurrences_oracle(t, s0.sites[None, :], transient, max_period, tol)
+    if periods[0] == 0:
+        return None
+    return analysis._attractor_record(
+        history[: periods[0], 0], t, tol, analysis.FINGERPRINT_WINDOW
+    )
 
 
 def _census_oracle(t, n_sites, samples, seed, tol):
-    # The per-sample grouping loop the census was first written with: one
-    # lexsort and one tobytes key per resolved sample, first sample kept.
+    # The per-sample grouping loop the census was first written with, over
+    # the row-major history: one lexsort and one tobytes key per resolved
+    # sample, first sample kept.
     x = analysis._census_initial_states(seed, samples, n_sites)
-    periods, history = analysis._recurrences(t, x, 100, 64, tol)
+    periods, history = _recurrences_oracle(t, x, 100, 64, tol)
     groups = {}
     for i in np.flatnonzero(periods):
         orbit = history[: periods[i], i]
@@ -442,17 +434,81 @@ def _census_oracle(t, n_sites, samples, seed, tol):
 
 @pytest.mark.parametrize("c1", [0.84, 0.9, 0.95, 0.98])
 @pytest.mark.parametrize("n", [2, 3, 8])
+def test_census_matches_row_major_recurrence_oracle(c1, n):
+    # Periods and post-transient states equal the oracle's, and every
+    # resolved orbit rebuilt from its post-transient state equals the
+    # oracle's stored history, byte for byte.
+    t = cm.make_threshold(c1)
+    x = analysis._census_initial_states(SEED, 400, n)
+    tol = analysis.RECURRENCE_TOL
+    periods, x0 = analysis._recurrences(t, x, 100, 64, tol)
+    want_periods, want_history = _recurrences_oracle(t, x, 100, 64, tol)
+    assert periods.tolist() == want_periods.tolist()
+    assert x0.shape == want_history[0].shape
+    assert x0.tobytes() == want_history[0].tobytes()
+    for i in np.flatnonzero(periods).tolist():
+        p = int(periods[i])
+        orbit = analysis._orbit_states(t, x0[i : i + 1], p)[:, 0]
+        assert orbit.shape == (p, n)
+        assert orbit.tobytes() == want_history[:p, i].tobytes()
+
+    starts = [cm.LatticeState(sites=row) for row in x[:6]]
+    starts.append(cm.LatticeState(sites=np.full(n, 0.5)))
+    budgets = [(100, 64), (0, 64), (3, 2)]
+
+    def records(detect):
+        out = []
+        for s in starts:
+            for transient, max_period in budgets:
+                rec = detect(t, s, transient, max_period)
+                out.append(None if rec is None else _record_bytes([(rec, 0)]))
+        return out
+
+    assert records(cm.detect_periodic_orbit) == records(_detect_oracle)
+    got = _record_bytes(cm.census(t, n, 400, seed=SEED))
+    assert got and got == _record_bytes(_census_oracle(t, n, 400, SEED, tol))
+
+
+@pytest.mark.parametrize("c1", [0.84, 0.9, 0.95, 0.98])
+@pytest.mark.parametrize("n", [2, 3, 8])
 @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
 def test_census_grouping_matches_per_sample_oracle(c1, n, tol):
     t = cm.make_threshold(c1)
     want = _record_bytes(_census_oracle(t, n, 300, SEED, tol))
     assert want
     # One sample per block, the default cap, and every sample of a period
-    # in one block.
+    # in one block; four sample chunks (the last one short) and one.
     for block in (1, analysis._GROUP_BLOCK_STATES, 10**9):
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(analysis, "_GROUP_BLOCK_STATES", block)
-            assert _record_bytes(cm.census(t, n, 300, seed=SEED, tol=tol)) == want
+        for chunk in (97, analysis._CENSUS_CHUNK):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(analysis, "_GROUP_BLOCK_STATES", block)
+                m.setattr(analysis, "_CENSUS_CHUNK", chunk)
+                assert _record_bytes(cm.census(t, n, 300, seed=SEED, tol=tol)) == want
+
+
+@pytest.mark.parametrize("c1", [0.9, 0.95])
+def test_group_representatives_are_lowest_sample_indices(c1):
+    # Across blocks and chunks, each group keeps the first sample that one
+    # pass over the samples meets, its hit count and that sample's orbit.
+    t = cm.make_threshold(c1)
+    tol = analysis.RECURRENCE_TOL
+    x = analysis._census_initial_states(SEED, 300, 3)
+    periods, history = _recurrences_oracle(t, x, 100, 64, tol)
+    want = {}
+    for i in np.flatnonzero(periods).tolist():
+        orbit = history[: periods[i], i]
+        key = orbit[np.lexsort(orbit.T[::-1])].tobytes()
+        want.setdefault(key, [i, 0, orbit.tobytes()])[1] += 1
+    for block in (1, analysis._GROUP_BLOCK_STATES):
+        for chunk in (97, 300):
+            groups = {}
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(analysis, "_GROUP_BLOCK_STATES", block)
+                for first in range(0, 300, chunk):
+                    found = analysis._recurrences(t, x[first : first + chunk], 100, 64, tol)
+                    analysis._group_orbits(t, *found, groups, first)
+            got = {k: [i, h, orbit.tobytes()] for k, (i, h, orbit) in groups.items()}
+            assert got == want
 
 
 def _canonical_rotation_oracle(orbit):
@@ -537,9 +593,10 @@ def _traced_peak(fn):
 
 
 def test_census_memory_is_bounded_by_the_recurrence_search():
-    # Grouping and records add at most a fixed allowance to the history:
-    # a grouping that copied every resolved orbit at once would add
-    # periods x samples x N doubles, over 10 MB here.
+    # Rebuilding orbits, grouping and records add at most a fixed allowance
+    # to the peak of the search itself (the initial and post-transient
+    # states and the stepped batch): a grouping that rebuilt every resolved
+    # orbit at once would add periods x samples x N doubles, over 10 MB here.
     t = cm.make_threshold(0.95)
     samples, n = 3000, 8
     tol = analysis.RECURRENCE_TOL
@@ -552,6 +609,28 @@ def test_census_memory_is_bounded_by_the_recurrence_search():
     base = _traced_peak(search)
     peak = _traced_peak(lambda: cm.census(t, n, samples, seed=SEED))
     assert peak <= base + (1 << 20)
+
+
+def test_census_memory_does_not_grow_with_max_period():
+    # No history is kept, so a budget of 512 steps needs no more working
+    # memory than one of 64; only the longer orbits it resolves are kept.
+    # A (max_period + 1) x samples x N history would add 86 MB here.
+    t = cm.make_threshold(0.95)
+    cm.census(t, 8, 100, seed=SEED)  # warm imports and caches outside the trace
+    short = _traced_peak(lambda: cm.census(t, 8, 3000, seed=SEED, max_period=64))
+    long = _traced_peak(lambda: cm.census(t, 8, 3000, seed=SEED, max_period=512))
+    assert long <= short + (1 << 20)
+
+
+def test_census_memory_does_not_grow_with_sample_chunks():
+    # Each chunk's states are freed before the next chunk is made, so four
+    # chunks peak where one does; keeping one chunk's post-transient states
+    # alive would add 256 KiB here.
+    chunk = analysis._CENSUS_CHUNK
+    cm.census(T84, 2, 100, seed=SEED)
+    one = _traced_peak(lambda: cm.census(T84, 2, chunk, seed=SEED))
+    four = _traced_peak(lambda: cm.census(T84, 2, 4 * chunk, seed=SEED))
+    assert four <= one + (1 << 16)
 
 
 def _splitmix_states_oracle(seed, samples, n):
