@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -53,6 +53,7 @@ XI2 = (2.0 + math.sqrt(3.0)) / 4.0
 PERIOD2_WINDOW_END = (5.0 + math.sqrt(5.0)) / 8.0
 
 RECURRENCE_TOL = 1e-9
+#: Steps of excess summed into an :class:`AttractorRecord`'s fingerprint.
 FINGERPRINT_WINDOW = 12
 
 OrbitType = Literal["in_phase", "anti_phase", "ripple", "other"]
@@ -415,9 +416,7 @@ def _orbit_states(t: Threshold, x0: np.ndarray, p: int) -> np.ndarray:
     return out.transpose(0, 2, 1)
 
 
-def _attractor_record(
-    orbit: np.ndarray, t: Threshold, tol: float, fingerprint_window: int
-) -> AttractorRecord:
+def _attractor_record(orbit: np.ndarray, t: Threshold, tol: float) -> AttractorRecord:
     """Record of one period of an orbit, in canonical phase."""
     canon = _canonical_rotation(orbit.copy())
     return AttractorRecord(
@@ -425,7 +424,7 @@ def _attractor_record(
         orbit=canon,
         kind=_classify_orbit_kind(canon, t, tol),
         window_fingerprint=excess_window_sum(
-            LatticeState(sites=canon[0]), t, 0, fingerprint_window
+            LatticeState(sites=canon[0]), t, 0, FINGERPRINT_WINDOW
         ),
     )
 
@@ -436,7 +435,6 @@ def detect_periodic_orbit(
     transient: int,
     max_period: int,
     tol: float = RECURRENCE_TOL,
-    fingerprint_window: int = FINGERPRINT_WINDOW,
 ) -> Optional[AttractorRecord]:
     """Find the periodic orbit reached from ``s0``, if any.
 
@@ -454,7 +452,7 @@ def detect_periodic_orbit(
     if periods[0] == 0:
         return None
     orbit = _orbit_states(t, x0, int(periods[0]))[:, 0]
-    return _attractor_record(orbit, t, tol, fingerprint_window)
+    return _attractor_record(orbit, t, tol)
 
 
 _MASK64 = (1 << 64) - 1
@@ -544,7 +542,6 @@ def census(
     transient: int = 100,
     max_period: int = 64,
     tol: float = RECURRENCE_TOL,
-    fingerprint_window: int = FINGERPRINT_WINDOW,
 ) -> list[tuple[AttractorRecord, int]]:
     """Seeded random-start survey of attractors with basin-hit counts.
 
@@ -589,9 +586,7 @@ def census(
     # Each representative's orbit is dropped once its record holds a copy.
     reps = sorted(groups.values(), key=lambda g: g[0])
     del groups
-    entries = [
-        (_attractor_record(rep.pop(), t, tol, fingerprint_window), rep[1]) for rep in reps
-    ]
+    entries = [(_attractor_record(rep.pop(), t, tol), rep[1]) for rep in reps]
     entries.sort(
         key=lambda e: (
             -e[1],

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import analysis, basins, io
 from .errors import DomainError, ParameterError
-from .lattice import LatticeState
 from .scalar import (
     avoidance_measure_tent,
     classify_orbit,

@@ -2,12 +2,12 @@
 
 Real numbers are written in shortest round-trip form, so a written value
 parses back to the identical double.  CSV rows may come from any iterable
-(a lazy ``zip`` over arrays included) and are streamed in fixed-size
-chunks, formatted column by column, so the writer holds at most one chunk
-of rows and their strings in memory.  A table of numeric numpy columns
-wrapped in :class:`Columns` skips the rows altogether: each chunk is
-sliced from the arrays and joined with ``","`` directly, since numeric
-text never needs CSV quoting.  Images are binary "P5"/"P6" with
+(a lazy ``zip`` included) and are written one at a time through the
+``csv`` module.  A table of numeric numpy columns wrapped in
+:class:`Columns` skips the rows altogether: it is written in fixed-size
+chunks sliced from the arrays and joined with ``","`` directly, since
+numeric text never needs CSV quoting, so the writer holds at most one
+chunk of strings in memory.  Images are binary "P5"/"P6" with
 the grid transposed so that x grows to the right and y grows upward.
 The colour palette spaces class hues evenly on a 12-colour wheel from
 blue (lowest fingerprint class) down to red (highest).
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import colorsys
 import csv
-from itertools import islice
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -44,17 +43,14 @@ def format_real(value: float) -> str:
 
 
 def _format_field(value) -> str:
-    if isinstance(value, float):
+    if isinstance(value, (float, np.floating)):
         return format_real(value)
-    if isinstance(value, (np.floating,)):
-        return format_real(float(value))
     return str(value)
 
 
-#: Rows formatted per chunk; bounds the writer's memory for any table size.
+#: Rows formatted per chunk of a :class:`Columns` table; bounds the
+#: writer's memory for any table size.
 _CHUNK_ROWS = 16384
-_FLOAT_TYPES = frozenset((float, np.float64))
-_INT_TYPES = frozenset((int, np.int64, np.int32))
 
 
 class Columns:
@@ -101,37 +97,22 @@ def _format_array(values: np.ndarray) -> list[str]:
     return np.array(text, dtype=object)[inverse].tolist()
 
 
-def _format_column(col: tuple) -> list[str]:
-    """Format one column of a chunk, as ``_format_field`` would per value.
-
-    A column of exact ``float``/``np.float64`` values goes through
-    :func:`_format_array`; an all-int column goes through ``str`` (Python
-    ints may not fit ``int64``); anything else (a mixed int/float column,
-    ``np.float32``, ``bool``, strings) is formatted value by value.
-    """
-    kinds = set(map(type, col))
-    if kinds <= _FLOAT_TYPES:
-        return _format_array(np.array(col, dtype=np.float64))
-    if kinds <= _INT_TYPES:
-        return list(map(str, col))
-    return [_format_field(v) for v in col]
-
-
 def write_rows(
     fh: TextIO, header: Sequence[str], rows: Iterable[Sequence] | Columns
 ) -> None:
     """Write a header row and data rows as CSV to an open text stream.
 
-    ``rows`` may be any iterable of equal-length rows; it is read once, in
-    chunks of ``_CHUNK_ROWS`` rows, so memory is bounded by the chunk.  A
-    chunk whose rows differ in length raises ``ValueError``.  Reals are
-    written in shortest round-trip form.  Every row, the header included,
-    ends in ``"\\r\\n"`` (the ``csv`` module's excel dialect).
+    ``rows`` may be any iterable of rows; it is read once and written one
+    row at a time, each real in shortest round-trip form.  A row whose
+    length differs from the first row's raises ``ValueError`` wherever it
+    occurs, once the rows before it are written.  Every row, the header
+    included, ends in ``"\\r\\n"`` (the ``csv`` module's excel dialect).
 
-    A :class:`Columns` table is formatted a chunk of array slices at a time
-    and joined with ``","`` without the ``csv`` module: numeric text is never
-    empty and holds no ``,``, ``"``, ``\\r`` or ``\\n``, so the excel dialect
-    would quote none of it, and the bytes are the same as for its rows.
+    A :class:`Columns` table is formatted a chunk of ``_CHUNK_ROWS`` array
+    slices at a time and joined with ``","`` without the ``csv`` module:
+    numeric text is never empty and holds no ``,``, ``"``, ``\\r`` or
+    ``\\n``, so the excel dialect would quote none of it, and the bytes are
+    the same as for its rows.
     """
     writer = csv.writer(fh)
     writer.writerow(list(header))
@@ -140,10 +121,14 @@ def write_rows(
             cols = [_format_array(a[k0 : k0 + _CHUNK_ROWS]) for a in rows.arrays]
             fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
         return
-    it = iter(rows)
-    while chunk := list(islice(it, _CHUNK_ROWS)):
-        cols = [_format_column(col) for col in zip(*chunk, strict=True)]
-        writer.writerows(zip(*cols) if cols else chunk)
+    width = None
+    for row in rows:
+        fields = [_format_field(v) for v in row]
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise ValueError(f"a row of {len(fields)} fields in a table of {width}")
+        writer.writerow(fields)
 
 
 def write_csv(
@@ -192,10 +177,6 @@ def class_palette(n_classes: int) -> np.ndarray:
     return colors
 
 
-def _class_image(grid: BasinGrid) -> tuple[np.ndarray, int]:
-    return grid_to_image(grid.classes), grid.n_classes
-
-
 def pgm_bytes(classes_img: np.ndarray, n_classes: int) -> bytes:
     """8-bit binary PGM of class ids scaled onto 0..255."""
     h, w = classes_img.shape
@@ -216,11 +197,11 @@ def ppm_bytes(classes_img: np.ndarray, n_classes: int) -> bytes:
 
 def write_image(grid: BasinGrid, path: str, image_format: str) -> None:
     """Write a basin grid as a PGM ("pgm") or PPM ("ppm") image file."""
-    img, n_classes = _class_image(grid)
+    img = grid_to_image(grid.classes)
     if image_format == "pgm":
-        payload = pgm_bytes(img, n_classes)
+        payload = pgm_bytes(img, grid.n_classes)
     elif image_format == "ppm":
-        payload = ppm_bytes(img, n_classes)
+        payload = ppm_bytes(img, grid.n_classes)
     else:
         raise ValueError(f"unknown image format {image_format!r}")
     try:

@@ -76,10 +76,6 @@ class Threshold:
         """The absorbing interval ``A = [c2, c1]``."""
         return (self.c2, self.c1)
 
-    def in_c(self, x: float) -> bool:
-        """True when ``x`` lies in the closed critical interval."""
-        return self.c0 <= x <= 1.0 - self.c0
-
 
 @dataclass(frozen=True)
 class SuperStable:

@@ -401,9 +401,7 @@ def _detect_oracle(t, s0, transient, max_period, tol=analysis.RECURRENCE_TOL):
     periods, history = _recurrences_oracle(t, s0.sites[None, :], transient, max_period, tol)
     if periods[0] == 0:
         return None
-    return analysis._attractor_record(
-        history[: periods[0], 0], t, tol, analysis.FINGERPRINT_WINDOW
-    )
+    return analysis._attractor_record(history[: periods[0], 0], t, tol)
 
 
 def _census_oracle(t, n_sites, samples, seed, tol):
@@ -418,8 +416,7 @@ def _census_oracle(t, n_sites, samples, seed, tol):
         key = orbit[np.lexsort(orbit.T[::-1])].tobytes()
         groups.setdefault(key, [orbit, 0])[1] += 1
     entries = [
-        (analysis._attractor_record(orbit, t, tol, analysis.FINGERPRINT_WINDOW), hits)
-        for orbit, hits in groups.values()
+        (analysis._attractor_record(orbit, t, tol), hits) for orbit, hits in groups.values()
     ]
     entries.sort(
         key=lambda e: (

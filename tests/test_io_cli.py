@@ -133,6 +133,11 @@ def test_write_rows_rejects_ragged_rows():
         cio.write_rows(io.StringIO(), ["a", "b"], [(1, 2), (3,)])
 
 
+def test_write_rows_rejects_a_ragged_row_after_a_full_chunk():
+    with pytest.raises(ValueError):
+        cio.write_rows(io.StringIO(), ["a", "b"], [(1, 2)] * cio._CHUNK_ROWS + [(3,)])
+
+
 _NAN_PAYLOADS = np.array(
     [0x7FF8000000000001, 0xFFF8000000000ABC, 0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF],
     dtype=np.uint64,
