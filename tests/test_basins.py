@@ -10,10 +10,13 @@ import cascade_maps as cm
 from cascade_maps import basins
 from cascade_maps.basins import _bucket_fingerprints
 from cascade_maps.errors import ParameterError
+from cascade_maps.lattice import cascade_batch
 
 T84 = cm.make_threshold(0.84)
 T80 = cm.make_threshold(0.80)
 T94 = cm.make_threshold(0.94)
+T95 = cm.make_threshold(0.95)
+T98 = cm.make_threshold(0.98)
 
 
 # ------------------------------------------------------------------ GridSpec
@@ -134,12 +137,20 @@ def test_class_map_mirror_symmetric(t):
 
 
 def _direct_fingerprints(t, spec):
-    # Oracle: one block simulating every cell of the grid, none reflected.
+    # Oracle: every cell of the grid stepped as one block, none reflected
+    # and none merged, with the window's excesses summed in step order.
     r = spec.resolution
     ux = basins._axis_offsets(spec.x_range, r)
     uy = basins._axis_offsets(spec.y_range, r)
     u = basins._cell_offsets(ux, uy, spec, 0, r * r)
-    return basins._window_sums(u, t.c1, spec.transient, spec.window)
+    x, e = cascade_batch(1.0 - 4.0 * (u * u), t.c1)
+    total = np.zeros(r * r)
+    for k in range(1, spec.transient + spec.window + 1):
+        if k > 1:
+            x, e = cascade_batch(4.0 * x * (1.0 - x), t.c1)
+        if k > spec.transient:
+            total += e
+    return total
 
 
 @pytest.mark.parametrize(
@@ -147,18 +158,49 @@ def _direct_fingerprints(t, spec):
     [(2, 1), (3, 1), (3, 7), (8, 1), (8, 7), (8, 4096), (101, 4096)],
 )
 def test_render_matches_direct_simulation_of_every_cell(monkeypatch, r, chunk):
+    # Transients 7, 8, 9 and 16 put the window's first step on either side
+    # of the batch compactions at steps 8 and 16; the default spec runs
+    # through the compactions at 32 and 64 as well.
     monkeypatch.setattr(basins, "_CHUNK_CELLS", chunk)
-    specs = [
-        cm.GridSpec(resolution=r),
-        cm.GridSpec(resolution=r, pinned_sites=(0.3,)),
-        cm.GridSpec(resolution=r, x_range=(0.1, 0.6)),
-    ]
-    for t in (T84, T94):
-        for spec in specs:
-            want = _direct_fingerprints(t, spec).tobytes()
-            for workers in (1, 2):
-                g = cm.render_basins(t, spec, workers=workers)
-                assert g.fingerprints.tobytes() == want, (t.c1, spec, workers)
+    grid = [(tr, w) for tr in (0, 7, 8, 9, 16) for w in (1, 12)] + [(100, 12)]
+    for transient, window in grid:
+        steps = dict(transient=transient, window=window)
+        specs = [
+            cm.GridSpec(resolution=r, **steps),
+            cm.GridSpec(resolution=r, pinned_sites=(0.3,), **steps),
+            cm.GridSpec(resolution=r, x_range=(0.1, 0.6), **steps),
+        ]
+        for t in (T84, T94, T98):
+            for spec in specs:
+                want = _direct_fingerprints(t, spec).tobytes()
+                for workers in (1, 2):
+                    g = cm.render_basins(t, spec, workers=workers)
+                    assert g.fingerprints.tobytes() == want, (t.c1, spec, workers)
+
+
+def test_render_steps_each_distinct_state_once(monkeypatch):
+    # Cells fall onto few exact states after their clips, and the render
+    # steps each distinct state of a chunk once: at c1=0.95, r=64 the kernel
+    # steps about a tenth of the nominal rows.  Every batch stays
+    # column-major after the compactions.
+    batches = []
+    inner = basins.cascade_batch
+
+    def spy(y, c1):
+        batches.append((y.shape[0], y.flags.f_contiguous))
+        return inner(y, c1)
+
+    monkeypatch.setattr(basins, "cascade_batch", spy)
+    r = 64
+    spec = cm.GridSpec(resolution=r)
+    cm.render_basins(T95, spec)
+    steps = spec.transient + spec.window
+    assert len(batches) == steps == 112
+    rows = [m for m, _ in batches]
+    assert sum(rows) <= 0.2 * ((r * r + 1) // 2) * steps
+    assert rows[0] == (r * r + 1) // 2
+    assert 1 < rows[-1] < rows[0]
+    assert all(f_contiguous for _, f_contiguous in batches)
 
 
 def test_render_memory_is_bounded_by_the_output_and_one_chunk():
@@ -172,10 +214,10 @@ def test_render_memory_is_bounded_by_the_output_and_one_chunk():
     finally:
         tracemalloc.stop()
     assert threading.active_count() == threads
-    # Per cell: 8 B of fingerprints, 4 B of classes and two int64 bucketing
-    # temporaries.  Per chunk of 16384 cells, at most sixteen (m, N) double
+    # Per cell: 8 B of fingerprints, 4 B of classes and one int64 bucketing
+    # temporary.  Per chunk of 16384 cells, at most sixteen (m, N) double
     # arrays; a fixed allowance, so a chunk that grows with the grid fails.
-    per_cell = 8 + 4 + 2 * 8
+    per_cell = 8 + 4 + 8
     per_chunk = 16384 * 16 * spec.n_sites * 8
     assert peak < per_cell * r * r + per_chunk
 

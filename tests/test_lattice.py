@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cascade_maps as cm
-from cascade_maps import analysis, basins
+from cascade_maps import analysis, basins, lattice
 from cascade_maps.errors import DomainError, ParameterError
-from cascade_maps.lattice import cascade_batch, step_batch
+from cascade_maps.lattice import _distinct_rows, cascade_batch, step_batch
 
 T84 = cm.make_threshold(0.84)
 T90 = cm.make_threshold(0.9)
@@ -360,3 +360,71 @@ def test_render_and_census_pass_column_major_batches(monkeypatch):
     cm.census(T90, 3, 50, seed=7, transient=5, max_period=8)
     assert len(batches) > spec.transient + spec.window + 5
     assert set(batches) == {(2, True)}
+
+
+# ------------------------------------------------------------ distinct rows
+
+
+def _check_groups(x, first, inv):
+    # x[first][inv] is x bit for bit, and every group's first row is in it.
+    assert x[first][inv].tobytes() == x.tobytes()
+    assert np.array_equal(inv[first], np.arange(first.size))
+
+
+def test_distinct_rows_keeps_rows_with_equal_hash_keys_apart():
+    # The key of a two-site row is b0 * K + b1 modulo 2**64, so adding one
+    # to b0 and subtracting K from b1 gives a different row with equal key.
+    k = int(lattice._ROW_HASH)
+    a = [int(v) for v in np.array([0.25, 0.5]).view(np.uint64)]
+    b = [a[0] + 1, (a[1] - k) % 2**64]
+    assert (a[0] * k + a[1]) % 2**64 == (b[0] * k + b[1]) % 2**64
+    x = np.asfortranarray(np.array([a, b, a, b], dtype=np.uint64).view(float))
+    first, inv = _distinct_rows(x)
+    _check_groups(x, first, inv)
+    assert {inv[0], inv[2]}.isdisjoint({inv[1], inv[3]})
+
+
+def test_distinct_rows_keeps_signed_zeros_apart():
+    x = np.asfortranarray(
+        [[0.0, 0.5], [-0.0, 0.5], [0.0, 0.5], [0.5, -0.0], [0.5, 0.0]]
+    )
+    first, inv = _distinct_rows(x)
+    _check_groups(x, first, inv)
+    assert first.size == 4
+    assert inv[0] == inv[2]
+
+
+@pytest.mark.parametrize(
+    "x",
+    [np.full((1, 3), 0.3), np.full((1, 1), -0.0), np.full((50, 2), 0.9, order="F")],
+)
+def test_distinct_rows_of_one_state(x):
+    first, inv = _distinct_rows(x)
+    _check_groups(x, first, inv)
+    assert first.size == 1
+    assert not inv.any()
+
+
+#: Site values of lattice states (no -0.0).  All 8 + 64 + 512 rows of
+#: width 1 to 3 over this pool have distinct hash keys.
+_ROW_POOL = [0.0, 5e-324, 0.1, 0.25, 0.5, 0.75, 0.95, 1.0]
+
+
+@given(
+    st.integers(1, 3),
+    st.lists(
+        st.lists(st.integers(0, len(_ROW_POOL) - 1), min_size=3, max_size=3),
+        min_size=1,
+        max_size=60,
+    ),
+    st.booleans(),
+)
+def test_distinct_rows_groups_exactly_the_equal_rows(width, picks, fortran):
+    # No two rows over the pool share a hash key, so the groups are exactly
+    # the distinct rows.
+    x = np.array(_ROW_POOL)[np.array(picks)[:, :width]]
+    if fortran:
+        x = np.asfortranarray(x)
+    first, inv = _distinct_rows(x)
+    _check_groups(x, first, inv)
+    assert first.size == len({row.tobytes() for row in x})
