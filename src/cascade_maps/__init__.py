@@ -3,110 +3,21 @@
 A small numpy library for simulating finite one-directional arrays of
 clipped logistic maps, classifying their attractors and rendering basins
 of attraction with accumulation diagnostics.
+
+The package re-exports the ``__all__`` of each of its library modules.
 """
 
-from .analysis import (
-    XI2,
-    PERIOD2_WINDOW_END,
-    AttractorRecord,
-    BifurcationSample,
-    MarkovModel,
-    StarValue,
-    antiphase_condition,
-    antiphase_root,
-    bifurcation_scan,
-    build_markov,
-    census,
-    central_component_reaches_boundary,
-    detect_periodic_orbit,
-    excess_window_sum,
-    find_star,
-    star_values,
-)
-from .basins import (
-    BasinGrid,
-    ComponentStats,
-    GridSpec,
-    cell_fingerprint,
-    corner_accumulation,
-    interior_accumulation,
-    label_components,
-    render_basins,
-)
-from .errors import BracketError, DomainError, ParameterError
-from .lattice import (
-    LatticeState,
-    cascade,
-    iterate,
-    step,
-    step_batch,
-)
-from .scalar import (
-    Boundary,
-    OrbitClass,
-    Repeller,
-    SuperStable,
-    Threshold,
-    avoidance_measure_tent,
-    classify_orbit,
-    estimate_avoidance,
-    forward_orbit,
-    logistic,
-    make_threshold,
-    tent_conjugacy,
-    tent_conjugacy_inverse,
-    tent_map,
-    threshold_map,
-)
+from . import analysis, basins, errors, lattice, scalar
+from .analysis import *  # noqa: F401,F403
+from .basins import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .lattice import *  # noqa: F401,F403
+from .scalar import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "XI2",
-    "PERIOD2_WINDOW_END",
-    "AttractorRecord",
-    "BasinGrid",
-    "BifurcationSample",
-    "Boundary",
-    "BracketError",
-    "ComponentStats",
-    "DomainError",
-    "GridSpec",
-    "LatticeState",
-    "MarkovModel",
-    "OrbitClass",
-    "ParameterError",
-    "Repeller",
-    "StarValue",
-    "SuperStable",
-    "Threshold",
-    "antiphase_condition",
-    "antiphase_root",
-    "avoidance_measure_tent",
-    "bifurcation_scan",
-    "build_markov",
-    "cascade",
-    "cell_fingerprint",
-    "census",
-    "central_component_reaches_boundary",
-    "classify_orbit",
-    "corner_accumulation",
-    "detect_periodic_orbit",
-    "estimate_avoidance",
-    "excess_window_sum",
-    "find_star",
-    "forward_orbit",
-    "interior_accumulation",
-    "iterate",
-    "label_components",
-    "logistic",
-    "make_threshold",
-    "render_basins",
-    "star_values",
-    "step",
-    "step_batch",
-    "tent_conjugacy",
-    "tent_conjugacy_inverse",
-    "tent_map",
-    "threshold_map",
-]
+__all__ = sorted(
+    name
+    for module in (analysis, basins, errors, lattice, scalar)
+    for name in module.__all__
+)

@@ -221,16 +221,18 @@ def build_markov(t: Threshold, n: int) -> MarkovModel:
     across 3/4.  The matrix over (J0, J_-1, ..., J_-n) has ones exactly on
     the superdiagonal (each preimage maps onto the previous one) and in the
     last ``n - n0 + 1`` rows of the first column (the gap covers every
-    preimage from depth n0 on).  Its spectral radius, computed by power
-    iteration, exceeds 1 whenever ``n >= n0 + 1``.
+    preimage from depth n0 on).  Its spectral radius, the largest eigenvalue
+    modulus, exceeds 1 whenever ``n >= n0 + 1``.
+
+    The gap is never empty: on (XI2, 1) c2 = 4 c1 (1 - c1) falls and
+    c0 = (1 - sqrt(1 - c1)) / 2 rises with c1, and at XI2 already
+    c2 = 1/4 < c0.
     """
     if t.c1 <= XI2:
         raise ParameterError(
             f"Markov partition needs c1 > {XI2:.12f}, got {t.c1!r}"
         )
     c2, c0 = t.c2, t.c0
-    if not c2 < c0:
-        raise ParameterError("gap (c2, c0) is empty for this threshold")
     j0 = (c2, c0)
     f_lo = 4.0 * c2 * (1.0 - c2)  # image of the gap is (f(c2), c1)
     f_hi = t.c1
@@ -268,25 +270,8 @@ def build_markov(t: Threshold, n: int) -> MarkovModel:
         branch_preimages=tuple(intervals),
         n0=n0,
         matrix=matrix,
-        spectral_radius=_power_iteration(matrix),
+        spectral_radius=float(np.max(np.abs(np.linalg.eigvals(matrix)))),
     )
-
-
-def _power_iteration(matrix: np.ndarray, tol: float = 1e-10, max_iter: int = 200_000) -> float:
-    m = matrix.astype(float)
-    v = np.ones(m.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = m @ v
-        lam_new = float(np.linalg.norm(w))
-        if lam_new == 0.0:
-            return 0.0
-        v = w / lam_new
-        if abs(lam_new - lam) <= tol:
-            return lam_new
-        lam = lam_new
-    raise RuntimeError("power iteration did not converge")
 
 
 def _canonical_rotation(orbit: np.ndarray) -> np.ndarray:

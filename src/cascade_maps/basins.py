@@ -57,7 +57,6 @@ __all__ = [
     "label_components",
     "corner_accumulation",
     "interior_accumulation",
-    "CLASS_TOL",
 ]
 
 #: Absolute fingerprint bucketing tolerance.  Super-stable attractors give

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands mirror the library surface: ``orbit``, ``stars``, ``scan``,
-``basin``, ``census``, ``markov``, ``measure`` and ``accumulation``.
+Subcommands mirror the library surface; ``_SUBCOMMANDS`` lists each one
+with its runner and the option keys it requires and accepts.
 Option values are resolved with precedence flags > environment > config
 file > defaults; environment variables use the ``CASCADE_`` prefix
 (``--max-iter`` becomes ``CASCADE_MAX_ITER``), and a config file passed
@@ -21,6 +21,7 @@ import numpy as np
 from . import analysis, basins, io
 from .errors import DomainError, ParameterError
 from .scalar import (
+    MAX_ITER_DEFAULT,
     avoidance_measure_tent,
     classify_orbit,
     estimate_avoidance,
@@ -34,17 +35,6 @@ DEFAULT_SEED = 0x5EED_CA5CADE
 
 ENV_PREFIX = "CASCADE_"
 
-SUBCOMMANDS = (
-    "orbit",
-    "stars",
-    "scan",
-    "basin",
-    "census",
-    "markov",
-    "measure",
-    "accumulation",
-)
-
 
 class UsageError(Exception):
     """Bad command line, environment value or config entry."""
@@ -57,13 +47,13 @@ class RunConfig:
     subcommand: str
     c1: Optional[float] = None
     sites: int = 2
-    resolution: int = 499
-    transient: int = 100
-    window: int = 12
+    resolution: int = basins.GridSpec.resolution
+    transient: int = basins.GridSpec.transient
+    window: int = basins.GridSpec.window
     samples: int = 10_000
     seed: int = DEFAULT_SEED
     max_period: int = 64
-    max_iter: int = 10_000
+    max_iter: int = MAX_ITER_DEFAULT
     max_s: int = 8
     lo: Optional[float] = None
     hi: Optional[float] = None
@@ -134,57 +124,6 @@ _PARSERS = {
 #: flag aliases on top of the canonical --key spellings
 _ALIASES = {"out": "output_path", "res": "resolution"}
 
-#: keys each subcommand accepts (beyond these, a key is a usage error)
-_ALLOWED = {
-    "orbit": {"c1", "max_iter"},
-    "stars": {"max_s", "output_path"},
-    "scan": {"lo", "hi", "steps", "max_iter", "output_path"},
-    "basin": {
-        "c1",
-        "resolution",
-        "transient",
-        "window",
-        "workers",
-        "format",
-        "output_path",
-    },
-    "census": {
-        "c1",
-        "sites",
-        "samples",
-        "seed",
-        "transient",
-        "max_period",
-        "output_path",
-    },
-    "markov": {"c1", "n", "output_path"},
-    "measure": {"c1", "j", "samples", "seed"},
-    "accumulation": {
-        "c1",
-        "corner",
-        "point",
-        "eps",
-        "resolutions",
-        "radii",
-        "resolution",
-        "transient",
-        "window",
-        "workers",
-        "output_path",
-    },
-}
-
-_REQUIRED = {
-    "orbit": {"c1"},
-    "stars": set(),
-    "scan": {"lo", "hi"},
-    "basin": {"c1"},
-    "census": {"c1"},
-    "markov": {"c1"},
-    "measure": {"c1"},
-    "accumulation": {"c1"},
-}
-
 
 def _flag_to_key(flag: str, allowed: set[str]) -> str:
     name = flag[2:].replace("-", "_")
@@ -232,11 +171,12 @@ def parse_config(
     """
     env = env or {}
     if not argv:
-        raise UsageError(f"missing subcommand; expected one of {', '.join(SUBCOMMANDS)}")
+        raise UsageError(f"missing subcommand; expected one of {', '.join(_SUBCOMMANDS)}")
     sub = argv[0]
-    if sub not in SUBCOMMANDS:
+    if sub not in _SUBCOMMANDS:
         raise UsageError(f"unknown subcommand {sub!r}")
-    allowed = _ALLOWED[sub]
+    _, required, optional = _SUBCOMMANDS[sub]
+    allowed = required | optional
 
     flag_values: dict = {}
     config_path = file
@@ -271,7 +211,7 @@ def parse_config(
             env_values[key] = _coerce(key, raw, "environment")
 
     merged = {**file_values, **env_values, **flag_values}
-    missing = _REQUIRED[sub] - merged.keys()
+    missing = required - merged.keys()
     if missing:
         raise UsageError(f"{sub}: missing required option(s): {', '.join(sorted(missing))}")
 
@@ -442,15 +382,28 @@ def _run_accumulation(cfg: RunConfig) -> None:
     _emit_table(header, rows, cfg.output_path)
 
 
-_RUNNERS = {
-    "orbit": _run_orbit,
-    "stars": _run_stars,
-    "scan": _run_scan,
-    "basin": _run_basin,
-    "census": _run_census,
-    "markov": _run_markov,
-    "measure": _run_measure,
-    "accumulation": _run_accumulation,
+#: options of a basin render
+_RENDER_KEYS = {"resolution", "transient", "window", "workers"}
+
+#: subcommand -> (runner, required keys, other accepted keys); any other
+#: key is a usage error.
+_SUBCOMMANDS = {
+    "orbit": (_run_orbit, {"c1"}, {"max_iter"}),
+    "stars": (_run_stars, set(), {"max_s", "output_path"}),
+    "scan": (_run_scan, {"lo", "hi"}, {"steps", "max_iter", "output_path"}),
+    "basin": (_run_basin, {"c1"}, _RENDER_KEYS | {"format", "output_path"}),
+    "census": (
+        _run_census,
+        {"c1"},
+        {"sites", "samples", "seed", "transient", "max_period", "output_path"},
+    ),
+    "markov": (_run_markov, {"c1"}, {"n", "output_path"}),
+    "measure": (_run_measure, {"c1"}, {"j", "samples", "seed"}),
+    "accumulation": (
+        _run_accumulation,
+        {"c1"},
+        _RENDER_KEYS | {"corner", "point", "eps", "resolutions", "radii", "output_path"},
+    ),
 }
 
 
@@ -465,8 +418,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    run, _, _ = _SUBCOMMANDS[cfg.subcommand]
     try:
-        _RUNNERS[cfg.subcommand](cfg)
+        run(cfg)
     except (ParameterError, DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

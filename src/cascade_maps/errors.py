@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "ParameterError", "BracketError"]
+
 
 class DomainError(ValueError):
     """An input value lies outside the domain of the operation."""

@@ -172,7 +172,7 @@ def classify_orbit(
     """
     if max_iter < 1:
         raise ParameterError("max_iter must be >= 1")
-    if boundary_tol <= 0.0:
+    if not boundary_tol > 0.0:
         raise ParameterError("boundary_tol must be positive")
     lo, hi = t.c_interval
     points = [t.c1]
@@ -201,7 +201,7 @@ def tent_conjugacy(x):
     Accepts scalars or arrays; satisfies ``h(f(x)) == tent_map(h(x))``.
     """
     x = np.asarray(x, dtype=float)
-    if np.any((x < 0.0) | (x > 1.0)):
+    if not np.all((x >= 0.0) & (x <= 1.0)):
         raise DomainError("tent conjugacy is defined on [0, 1]")
     out = (2.0 / np.pi) * np.arcsin(np.sqrt(x))
     return out.item() if out.ndim == 0 else out
@@ -210,7 +210,7 @@ def tent_conjugacy(x):
 def tent_conjugacy_inverse(u):
     """Inverse conjugacy ``sin^2(pi u / 2)``."""
     u = np.asarray(u, dtype=float)
-    if np.any((u < 0.0) | (u > 1.0)):
+    if not np.all((u >= 0.0) & (u <= 1.0)):
         raise DomainError("inverse tent conjugacy is defined on [0, 1]")
     s = np.sin(np.pi * u / 2.0)
     out = s * s

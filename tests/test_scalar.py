@@ -173,8 +173,10 @@ def test_classify_orbit_validates_arguments():
     t = cm.make_threshold(0.9)
     with pytest.raises(ParameterError):
         cm.classify_orbit(t, max_iter=0)
-    with pytest.raises(ParameterError):
-        cm.classify_orbit(t, boundary_tol=0.0)
+    # NaN fails every comparison, so it needs a "not > 0" check.
+    for tol in (0.0, math.nan):
+        with pytest.raises(ParameterError):
+            cm.classify_orbit(t, boundary_tol=tol)
 
 
 # ------------------------------------------------------------ tent conjugacy
@@ -207,10 +209,11 @@ def test_tent_map_values():
 
 
 def test_tent_conjugacy_domain_errors():
-    with pytest.raises(DomainError):
-        cm.tent_conjugacy(-0.1)
-    with pytest.raises(DomainError):
-        cm.tent_conjugacy_inverse(1.5)
+    # NaN lies outside [0, 1] too, as a scalar or inside an array.
+    for fn in (cm.tent_conjugacy, cm.tent_conjugacy_inverse):
+        for x in (-0.1, 1.5, math.nan, [0.5, -0.1], [0.5, math.nan]):
+            with pytest.raises(DomainError):
+                fn(x)
 
 
 # -------------------------------------------------------- avoidance measures
