@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
+import numpy.ma  # noqa: F401  # np.unique imports it on first call; do so at import
 
 from .errors import ParameterError
 from .lattice import _distinct_rows, cascade_batch
@@ -67,8 +67,9 @@ CLASS_TOL = 1e-6
 _UNIT = (0.0, 1.0)
 _CORNERS = ("00", "01", "10", "11")
 
-#: 4-connectivity structuring element for component labelling.
-_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+#: Cells per block when run ids are mapped to component ids in place; a
+#: block bounds the gather's temporary.
+_LABEL_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -306,13 +307,80 @@ def _check_regions(
             raise ParameterError("disk radius must be positive")
 
 
+def _run_graph(
+    classes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row runs of equal class in a square class map, and the edges between them.
+
+    Returns each cell's run id (``int32``, raster order), each run's class,
+    and the edges ``(upper, lower)``: one per pair of same-class runs that
+    overlap in adjacent rows, taken at the first column of the overlap.
+    """
+    r = classes.shape[0]
+    flat = classes.ravel()
+    start = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=start[1:])
+    start[::r] = True
+    run = start.astype(np.int32)
+    np.cumsum(run, out=run)
+    run -= 1
+    rows = start.reshape(r, r)
+    joined = rows[1:] | rows[:-1]
+    joined &= classes[1:] == classes[:-1]
+    lower = np.flatnonzero(joined) + r
+    return run, np.compress(start, flat), np.take(run, lower - r), np.take(run, lower)
+
+
+def _label_cells(classes: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Component ids of a square class map and the component count per class.
+
+    Union-find over the row runs of :func:`_run_graph` hooks each edge's
+    larger root onto its smaller one and pointer-jumps, until no edge joins
+    two roots; each root is then its component's first run in raster order.
+    """
+    run, run_class, a, b = _run_graph(classes)
+    parent = np.arange(run_class.size, dtype=np.int32)
+    while True:
+        a, b = np.take(parent, a), np.take(parent, b)
+        keep = a != b
+        a, b = a[keep], b[keep]
+        if not a.size:
+            break
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            grand = np.take(parent, parent)
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+
+    # Number the roots by class, then by first cell: ids ascend in raster
+    # order within a class, one class after another.
+    roots = np.flatnonzero(parent == np.arange(parent.size, dtype=np.int32))
+    root_class = run_class[roots]
+    comp = np.empty(parent.size, dtype=np.int32)
+    comp[roots[np.argsort(root_class, kind="stable")]] = np.arange(
+        1, roots.size + 1, dtype=np.int32
+    )
+    # Indexing, not np.take, below: np.take copies int32 indices to intp.
+    comp = comp[parent]
+    for k0 in range(0, run.size, _LABEL_BLOCK):
+        block = run[k0 : k0 + _LABEL_BLOCK]
+        block[...] = comp[block]
+    return run.reshape(classes.shape), np.bincount(root_class, minlength=n_classes)
+
+
 def label_components(
     g: BasinGrid,
     eps_list: Sequence[float] = (),
     point: Optional[tuple[float, float]] = None,
     radii: Sequence[float] = (),
 ) -> ComponentStats:
-    """Two-pass 4-connected labelling of same-class cells.
+    """4-connected labelling of same-class cells, all classes in one pass.
+
+    Union-find over the row runs of equal class (see :func:`_label_cells`).
+    Component ids are 1-based: the components of class 0 come first, then
+    those of class 1 and so on, and within a class they ascend with their
+    first cell in raster order.
 
     ``eps_list`` requests counts of distinct components meeting each corner
     box of side eps (all four corners); ``point`` and ``radii`` request
@@ -320,17 +388,9 @@ def label_components(
     region when any member cell centre falls inside it.
     """
     _check_regions(eps_list, point, radii)
-    classes = g.classes
     r = g.spec.resolution
-    component_ids = np.zeros((r, r), dtype=np.int32)
-    class_counts: dict[int, int] = {}
-    next_id = 0
-    for k in g.class_table:
-        mask = classes == k
-        labels, count = ndimage.label(mask, structure=_CROSS)
-        component_ids[mask] = labels[mask] + next_id
-        class_counts[k] = int(count)
-        next_id += int(count)
+    component_ids, counts = _label_cells(g.classes, g.n_classes)
+    class_counts = {k: int(counts[k]) for k in g.class_table}
 
     cx = _axis_centers(g.spec.x_range, r)
     cy = _axis_centers(g.spec.y_range, r)
@@ -359,7 +419,7 @@ def label_components(
     return ComponentStats(
         component_ids=component_ids,
         class_component_counts=class_counts,
-        total_components=next_id,
+        total_components=int(counts.sum()),
         corner_counts=corner_counts,
         disk_counts=disk_counts,
         point=point,

@@ -5,6 +5,8 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 import cascade_maps as cm
 from cascade_maps import basins
@@ -292,6 +294,129 @@ def test_label_component_ids_partition_cells():
     for comp in range(1, stats.total_components + 1):
         cells = g.classes[ids == comp]
         assert np.all(cells == cells[0])
+
+
+def test_label_equal_class_neighbours_share_a_component():
+    g = cm.render_basins(T84, cm.GridSpec(resolution=64))
+    ids = cm.label_components(g).component_ids
+    for c, i in ((g.classes, ids), (g.classes.T, ids.T)):
+        same = c[1:] == c[:-1]
+        assert np.array_equal(i[1:][same], i[:-1][same])
+
+
+_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+
+
+def _assert_matches_ndimage(g: cm.BasinGrid) -> None:
+    """Per-class ``ndimage.label`` in class order is the reference labelling."""
+    ids = np.zeros(g.classes.shape, dtype=np.int32)
+    counts = {}
+    for k in g.class_table:
+        mask = g.classes == k
+        labels, count = ndimage.label(mask, structure=_CROSS)
+        ids[mask] = labels[mask] + sum(counts.values())
+        counts[k] = count
+    stats = cm.label_components(g)
+    assert stats.component_ids.dtype == np.int32
+    assert np.array_equal(stats.component_ids, ids)
+    assert stats.class_component_counts == counts
+    assert stats.total_components == sum(counts.values())
+
+
+@pytest.mark.parametrize("r", [31, 125, 249])
+@pytest.mark.parametrize("t", [T84, T95, T98], ids=["c84", "c95", "c98"])
+def test_label_matches_ndimage_on_rendered_grids(t, r):
+    _assert_matches_ndimage(cm.render_basins(t, cm.GridSpec(resolution=r)))
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 7])
+@pytest.mark.parametrize("r", [2, 5, 97])
+def test_label_matches_ndimage_on_random_maps(n_classes, r):
+    rng = np.random.default_rng(1000 * n_classes + r)
+    _assert_matches_ndimage(_grid_from_classes(rng.integers(0, n_classes, (r, r))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_label_matches_ndimage_on_small_maps(data):
+    r = data.draw(st.integers(2, 9))
+    k = data.draw(st.integers(1, 4))
+    cells = data.draw(st.lists(st.integers(0, k - 1), min_size=r * r, max_size=r * r))
+    _assert_matches_ndimage(_grid_from_classes(np.reshape(cells, (r, r))))
+
+
+def _spiral(n: int) -> np.ndarray:
+    """A clockwise wall of class 1 with a one-cell corridor of class 0."""
+    wall = np.zeros((n, n), dtype=np.int32)
+    i = j = 0
+    di, dj = 0, 1
+    wall[0, 0] = 1
+    for _ in range(n * n):
+        for _ in range(2):
+            i1, j1, i2, j2 = i + di, j + dj, i + 2 * di, j + 2 * dj
+            free = 0 <= i1 < n and 0 <= j1 < n and not wall[i1, j1]
+            ahead = 0 <= i2 < n and 0 <= j2 < n and wall[i2, j2]
+            if free and not ahead:
+                wall[i1, j1] = 1
+                i, j = i1, j1
+                break
+            di, dj = dj, -di
+        else:
+            return wall
+    return wall
+
+
+def _serpentine(n: int) -> np.ndarray:
+    """Rows of class 1 on even rows, joined alternately at the right and left."""
+    c = np.zeros((n, n), dtype=np.int32)
+    c[::2] = 1
+    c[1::4, -1] = 1
+    c[3::4, 0] = 1
+    return c
+
+
+def _comb(n: int) -> np.ndarray:
+    """Class-1 teeth in every other column, hanging from a class-1 top row."""
+    c = np.zeros((n, n), dtype=np.int32)
+    c[:, ::2] = 1
+    c[0] = 1
+    return c
+
+
+_SHAPES = {
+    "spiral": _spiral(41),
+    "comb": _comb(41),
+    "serpentine_rows": _serpentine(41),
+    "serpentine_columns": _serpentine(41).T.copy(),
+    "checkerboard": (np.add.outer(np.arange(41), np.arange(41)) % 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_SHAPES))
+def test_label_matches_ndimage_on_adversarial_shapes(name):
+    _assert_matches_ndimage(_grid_from_classes(_SHAPES[name]))
+
+
+def test_label_adversarial_shapes_have_their_component_counts():
+    count = {
+        name: cm.label_components(_grid_from_classes(c)).class_component_counts
+        for name, c in _SHAPES.items()
+    }
+    assert count["spiral"] == {0: 1, 1: 1}
+    assert count["comb"] == {0: 20, 1: 1}
+    assert count["serpentine_rows"] == count["serpentine_columns"] == {0: 20, 1: 1}
+
+
+def test_label_memory_stays_below_the_per_class_ndimage_loop():
+    g = cm.render_basins(T95, cm.GridSpec(resolution=499))
+    tracemalloc.start()
+    try:
+        cm.label_components(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 3.3 MB is the peak of the per-class ndimage.label loop on this grid.
+    assert peak <= 3.3e6
 
 
 def test_disk_covering_domain_counts_every_component():

@@ -1,6 +1,10 @@
-"""Guards on the package's public names and the CLI's subcommand table."""
+"""Guards on the package's public names, the CLI's subcommand table and
+what importing the CLI loads."""
 
 import dataclasses
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +68,15 @@ def test_each_required_key_is_enforced(sub):
         with pytest.raises(cli.UsageError, match=f"missing required.*{key}"):
             cli.parse_config(argv)
 
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(cm.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import cascade_maps.cli; "
+        "print('scipy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
