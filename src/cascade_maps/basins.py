@@ -160,8 +160,9 @@ def _window_sums(u: np.ndarray, c1: float, transient: int, window: int) -> np.nd
     """Fingerprints for a block of cells given centre offsets ``u`` (m, N).
 
     The first step maps each site through ``1 - 4u**2`` (the symmetric form
-    of the logistic map at ``1/2 + u``); later steps evaluate the standard
-    form ``(4x)(1 - x)`` into two reused buffers.
+    of the logistic map at ``1/2 + u``), computed in place: ``u`` is
+    overwritten.  Later steps evaluate the standard form ``(4x)(1 - x)``
+    into one reused buffer, taking ``1 - x`` in place of the spent state.
 
     Bit-identical cells are stepped once.  A clip sets a site to exactly
     ``c1``, so cells fall onto few exact states; at steps 8, 16, 32, ...
@@ -169,14 +170,22 @@ def _window_sums(u: np.ndarray, c1: float, transient: int, window: int) -> np.nd
     cell to the row that carries its state.  The kernel is elementwise over
     rows and each cell's excesses are summed in step order, so this is
     exact: every fingerprint equals that of the cell stepped on its own.
+
+    A chunk of ``_CHUNK_CELLS`` cells peaks at about 1.34 MB traced (c1 =
+    0.95, while compacting at step 8), so two render threads at their peaks
+    together stay below what labelling the r = 499 grid needs next to it,
+    and the peak of a threaded render-and-label command does not depend on
+    how the threads interleave.
     """
-    y = 1.0 - 4.0 * (u * u)
+    y = u
+    np.multiply(y, y, out=y)
+    np.multiply(4.0, y, out=y)
+    np.subtract(1.0, y, out=y)
     x, e = cascade_batch(y, c1)
     owner = np.arange(u.shape[0])
     total = np.zeros(u.shape[0])
     if transient < 1:
         total += e
-    s = np.empty_like(y)
     k = 1
     compact_at = 8
     while k < transient + window:
@@ -185,11 +194,10 @@ def _window_sums(u: np.ndarray, c1: float, transient: int, window: int) -> np.nd
             x = np.asfortranarray(x[first])
             owner = inv[owner]
             y = np.empty_like(x)
-            s = np.empty_like(x)
             compact_at *= 2
         np.multiply(4.0, x, out=y)
-        np.subtract(1.0, x, out=s)
-        np.multiply(y, s, out=y)
+        np.subtract(1.0, x, out=x)
+        np.multiply(y, x, out=y)
         x, e = cascade_batch(y, c1)
         k += 1
         if k > transient:

@@ -153,13 +153,17 @@ def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         key *= _ROW_HASH
         key += bits[:, i]
     order = np.argsort(key)
+    del key  # spent temporaries go at once: a render chunk peaks in here
     new = np.zeros(order.size, dtype=bool)
     new[:1] = True
     for i in range(bits.shape[1]):
         col = bits[:, i][order]
         new[1:] |= col[1:] != col[:-1]
+    del col
+    group = np.cumsum(new)
+    group -= 1
     inv = np.empty(order.size, dtype=np.intp)
-    inv[order] = np.cumsum(new) - 1
+    inv[order] = group
     return order[new], inv
 
 

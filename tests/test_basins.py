@@ -224,6 +224,36 @@ def test_render_memory_is_bounded_by_the_output_and_one_chunk():
     assert peak < per_cell * r * r + per_chunk
 
 
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_two_render_chunks_at_their_peaks_stay_below_labelling():
+    # Two render threads can reach their chunk peaks at the same moment or
+    # not, as they happen to interleave.  If both together stay below what
+    # labelling the grid needs next to it, the corner command's peak is set
+    # by the single-threaded labelling and is the same in every run.
+    spec = cm.GridSpec(resolution=499)
+    ux = basins._axis_offsets(spec.x_range, spec.resolution)
+    uy = basins._axis_offsets(spec.y_range, spec.resolution)
+
+    def chunk(k0, k1):
+        u = basins._cell_offsets(ux, uy, spec, k0, k1)
+        basins._window_sums(u, T95.c1, spec.transient, spec.window)
+
+    chunk(0, 100)
+    chunk_peak = _traced_peak(chunk, 0, basins._CHUNK_CELLS)
+    g = cm.render_basins(T95, spec)
+    label_peak = _traced_peak(cm.label_components, g)
+    # Both sides hold the fingerprints; labelling also holds the classes.
+    assert 2 * chunk_peak < label_peak + g.classes.nbytes
+
+
 def test_pinned_sites_slice():
     spec = cm.GridSpec(resolution=24, pinned_sites=(0.5,))
     assert spec.n_sites == 3
