@@ -16,13 +16,12 @@ the class map exactly symmetric under ``(x, y) -> (1-x, 1-y)``.
 
 Cells are numbered ``k = i*r + j`` and simulated in fixed chunks of
 ``_CHUNK_CELLS`` cells, small enough for a chunk's arrays to stay in cache
-for all of its steps.  Chunks are independent work items, optionally spread
-over threads, each writing its own slice, so the output is bit-identical
-for any worker count and the working set does not grow with the grid.  On
-the unit square cell ``k`` mirrors cell ``r*r - 1 - k``, so only the first
-half of the cells is simulated and the rest is reflected.  A chunk's (m, N)
-arrays are column-major, so the cascade sweep reads each site column as one
-contiguous run (the fast path of :func:`cascade_maps.lattice.cascade_batch`).
+for all of its steps.  Chunks are independent, each writing its own slice,
+so the working set does not grow with the grid.  On the unit square cell
+``k`` mirrors cell ``r*r - 1 - k``, so only the first half of the cells is
+simulated and the rest is reflected.  A chunk's (m, N) arrays are
+column-major, so the cascade sweep reads each site column as one contiguous
+run (the fast path of :func:`cascade_maps.lattice.cascade_batch`).
 
 A clip sets a site to exactly ``c1``, so cells fall onto few exact float
 states: at c1=0.95, r=499 the 124,501 simulated cells hold 17,850 distinct
@@ -36,8 +35,6 @@ depends on it.
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -172,10 +169,9 @@ def _window_sums(u: np.ndarray, c1: float, transient: int, window: int) -> np.nd
     exact: every fingerprint equals that of the cell stepped on its own.
 
     A chunk of ``_CHUNK_CELLS`` cells peaks at about 1.34 MB traced (c1 =
-    0.95, while compacting at step 8), so two render threads at their peaks
-    together stay below what labelling the r = 499 grid needs next to it,
-    and the peak of a threaded render-and-label command does not depend on
-    how the threads interleave.
+    0.95, while compacting at step 8), less than half of what labelling
+    the r = 499 grid needs next to it, so labelling, not the render, sets
+    the peak of a render-and-label command.
     """
     y = u
     np.multiply(y, y, out=y)
@@ -205,9 +201,8 @@ def _window_sums(u: np.ndarray, c1: float, transient: int, window: int) -> np.nd
     return total
 
 
-#: Cells per work item.  16384 cells keep each (m, 2) array at 256 KB, so a
-#: chunk stays in a core's L2 cache for all of its steps; much smaller
-#: chunks make two render threads contend for the interpreter lock.
+#: Cells per chunk.  16384 cells keep each (m, 2) array at 256 KB, so a
+#: chunk stays in a core's L2 cache for all of its steps.
 _CHUNK_CELLS = 16384
 
 
@@ -225,18 +220,15 @@ def _cell_offsets(
     return u
 
 
-def render_basins(t: Threshold, spec: GridSpec, workers: int = 1) -> BasinGrid:
+def render_basins(t: Threshold, spec: GridSpec) -> BasinGrid:
     """Render the fingerprint grid and bucket it into classes.
 
-    Deterministic and schedule independent: cells are pure functions of
-    their centre, and each fixed chunk of ``_CHUNK_CELLS`` cells writes a
-    disjoint slice.  At most ``os.cpu_count()`` threads are started,
-    whatever ``workers`` asks for.  On the unit square only the first
-    ``(r*r + 1) // 2`` cells are simulated; the rest are their exact
-    mirror images.  Within a chunk, bit-identical cells are stepped once,
-    which changes no bit (see the module docstring).
+    Deterministic: cells are pure functions of their centre, and each fixed
+    chunk of ``_CHUNK_CELLS`` cells writes a disjoint slice.  On the unit
+    square only the first ``(r*r + 1) // 2`` cells are simulated; the rest
+    are their exact mirror images.  Within a chunk, bit-identical cells are
+    stepped once, which changes no bit (see the module docstring).
     """
-    workers = min(workers, os.cpu_count() or 1)
     r = spec.resolution
     ux = _axis_offsets(spec.x_range, r)
     uy = _axis_offsets(spec.y_range, r)
@@ -244,21 +236,10 @@ def render_basins(t: Threshold, spec: GridSpec, workers: int = 1) -> BasinGrid:
     mirrored = (*spec.x_range, *spec.y_range) == _UNIT + _UNIT
     n = (cells + 1) // 2 if mirrored else cells
     flat = np.empty(cells)
-
-    def run_chunk(k0: int) -> None:
+    for k0 in range(0, n, _CHUNK_CELLS):
         k1 = min(k0 + _CHUNK_CELLS, n)
         u = _cell_offsets(ux, uy, spec, k0, k1)
         flat[k0:k1] = _window_sums(u, t.c1, spec.transient, spec.window)
-
-    starts = range(0, n, _CHUNK_CELLS)
-    if workers <= 1:
-        for k0 in starts:
-            run_chunk(k0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_chunk, k0) for k0 in starts]
-            for fut in futures:
-                fut.result()
     flat[n:] = flat[: cells - n][::-1]
 
     fingerprints = flat.reshape(r, r)
@@ -439,7 +420,6 @@ def corner_accumulation(
     base_spec: GridSpec,
     eps_list: Sequence[float],
     resolutions: Sequence[int],
-    workers: int = 1,
 ) -> tuple[list[str], list[tuple]]:
     """Corner-box component counts across grid refinements.
 
@@ -457,7 +437,7 @@ def corner_accumulation(
     rows: list[tuple] = []
     for r in resolutions:
         spec = dataclasses.replace(base_spec, resolution=r)
-        stats = label_components(render_basins(t, spec, workers=workers), eps_list)
+        stats = label_components(render_basins(t, spec), eps_list)
         for eps in eps_list:
             for corner in _CORNERS:
                 rows.append((r, eps, corner, stats.corner_counts[(corner, eps)]))
@@ -469,14 +449,11 @@ def interior_accumulation(
     spec: GridSpec,
     point: tuple[float, float],
     radii: Sequence[float],
-    workers: int = 1,
 ) -> tuple[list[str], list[tuple]]:
     """Component counts over disks around an interior point (one render)."""
     radii = [float(x) for x in radii]
     _check_regions((), point, radii)
-    stats = label_components(
-        render_basins(t, spec, workers=workers), point=point, radii=radii
-    )
+    stats = label_components(render_basins(t, spec), point=point, radii=radii)
     header = ["radius", "components"]
     rows = [(radius, stats.disk_counts[radius]) for radius in radii]
     return header, rows

@@ -7,6 +7,9 @@ file > defaults; environment variables use the ``CASCADE_`` prefix
 (``--max-iter`` becomes ``CASCADE_MAX_ITER``), and a config file passed
 via ``--config`` is line-oriented ``key=value`` with unknown keys
 rejected.  Exit codes: 0 success, 2 usage error, 3 runtime failure.
+``basin`` and ``accumulation`` accept and validate ``--workers`` (>= 1) but
+ignore it, since the render runs on one thread; the flag stays only because
+the benchmark's commands still pass it.
 """
 
 from __future__ import annotations
@@ -232,6 +235,8 @@ def _validate(cfg: RunConfig) -> None:
             raise UsageError(f"{key} must be >= 1")
     if cfg.transient < 0 or cfg.j < 0 or cfg.max_iter < 1 or cfg.max_period < 1:
         raise UsageError("negative iteration counts are not allowed")
+    if cfg.seed < 0:
+        raise UsageError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.format not in ("csv", "pgm", "ppm"):
         raise UsageError(f"format must be csv, pgm or ppm, got {cfg.format!r}")
     if cfg.subcommand == "accumulation" and cfg.corner == (cfg.point is not None):
@@ -300,7 +305,7 @@ def _basin_spec(cfg: RunConfig) -> basins.GridSpec:
 
 def _run_basin(cfg: RunConfig) -> None:
     t = make_threshold(cfg.c1)
-    grid = basins.render_basins(t, _basin_spec(cfg), workers=cfg.workers)
+    grid = basins.render_basins(t, _basin_spec(cfg))
     stats = basins.label_components(grid)
     print(
         f"c1={io.format_real(t.c1)} resolution={cfg.resolution} "
@@ -372,17 +377,13 @@ def _run_accumulation(cfg: RunConfig) -> None:
     t = make_threshold(cfg.c1)
     spec = _basin_spec(cfg)
     if cfg.corner:
-        header, rows = basins.corner_accumulation(
-            t, spec, cfg.eps, cfg.resolutions, workers=cfg.workers
-        )
+        header, rows = basins.corner_accumulation(t, spec, cfg.eps, cfg.resolutions)
     else:
-        header, rows = basins.interior_accumulation(
-            t, spec, cfg.point, cfg.radii, workers=cfg.workers
-        )
+        header, rows = basins.interior_accumulation(t, spec, cfg.point, cfg.radii)
     _emit_table(header, rows, cfg.output_path)
 
 
-#: options of a basin render
+#: options of a basin render; ``workers`` is accepted and ignored
 _RENDER_KEYS = {"resolution", "transient", "window", "workers"}
 
 #: subcommand -> (runner, required keys, other accepted keys); any other

@@ -1,7 +1,6 @@
 import dataclasses
 import threading
 import tracemalloc
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -83,41 +82,12 @@ def test_domain_inside_central_basin_is_single_class():
     assert g.n_classes == 1
 
 
-def test_render_is_deterministic_and_worker_independent():
+def test_render_is_deterministic():
     spec = cm.GridSpec(resolution=101)
-    g1 = cm.render_basins(T84, spec, workers=1)
-    g2 = cm.render_basins(T84, spec, workers=1)
-    g4 = cm.render_basins(T84, spec, workers=4)
+    g1 = cm.render_basins(T84, spec)
+    g2 = cm.render_basins(T84, spec)
     assert np.array_equal(g1.fingerprints, g2.fingerprints)
-    assert np.array_equal(g1.fingerprints, g4.fingerprints)
-    assert np.array_equal(g1.classes, g4.classes)
-
-
-def test_render_starts_no_more_threads_than_cpus(monkeypatch):
-    # An inline executor records the pool size, so no real thread starts.
-    requested = []
-
-    class InlineExecutor:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    monkeypatch.setattr(basins, "ThreadPoolExecutor", InlineExecutor)
-    monkeypatch.setattr(basins.os, "cpu_count", lambda: 3)
-    spec = cm.GridSpec(resolution=8)
-    g = cm.render_basins(T84, spec, workers=10**6)
-    assert requested == [3]
-    assert np.array_equal(g.fingerprints, cm.render_basins(T84, spec).fingerprints)
+    assert np.array_equal(g1.classes, g2.classes)
 
 
 def test_cell_fingerprint_reproduces_grid_exactly():
@@ -175,9 +145,8 @@ def test_render_matches_direct_simulation_of_every_cell(monkeypatch, r, chunk):
         for t in (T84, T94, T98):
             for spec in specs:
                 want = _direct_fingerprints(t, spec).tobytes()
-                for workers in (1, 2):
-                    g = cm.render_basins(t, spec, workers=workers)
-                    assert g.fingerprints.tobytes() == want, (t.c1, spec, workers)
+                g = cm.render_basins(t, spec)
+                assert g.fingerprints.tobytes() == want, (t.c1, spec)
 
 
 def test_render_steps_each_distinct_state_once(monkeypatch):
@@ -211,7 +180,7 @@ def test_render_memory_is_bounded_by_the_output_and_one_chunk():
     threads = threading.active_count()
     tracemalloc.start()
     try:
-        cm.render_basins(T84, spec, workers=1)
+        cm.render_basins(T84, spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -234,10 +203,9 @@ def _traced_peak(fn, *args):
 
 
 def test_two_render_chunks_at_their_peaks_stay_below_labelling():
-    # Two render threads can reach their chunk peaks at the same moment or
-    # not, as they happen to interleave.  If both together stay below what
+    # The factor 2 is headroom: with one chunk's peak at most half of what
     # labelling the grid needs next to it, the corner command's peak is set
-    # by the single-threaded labelling and is the same in every run.
+    # by the labelling, not by the render.
     spec = cm.GridSpec(resolution=499)
     ux = basins._axis_offsets(spec.x_range, spec.resolution)
     uy = basins._axis_offsets(spec.y_range, spec.resolution)

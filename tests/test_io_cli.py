@@ -403,6 +403,18 @@ def test_main_usage_error_exit_code(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub", ["census", "measure"])
+def test_main_negative_seed_is_usage_error(capsys, sub):
+    assert main([sub, "--c1", "0.9", "--samples", "10", "--seed", "-1"]) == 2
+    assert capsys.readouterr() == ("", "usage error: seed must be >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("argv", [["basin"], ["accumulation", "--corner"]])
+def test_main_zero_workers_is_usage_error(capsys, argv):
+    assert main(argv + ["--c1", "0.9", "--workers", "0"]) == 2
+    assert capsys.readouterr().err == "usage error: workers must be >= 1\n"
+
+
 def test_main_runtime_error_exit_code(capsys):
     rc = main(
         ["basin", "--c1", "0.84", "--res", "8", "--out", "/no/such/dir/b.pgm",
@@ -529,24 +541,16 @@ def test_main_basin_csv_rows_end_in_the_class(capsys, monkeypatch, tmp_path):
     assert [(row[0], row[1]) for row in seen] == [(i, j) for i in range(31) for j in range(31)]
 
 
-def test_main_accumulation_point(capsys):
-    rc = main(
-        [
-            "accumulation",
-            "--c1",
-            "0.8",
-            "--point",
-            "0.75,0.75",
-            "--res",
-            "32",
-            "--radii",
-            "0.1,0.2",
-        ]
-    )
-    assert rc == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "radius,components"
-    assert [ln.split(",")[1] for ln in lines[1:]] == ["1", "1"]
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_main_accumulation_point(capsys, workers):
+    # --workers is accepted and has no effect on the output.
+    argv = ["accumulation", "--c1", "0.8", "--point", "0.75,0.75", "--res", "32",
+            "--radii", "0.1,0.2"]
+    assert main(argv + ["--workers", workers]) == 0
+    out = capsys.readouterr().out
+    assert out == "radius,components\r\n0.1,1\r\n0.2,1\r\n"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize(

@@ -355,7 +355,7 @@ def test_render_and_census_pass_column_major_batches(monkeypatch):
     _spy(monkeypatch, basins, "cascade_batch", batches)
     _spy(monkeypatch, analysis, "step_batch", batches)
     spec = cm.GridSpec(resolution=8, transient=5, window=4)
-    cm.render_basins(T90, spec, workers=1)
+    cm.render_basins(T90, spec)
     assert len(batches) == spec.transient + spec.window
     cm.census(T90, 3, 50, seed=7, transient=5, max_period=8)
     assert len(batches) > spec.transient + spec.window + 5
