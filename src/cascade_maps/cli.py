@@ -306,10 +306,10 @@ def _basin_spec(cfg: RunConfig) -> basins.GridSpec:
 def _run_basin(cfg: RunConfig) -> None:
     t = make_threshold(cfg.c1)
     grid = basins.render_basins(t, _basin_spec(cfg))
-    stats = basins.label_components(grid)
+    components = basins.label_components(grid).total_components
     print(
         f"c1={io.format_real(t.c1)} resolution={cfg.resolution} "
-        f"classes={grid.n_classes} components={stats.total_components}"
+        f"classes={grid.n_classes} components={components}"
     )
     out = cfg.output_path or f"basin_c1_{cfg.c1}_r{cfg.resolution}.{cfg.format}"
     if cfg.format == "csv":

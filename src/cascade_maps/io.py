@@ -5,10 +5,13 @@ parses back to the identical double.  CSV rows may come from any iterable
 (a lazy ``zip`` included) and are written one at a time through the
 ``csv`` module.  A table of numeric numpy columns wrapped in
 :class:`Columns` skips the rows altogether: it is written in fixed-size
-chunks sliced from the arrays and joined with ``","`` directly, since
-numeric text never needs CSV quoting, so the writer holds at most one
-chunk of strings in memory.  Images are binary "P5"/"P6" with
-the grid transposed so that x grows to the right and y grows upward.
+chunks sliced from the arrays, since numeric text never needs CSV
+quoting.  Each chunk codes every column slice against the texts of its
+distinct values, separators included, and becomes one string from one
+gather through that vocabulary and one ``"".join``, so the writer holds
+at most one chunk of codes and strings in memory.  Images are binary
+"P5"/"P6" with the grid transposed so that x grows to the right and y
+grows upward.
 The colour palette spaces class hues evenly on a 12-colour wheel from
 blue (lowest fingerprint class) down to red (highest).
 """
@@ -81,20 +84,45 @@ class Columns:
         return zip(*self.arrays)
 
 
-def _format_array(values: np.ndarray) -> list[str]:
-    """Format a 1-D ``float64`` or integer array, each distinct value once.
+def _encode(values: np.ndarray, sep: str) -> tuple[np.ndarray, list[str]]:
+    """Codes into a list of texts, each ending in ``sep``, for a 1-D slice.
 
+    An integer slice whose values span no more than its length is coded as
+    ``values - min`` against the texts of ``range(min, max + 1)``, with no
+    sort; min and max are taken as Python ints, so ``int64`` and ``uint64``
+    extremes cannot overflow.  Any other slice is coded by ``np.unique``.
     Doubles are told apart by their 64-bit pattern, so ``-0.0`` stays apart
-    from ``0.0`` and NaN payloads from each other.  Integers go through
-    ``str`` as Python ints, so ``uint64`` values above ``2**63`` are exact.
+    from ``0.0`` and NaN payloads from each other.
     """
-    if values.dtype == np.float64:
-        uniq, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        text = [format_real(v) for v in uniq.view(np.float64).tolist()]
-    else:
-        uniq, inverse = np.unique(values, return_inverse=True)
-        text = [str(v) for v in uniq.tolist()]
-    return np.array(text, dtype=object)[inverse].tolist()
+    if values.dtype.kind in "iu":
+        lo, hi = int(values.min()), int(values.max())
+        if hi - lo < values.shape[0]:
+            # The difference fits the unsigned type of the same width even
+            # where the signed subtraction wraps (an int8 slice spans 255).
+            codes = (values - lo).view(f"u{values.itemsize}")
+            return codes, [f"{v}{sep}" for v in range(lo, hi + 1)]
+        uniq, codes = np.unique(values, return_inverse=True)
+        return codes, [f"{v}{sep}" for v in uniq.tolist()]
+    uniq, codes = np.unique(values.view(np.int64), return_inverse=True)
+    return codes, [format_real(v) + sep for v in uniq.view(np.float64).tolist()]
+
+
+def _format_chunk(arrays: Sequence[np.ndarray]) -> str:
+    """The CSV text of equal-length column slices, each row ending in ``"\\r\\n"``.
+
+    Each column's codes are offset into one chunk vocabulary and stored in
+    an (m, ncols) array, whose row-major gather is joined once.
+    """
+    codes = np.empty((arrays[0].shape[0], len(arrays)), dtype=np.intp)
+    vocab: list[str] = []
+    offsets = []
+    for c, a in enumerate(arrays):
+        col, texts = _encode(a, "\r\n" if c == len(arrays) - 1 else ",")
+        codes[:, c] = col
+        offsets.append(len(vocab))
+        vocab += texts
+    codes += offsets
+    return "".join(np.array(vocab, dtype=object).take(codes.ravel()).tolist())
 
 
 def write_rows(
@@ -104,30 +132,33 @@ def write_rows(
 
     ``rows`` may be any iterable of rows; it is read once and written one
     row at a time, each real in shortest round-trip form.  A row whose
-    length differs from the first row's raises ``ValueError`` wherever it
+    length differs from the header's raises ``ValueError`` wherever it
     occurs, once the rows before it are written.  Every row, the header
     included, ends in ``"\\r\\n"`` (the ``csv`` module's excel dialect).
 
-    A :class:`Columns` table is formatted a chunk of ``_CHUNK_ROWS`` array
-    slices at a time and joined with ``","`` without the ``csv`` module:
-    numeric text is never empty and holds no ``,``, ``"``, ``\\r`` or
-    ``\\n``, so the excel dialect would quote none of it, and the bytes are
-    the same as for its rows.
+    A :class:`Columns` table whose column count differs from the header's
+    raises ``ValueError`` before anything is written.  Otherwise it is
+    written a chunk of ``_CHUNK_ROWS`` array slices at a time without the
+    ``csv`` module: each column slice is coded against the texts of its
+    distinct values (each with its ``","`` or ``"\\r\\n"`` appended), and the
+    chunk is one gather through the joined vocabulary and one
+    ``"".join``.  Numeric text is never empty and holds no ``,``, ``"``,
+    ``\\r`` or ``\\n``, so the excel dialect would quote none of it, and the
+    bytes are the same as for its rows.
     """
+    width = len(header)
+    if isinstance(rows, Columns) and len(rows.arrays) != width:
+        raise ValueError(f"a table of {len(rows.arrays)} columns under {width} names")
     writer = csv.writer(fh)
     writer.writerow(list(header))
     if isinstance(rows, Columns):
         for k0 in range(0, len(rows), _CHUNK_ROWS):
-            cols = [_format_array(a[k0 : k0 + _CHUNK_ROWS]) for a in rows.arrays]
-            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
+            fh.write(_format_chunk([a[k0 : k0 + _CHUNK_ROWS] for a in rows.arrays]))
         return
-    width = None
     for row in rows:
         fields = [_format_field(v) for v in row]
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise ValueError(f"a row of {len(fields)} fields in a table of {width}")
+        if len(fields) != width:
+            raise ValueError(f"a row of {len(fields)} fields under {width} names")
         writer.writerow(fields)
 
 

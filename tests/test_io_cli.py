@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,30 @@ def test_write_rows_rejects_ragged_rows():
 def test_write_rows_rejects_a_ragged_row_after_a_full_chunk():
     with pytest.raises(ValueError):
         cio.write_rows(io.StringIO(), ["a", "b"], [(1, 2)] * cio._CHUNK_ROWS + [(3,)])
+
+
+def test_write_rows_rejects_rows_narrower_than_the_header():
+    with pytest.raises(ValueError):
+        cio.write_rows(io.StringIO(), ["a", "b", "c"], [(1, 2), (3, 4)])
+
+
+@pytest.mark.parametrize("n_arrays", [2, 4])
+def test_write_rows_rejects_columns_that_miss_the_header_before_writing(n_arrays):
+    buf = io.StringIO()
+    with pytest.raises(ValueError):
+        cio.write_rows(buf, ["a", "b", "c"], cio.Columns(*[np.arange(3)] * n_arrays))
+    assert buf.getvalue() == ""
+
+
+def test_write_rows_columns_write_integer_extremes_as_rows_do():
+    # Each column spans its whole dtype in two rows: coding it as
+    # ``values - min`` would need 2**64 texts.
+    arrays = (
+        np.array([-(2**63), 2**63 - 1], dtype=np.int64),
+        np.array([0, 2**64 - 1], dtype=np.uint64),
+    )
+    expect = _csv_text(_oracle_write_rows, ["a", "b"], list(zip(*arrays)))
+    assert _csv_text(cio.write_rows, ["a", "b"], cio.Columns(*arrays)) == expect
 
 
 _NAN_PAYLOADS = np.array(
@@ -500,17 +525,18 @@ def _capture_render(monkeypatch):
     return grids
 
 
-def _basin_rows(grid):
+def _basin_columns(grid):
     r = grid.spec.resolution
     cx = cm.basins._axis_centers(grid.spec.x_range, r)
     cy = cm.basins._axis_centers(grid.spec.y_range, r)
     ii, jj = np.divmod(np.arange(r * r), r)
-    return zip(ii, jj, cx[ii], cy[jj], grid.fingerprints.ravel(), grid.classes.ravel())
+    return ii, jj, cx[ii], cy[jj], grid.fingerprints.ravel(), grid.classes.ravel()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("c1", ["0.84", "0.95"])
-@pytest.mark.parametrize("r", [2, 31])
+# r=129 is 16,641 rows: two writer chunks of a real render.
+@pytest.mark.parametrize("r", [2, 31, 129])
 def test_main_basin_csv_matches_row_writer(capsys, monkeypatch, tmp_path, r, c1, workers):
     grids = _capture_render(monkeypatch)
     out = tmp_path / "grid.csv"
@@ -519,8 +545,26 @@ def test_main_basin_csv_matches_row_writer(capsys, monkeypatch, tmp_path, r, c1,
     assert main(argv) == 0
     [grid] = grids
     expect = tmp_path / "rows.csv"
-    cio.write_csv(["i", "j", "x", "y", "fingerprint", "class"], _basin_rows(grid), str(expect))
+    header = ["i", "j", "x", "y", "fingerprint", "class"]
+    cio.write_csv(header, zip(*_basin_columns(grid)), str(expect))
     assert out.read_bytes() == expect.read_bytes()
+
+
+def test_basin_csv_writer_peak_stays_below_one_chunk_bound(tmp_path):
+    # The r=499 table is 17.1 MB of text; the writer holds one chunk of it
+    # (16,384 rows: codes, their gather and its joined text), 2.99 MB traced;
+    # the bound is that plus 10%.
+    grid = cm.render_basins(cm.make_threshold(0.95), cm.GridSpec(resolution=499))
+    rows = cio.Columns(*_basin_columns(grid))
+    header = ["i", "j", "x", "y", "fingerprint", "class"]
+    path = str(tmp_path / "grid.csv")
+    tracemalloc.start()
+    try:
+        cio.write_csv(header, rows, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.3e6
 
 
 def test_main_basin_csv_rows_end_in_the_class(capsys, monkeypatch, tmp_path):
