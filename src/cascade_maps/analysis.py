@@ -16,7 +16,7 @@ from typing import Literal, Optional
 import numpy as np
 
 from .errors import BracketError, ParameterError
-from .lattice import LatticeState, step, step_batch
+from .lattice import LatticeState, _distinct_rows, step, step_batch
 from .scalar import (
     MAX_ITER_DEFAULT,
     OrbitClass,
@@ -477,46 +477,36 @@ def _group_orbits(
     periods: np.ndarray,
     x0: np.ndarray,
     groups: dict[bytes, list],
-    first: int,
 ) -> None:
     """Add one chunk's resolved samples to ``groups``.
 
-    ``periods`` and ``x0`` are as returned by :func:`_recurrences` for
-    samples ``first, first + 1, ...``.  ``groups`` maps ``key`` to
-    ``[lowest sample index, hits, orbit]``, where ``key`` is the orbit
-    with its states sorted lexicographically, as C-ordered bytes, and
-    ``orbit`` is the (p, N) orbit of that lowest sample.  Samples of one
-    period are rebuilt with :func:`_orbit_states`, sorted and deduplicated
-    a block at a time, in increasing sample order; chunks are added in
-    increasing sample order too, so a group's first sample is its lowest.
+    ``periods`` and ``x0`` are as returned by :func:`_recurrences`.
+    ``groups`` maps ``key``, the orbit with its states sorted
+    lexicographically, as C-ordered bytes, to ``[hits, orbit]``, with
+    ``orbit`` the (p, N) orbit of one of the group's samples.
     """
-    state = np.dtype((np.void, x0.shape[1] * x0.itemsize))
     for p in np.unique(periods[periods > 0]).tolist():
         idx = np.flatnonzero(periods == p)
-        # Samples whose post-transient states are bit-identical have
-        # identical orbits: rebuild each distinct state once, at its first
-        # sample, and weight it by its number of samples.
-        distinct = np.ascontiguousarray(x0[idx]).view(state).ravel()
-        _, firsts, counts = np.unique(distinct, return_index=True, return_counts=True)
-        by_first = np.argsort(firsts)
-        idx, counts = idx[firsts[by_first]], counts[by_first]
+        # Bit-identical post-transient states have identical orbits: rebuild
+        # each distinct state once, weighted by its number of samples.
+        first, inv = _distinct_rows(x0[idx])
+        idx, counts = idx[first], np.bincount(inv)
         size = max(1, _GROUP_BLOCK_STATES // p)
         for start in range(0, idx.size, size):
             block = idx[start : start + size]
             sub = _orbit_states(t, x0[block], p)  # (p, B, N)
             order = np.lexsort(sub.transpose(2, 1, 0)[::-1], axis=-1)  # (B, p)
             rows = sub[order, np.arange(block.size)[:, None]]  # (B, p, N), sorted
-            keys = rows.reshape(block.size, -1).view(np.dtype((np.void, rows[0].nbytes)))
-            uniq, firsts, inverse = np.unique(
-                keys.ravel(), return_index=True, return_inverse=True
-            )
-            hits = np.bincount(inverse, counts[start : start + size]).astype(int)
-            for key, j, h in zip(uniq.tolist(), firsts.tolist(), hits.tolist()):
-                entry = groups.get(key)
-                if entry is None:
-                    groups[key] = [first + int(block[j]), h, sub[:, j].copy()]
+            # Group the sorted orbits by their states' ids: p columns, not p * N.
+            ids = _distinct_rows(rows.reshape(-1, x0.shape[1]))[1].reshape(block.size, p)
+            first, inv = _distinct_rows(ids.view(np.float64))
+            hits = np.bincount(inv, counts[start : start + size]).astype(int)
+            for j, h in zip(first.tolist(), hits.tolist()):
+                key = rows[j].tobytes()
+                if key in groups:
+                    groups[key][0] += h
                 else:
-                    entry[1] += h
+                    groups[key] = [h, sub[:, j].copy()]
 
 
 def census(
@@ -544,12 +534,12 @@ def census(
     from their post-transient states, each distinct state once, in blocks
     of at most ``_GROUP_BLOCK_STATES`` orbit states, each block's orbits are
     row-sorted and deduplicated at once, and the blocks and chunks merge
-    by the sorted orbit's bytes.  Each group keeps its lowest sample index
-    as representative and records that sample's orbit.  Apart from the
-    groups found, working memory is bounded by the chunk, whatever
-    ``samples`` and ``max_period``.  The result is sorted by decreasing hit
-    count (ties by fingerprint, period and orbit) and is a pure function
-    of the arguments.
+    by the sorted orbit's bytes.  A record is built in canonical phase, so
+    any sample of a group gives the same record.  Apart from the groups
+    found, working memory is bounded by the chunk, whatever ``samples``
+    and ``max_period``.  The result is sorted by decreasing hit count, then
+    fingerprint, period and orbit (distinct groups cannot tie, as lattice
+    states never hold ``-0.0``), and is a pure function of the arguments.
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
@@ -564,14 +554,11 @@ def census(
         periods, x0 = _recurrences(
             t, _census_initial_states(seed, m, n_sites, first), transient, max_period, tol
         )
-        _group_orbits(t, periods, x0, groups, first)
+        _group_orbits(t, periods, x0, groups)
         del periods, x0
-    # Build records in first-occurrence order, as one pass over the samples
-    # would, so that the stable sort below breaks any tie as it always has.
-    # Each representative's orbit is dropped once its record holds a copy.
-    reps = sorted(groups.values(), key=lambda g: g[0])
+    # Each group's orbit is dropped once its record holds a copy.
+    entries = [(_attractor_record(g.pop(), t, tol), g[0]) for g in groups.values()]
     del groups
-    entries = [(_attractor_record(rep.pop(), t, tol), rep[1]) for rep in reps]
     entries.sort(
         key=lambda e: (
             -e[1],

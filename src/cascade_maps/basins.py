@@ -428,6 +428,8 @@ def corner_accumulation(
     """
     eps_list = [float(e) for e in eps_list]
     resolutions = [int(r) for r in resolutions]
+    if not eps_list or not resolutions:
+        raise ParameterError("eps_list and resolutions must not be empty")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ParameterError("eps_list must be strictly decreasing")
     if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
@@ -452,6 +454,8 @@ def interior_accumulation(
 ) -> tuple[list[str], list[tuple]]:
     """Component counts over disks around an interior point (one render)."""
     radii = [float(x) for x in radii]
+    if not radii:
+        raise ParameterError("radii must not be empty")
     _check_regions((), point, radii)
     stats = label_components(render_basins(t, spec), point=point, radii=radii)
     header = ["radius", "components"]

@@ -9,9 +9,10 @@ emitted excess, the observable time series of the system.
 The sweep is inherently sequential across sites, but distinct orbits are
 independent: :func:`step_batch` advances any number of orbits at once as
 rows of an array, and is the kernel behind the basin renderer and the
-attractor census.  Scalar and batched paths perform the identical IEEE
-operations in the same order, so single orbits advanced either way agree
-bit for bit.
+attractor census.  :func:`step` advances one state with a loop over its
+sites, as a one-row batch costs several times more per call.  Both paths
+perform the identical IEEE operations in the same order, so single orbits
+advanced either way agree bit for bit.
 
 Layout contract of the batch kernels: an (M, N) batch may have any memory
 order, and the result keeps the input's order.  The sweep reads one site
@@ -26,15 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError
 from .scalar import Threshold
 
 __all__ = [
     "LatticeState",
-    "cascade",
     "step",
     "step_batch",
-    "iterate",
 ]
 
 
@@ -63,35 +62,24 @@ class LatticeState:
         return self.sites.size
 
 
-def cascade(y, t: Threshold) -> tuple[np.ndarray, float]:
-    """Left-to-right clipping sweep over logistic images ``y``.
+def step(s: LatticeState, t: Threshold) -> LatticeState:
+    """One lattice step: sitewise logistic map, then the cascade sweep.
 
-    Carries each site's overflow into the next site before comparing with
-    ``c1``; a value exactly at the threshold is kept with zero carry (both
-    branches agree there).  Returns ``(new_sites, excess)`` where the
-    excess is the carry leaving the last site.  ``sum(new_sites) + excess``
-    equals ``sum(y)`` up to rounding.
+    A loop over the sites on Python floats, with the IEEE operations of
+    :func:`step_batch` in the same order; a value exactly at ``c1`` is kept
+    with zero carry.
     """
-    y = np.asarray(y, dtype=float)
     c1 = t.c1
-    out = np.empty_like(y)
+    out = []
     e = 0.0
-    for i in range(y.size):
-        yh = y[i] + e
+    for x in s.sites.tolist():
+        yh = 4.0 * x * (1.0 - x) + e
         if yh > c1:
-            out[i] = c1
+            out.append(c1)
             e = yh - c1
         else:
-            out[i] = yh
+            out.append(yh)
             e = 0.0
-    return out, e
-
-
-def step(s: LatticeState, t: Threshold) -> LatticeState:
-    """One lattice step: sitewise logistic map, then the cascade sweep."""
-    x = s.sites
-    y = 4.0 * x * (1.0 - x)
-    out, e = cascade(y, t)
     return LatticeState(sites=out, last_excess=e)
 
 
@@ -113,8 +101,9 @@ def cascade_batch(y: np.ndarray, c1: float) -> tuple[np.ndarray, np.ndarray]:
 
     Copies ``y`` once and sweeps its site columns in place: ``min(yh, c1)``
     is the clipped value and ``max(yh - c1, 0)`` the carry.  For finite
-    input this is bit-identical to :func:`cascade`: ``yh - c1 > 0`` exactly
-    when ``yh > c1`` (gradual underflow), and ``yh == c1`` carries ``+0.0``.
+    input this is bit-identical to the branching sweep of :func:`step`:
+    ``yh - c1 > 0`` exactly when ``yh > c1`` (gradual underflow), and
+    ``yh == c1`` carries ``+0.0``.
     ``y`` itself is not modified.  The copy keeps ``y``'s memory order, so
     any order is accepted and kept; with column-major ``y`` each swept
     column is contiguous, which is the fast path.
@@ -165,36 +154,3 @@ def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inv = np.empty(order.size, dtype=np.intp)
     inv[order] = group
     return order[new], inv
-
-
-def iterate(
-    s: LatticeState,
-    t: Threshold,
-    k: int,
-    record_last: int = 0,
-) -> tuple[LatticeState, np.ndarray, np.ndarray | None]:
-    """Apply ``k`` steps, collecting the excess trace.
-
-    Returns ``(final_state, trace, states)`` where ``trace`` holds the k
-    emitted excesses.  When ``record_last > 0`` the last
-    ``min(k, record_last)`` states are kept (ring buffer, returned in
-    chronological order); otherwise ``states`` is None so long runs stay
-    memory-bounded.
-    """
-    if k < 0:
-        raise ParameterError("step count k must be >= 0")
-    trace = np.empty(k)
-    buf = None
-    if record_last > 0:
-        buf = np.empty((min(k, record_last), s.n_sites))
-    cur = s
-    for j in range(k):
-        cur = step(cur, t)
-        trace[j] = cur.last_excess
-        if buf is not None:
-            buf[j % buf.shape[0]] = cur.sites
-    states = None
-    if buf is not None:
-        states = np.roll(buf, -(k % buf.shape[0]), axis=0) if k > buf.shape[0] else buf
-    return cur, trace, states
-

@@ -485,28 +485,49 @@ def test_census_grouping_matches_per_sample_oracle(c1, n, tol):
 
 
 @pytest.mark.parametrize("c1", [0.9, 0.95])
-def test_group_representatives_are_lowest_sample_indices(c1):
-    # Across blocks and chunks, each group keeps the first sample that one
-    # pass over the samples meets, its hit count and that sample's orbit.
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+def test_group_records_do_not_depend_on_sample_order(c1, tol):
+    # Any sample of a group gives its record, so a chunk's samples grouped
+    # in reverse order give the same records and hits, at any block size.
     t = cm.make_threshold(c1)
-    tol = analysis.RECURRENCE_TOL
     x = analysis._census_initial_states(SEED, 300, 3)
-    periods, history = _recurrences_oracle(t, x, 100, 64, tol)
-    want = {}
-    for i in np.flatnonzero(periods).tolist():
-        orbit = history[: periods[i], i]
-        key = orbit[np.lexsort(orbit.T[::-1])].tobytes()
-        want.setdefault(key, [i, 0, orbit.tobytes()])[1] += 1
+    periods, x0 = analysis._recurrences(t, x, 100, 64, tol)
+
+    def records(periods, x0):
+        groups = {}
+        analysis._group_orbits(t, periods, x0, groups)
+        return sorted(
+            _record_bytes(
+                [(analysis._attractor_record(orbit, t, tol), h) for h, orbit in groups.values()]
+            )
+        )
+
+    want = records(periods, x0)
+    assert sum(r[-1] for r in want) == np.count_nonzero(periods) > len(want) > 1
     for block in (1, analysis._GROUP_BLOCK_STATES):
-        for chunk in (97, 300):
-            groups = {}
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(analysis, "_GROUP_BLOCK_STATES", block)
-                for first in range(0, 300, chunk):
-                    found = analysis._recurrences(t, x[first : first + chunk], 100, 64, tol)
-                    analysis._group_orbits(t, *found, groups, first)
-            got = {k: [i, h, orbit.tobytes()] for k, (i, h, orbit) in groups.items()}
-            assert got == want
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(analysis, "_GROUP_BLOCK_STATES", block)
+            assert records(periods[::-1], x0[::-1]) == want
+
+
+@pytest.mark.parametrize("block", [1, analysis._GROUP_BLOCK_STATES])
+def test_group_orbits_keeps_overlapping_windows_apart(block):
+    # Windows of p states along one unsettled orbit share all but one state,
+    # and often their least state, yet each is a group of its own.
+    t = cm.make_threshold(0.95)
+    x = analysis._orbit_states(t, analysis._census_initial_states(SEED, 1, 3), 12)[:, 0]
+    p = 4
+    want = {}
+    for i in range(8):
+        orbit = x[i : i + p]
+        key = orbit[np.lexsort(orbit.T[::-1])].tobytes()
+        want[key] = want.get(key, 0) + 1
+    assert len(want) == 8
+    groups = {}
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(analysis, "_GROUP_BLOCK_STATES", block)
+        analysis._group_orbits(t, np.full(8, p), np.asfortranarray(x[:8]), groups)
+    assert {k: h for k, (h, _) in groups.items()} == want
 
 
 def _canonical_rotation_oracle(orbit):

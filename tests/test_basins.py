@@ -471,6 +471,9 @@ def test_corner_accumulation_validates_monotone_args():
         lambda spec: cm.interior_accumulation(T84, spec, (0.5, 0.5), [0.1, -0.1]),
         lambda spec: cm.interior_accumulation(T84, spec, (0.5, 0.5), [0.0]),
         lambda spec: cm.interior_accumulation(T84, spec, (0.5, 0.5), [float("nan")]),
+        lambda spec: cm.corner_accumulation(T84, spec, [], [16]),
+        lambda spec: cm.corner_accumulation(T84, spec, [0.1], []),
+        lambda spec: cm.interior_accumulation(T84, spec, (0.5, 0.5), []),
     ],
 )
 def test_accumulation_rejects_bad_regions_before_rendering(monkeypatch, call):

@@ -603,6 +603,9 @@ def test_main_accumulation_point(capsys, workers):
         (["--point", "1.5,0.5"], "accumulation point must lie in the open square"),
         (["--point", "0.5,0.5", "--radii", "0.1,-0.1"], "disk radius must be positive"),
         (["--corner", "--eps", "0.1,-0.1"], "corner box size must be positive"),
+        (["--corner", "--eps", ""], "eps_list and resolutions must not be empty"),
+        (["--corner", "--resolutions", ""], "eps_list and resolutions must not be empty"),
+        (["--point", "0.5,0.5", "--radii", ","], "radii must not be empty"),
     ],
 )
 def test_main_accumulation_rejects_bad_regions_without_rendering(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import cascade_maps as cm
 from cascade_maps import analysis, basins, lattice
@@ -46,28 +46,52 @@ def test_state_rejects_nan_last_excess():
 # ------------------------------------------------------------------- cascade
 
 
+def _cascade_oracle(y, t):
+    """Left-to-right clipping sweep over logistic images ``y``.
+
+    Carries each site's overflow into the next site before comparing with
+    ``c1``; a value exactly at the threshold is kept with zero carry (both
+    branches agree there).  Returns ``(new_sites, excess)`` where the
+    excess is the carry leaving the last site.  ``sum(new_sites) + excess``
+    equals ``sum(y)`` up to rounding.
+    """
+    y = np.asarray(y, dtype=float)
+    c1 = t.c1
+    out = np.empty_like(y)
+    e = 0.0
+    for i in range(y.size):
+        yh = y[i] + e
+        if yh > c1:
+            out[i] = c1
+            e = yh - c1
+        else:
+            out[i] = yh
+            e = 0.0
+    return out, e
+
+
 def test_cascade_single_clip_absorbed():
-    x, e = cm.cascade([0.95, 0.80], T90)
+    x, e = _cascade_oracle([0.95, 0.80], T90)
     assert x[0] == T90.c1
     assert x[1] == pytest.approx(0.85, abs=1e-15)
     assert e == 0.0
 
 
 def test_cascade_carry_pushes_next_site_over():
-    x, e = cm.cascade([0.95, 0.88], T90)
+    x, e = _cascade_oracle([0.95, 0.88], T90)
     assert x.tolist() == [0.9, 0.9]
     assert e == pytest.approx(0.03, abs=1e-15)
 
 
 def test_cascade_identity_below_threshold():
     y = [0.5, 0.6, 0.7]
-    x, e = cm.cascade(y, T90)
+    x, e = _cascade_oracle(y, T90)
     assert x.tolist() == y
     assert e == 0.0
 
 
 def test_cascade_tie_keeps_value_with_zero_carry():
-    x, e = cm.cascade([T90.c1, 0.5], T90)
+    x, e = _cascade_oracle([T90.c1, 0.5], T90)
     assert x[0] == T90.c1 and x[1] == 0.5 and e == 0.0
 
 
@@ -77,7 +101,7 @@ def test_cascade_tie_keeps_value_with_zero_carry():
 )
 def test_cascade_conserves_total(y, c1):
     t = cm.make_threshold(c1)
-    x, e = cm.cascade(y, t)
+    x, e = _cascade_oracle(y, t)
     n = len(y)
     assert abs(float(np.sum(x)) + e - float(np.sum(np.asarray(y)))) <= 1e-12 * n
     assert np.max(x) <= t.c1 or np.max(x) == np.max(np.asarray(y))
@@ -125,6 +149,36 @@ def test_single_site_step_matches_threshold_map_bitwise():
         y, e = cm.threshold_map(float(x), t)
         assert s.sites[0] == y
         assert s.last_excess == e
+
+
+#: c1 = 4x(1 - x) at x = 19/64.  Sites on the grid k/64 have exact images
+#: k(64 - k)/1024 and exact carries, so ties yh == c1 are common.
+T_GRID = cm.make_threshold(855 / 1024)
+
+
+@given(
+    st.lists(
+        st.one_of(st.integers(0, 64).map(lambda k: k / 64), st.floats(0.0, 1.0)),
+        min_size=1,
+        max_size=8,
+    )
+)
+@example([19 / 64, 25 / 64, 15 / 64, 0.5])  # ties without and with a carry
+def test_step_is_bitwise_cascade_oracle_of_logistic_images(sites):
+    x = np.array(sites)
+    s = cm.step(cm.LatticeState(sites=x), T_GRID)
+    want, e = _cascade_oracle(4.0 * x * (1.0 - x), T_GRID)
+    assert s.sites.tobytes() == want.tobytes()
+    assert np.float64(s.last_excess).tobytes() == np.float64(e).tobytes()
+
+
+def test_step_tie_example_meets_threshold_exactly():
+    # The example above: site 0's image is c1 with no carry, and site 2's
+    # image plus site 1's carry is c1 exactly.
+    x = np.array([19, 25, 15]) / 64
+    y = 4.0 * x * (1.0 - x)
+    assert y[0] == T_GRID.c1 and y[1] > T_GRID.c1
+    assert y[2] + (y[1] - T_GRID.c1) == T_GRID.c1
 
 
 def test_step_batch_matches_scalar_step_bitwise():
@@ -186,44 +240,6 @@ def test_lattice_absorbed_into_product_interval():
     assert entered.all()
 
 
-# ------------------------------------------------------------------- iterate
-
-
-def test_iterate_zero_steps():
-    s = cm.LatticeState(sites=[0.3, 0.4])
-    final, trace, states = cm.iterate(s, T84, 0)
-    assert final is s and trace.size == 0 and states is None
-
-
-def test_iterate_zero_steps_with_ring_buffer_gives_empty_states():
-    s = cm.LatticeState(sites=[0.5, 0.5])
-    final, trace, states = cm.iterate(s, T84, 0, record_last=2)
-    assert final is s and trace.size == 0
-    assert states.shape == (0, 2)
-
-
-def test_iterate_trace_repeats_periodic_pattern():
-    s = cm.LatticeState(sites=[T84.c1, T84.c1])
-    _, trace, _ = cm.iterate(s, T84, 4)
-    assert trace.tolist() == pytest.approx([0.0, 0.30868992, 0.0, 0.30868992], abs=1e-12)
-
-
-def test_iterate_ring_buffer_keeps_last_states_in_order():
-    s = cm.LatticeState(sites=[0.5, 0.5])
-    final, trace, states = cm.iterate(s, T84, 7, record_last=3)
-    assert trace.size == 7
-    assert states.shape == (3, 2)
-    # last three states of the orbit, oldest first
-    expect = [[0.84, 0.84], [0.5376, 0.5376], [0.84, 0.84]]
-    np.testing.assert_allclose(states, expect, rtol=0, atol=1e-15)
-    assert np.array_equal(states[-1], final.sites)
-
-
-def test_iterate_rejects_negative_count():
-    with pytest.raises(ParameterError):
-        cm.iterate(cm.LatticeState(sites=[0.5]), T84, -1)
-
-
 # --------------------------------------------------------- excess_window_sum
 
 
@@ -269,7 +285,7 @@ def test_cascade_batch_matches_scalar_cascade():
     y = rng.random((300, 4))
     bx, be = cascade_batch(y, T84.c1)
     for i in range(300):
-        x, e = cm.cascade(y[i], T84)
+        x, e = _cascade_oracle(y[i], T84)
         assert np.array_equal(x, bx[i])
         assert e == be[i]
 
@@ -290,7 +306,7 @@ def test_cascade_batch_is_bitwise_scalar_cascade_at_exact_ties(grid):
     bx, be = cascade_batch(y, t.c1)
     assert y.tobytes() == before.tobytes()
     for i in range(y.shape[0]):
-        x, e = cm.cascade(y[i], t)
+        x, e = _cascade_oracle(y[i], t)
         assert x.tobytes() == bx[i].tobytes()
         assert np.float64(e).tobytes() == be[i].tobytes()
 

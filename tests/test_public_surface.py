@@ -17,11 +17,11 @@ PUBLIC_NAMES = [
     "LatticeState", "MarkovModel", "OrbitClass", "PERIOD2_WINDOW_END",
     "ParameterError", "Repeller", "StarValue", "SuperStable", "Threshold",
     "XI2", "antiphase_condition", "antiphase_root", "avoidance_measure_tent",
-    "bifurcation_scan", "build_markov", "cascade", "cell_fingerprint",
+    "bifurcation_scan", "build_markov", "cell_fingerprint",
     "census", "central_component_reaches_boundary", "classify_orbit",
     "corner_accumulation", "detect_periodic_orbit", "estimate_avoidance",
     "excess_window_sum", "find_star", "forward_orbit",
-    "interior_accumulation", "iterate", "label_components", "logistic",
+    "interior_accumulation", "label_components", "logistic",
     "make_threshold", "render_basins", "star_values", "step", "step_batch",
     "tent_conjugacy", "tent_conjugacy_inverse", "tent_map", "threshold_map",
 ]  # fmt: skip
