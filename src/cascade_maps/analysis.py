@@ -35,7 +35,6 @@ __all__ = [
     "BifurcationSample",
     "antiphase_condition",
     "antiphase_root",
-    "find_star",
     "star_values",
     "build_markov",
     "detect_periodic_orbit",
@@ -178,25 +177,17 @@ def _star_gap(c: float, s: int) -> float:
     return y - 0.75
 
 
-def find_star(s: int, bracket: Optional[tuple[float, float]] = None) -> StarValue:
-    """Locate the star threshold with ``f^s(value) = 3/4`` to 1e-13.
-
-    Without an explicit bracket the stars are built up recursively: each
-    star is the only sign change of the constrained ``f^s`` gap between its
-    predecessor and 1.
-    """
-    if s < 2:
-        raise ParameterError("star index s must be >= 2")
-    if bracket is not None:
-        lo, hi = bracket
-        return StarValue(s=s, value=_bisect(lambda c: _star_gap(c, s), lo, hi, 1e-13))
-    return star_values(s)[-1]
+#: Last star that :func:`star_values` resolves: star s lies about 4**-s below 1,
+#: so star 16 lies above the bracket, and past s = 17 doubles cannot resolve it.
+_LAST_STAR = 15
 
 
 def star_values(max_s: int) -> list[StarValue]:
-    """Stars for ``s = 2..max_s``, each bracketed just past its predecessor."""
-    if max_s < 2:
-        raise ParameterError("max_s must be >= 2")
+    """Stars for ``s = 2..max_s`` (at most ``_LAST_STAR``) to 1e-13, each the only
+    sign change of the constrained ``f^s`` gap between its predecessor and 1."""
+    if not 2 <= max_s <= _LAST_STAR:
+        msg = f"max_s must lie in 2..{_LAST_STAR}, the stars resolved in doubles"
+        raise ParameterError(f"{msg}, got {max_s}")
     stars: list[StarValue] = []
     prev = 0.75  # s = 1 degenerates to the fixed point itself
     for s in range(2, max_s + 1):
@@ -485,7 +476,7 @@ def _group_orbits(
     lexicographically, as C-ordered bytes, to ``[hits, orbit]``, with
     ``orbit`` the (p, N) orbit of one of the group's samples.
     """
-    for p in np.unique(periods[periods > 0]).tolist():
+    for p in (np.flatnonzero(np.bincount(periods)[1:]) + 1).tolist():
         idx = np.flatnonzero(periods == p)
         # Bit-identical post-transient states have identical orbits: rebuild
         # each distinct state once, weighted by its number of samples.
@@ -499,7 +490,7 @@ def _group_orbits(
             rows = sub[order, np.arange(block.size)[:, None]]  # (B, p, N), sorted
             # Group the sorted orbits by their states' ids: p columns, not p * N.
             ids = _distinct_rows(rows.reshape(-1, x0.shape[1]))[1].reshape(block.size, p)
-            first, inv = _distinct_rows(ids.view(np.float64))
+            first, inv = _distinct_rows(ids)
             hits = np.bincount(inv, counts[start : start + size]).astype(int)
             for j, h in zip(first.tolist(), hits.tolist()):
                 key = rows[j].tobytes()
@@ -527,8 +518,9 @@ def census(
     post-transient state within ``tol`` (``tol >= 0``; 0 asks for a
     bit-exact return, NaN is rejected), a sample retires from the stepped
     batch once its period is found, and samples without one are left out
-    of the counts.  ``transient`` must be non-negative and ``n_sites`` at
-    least 1.  Orbits are grouped by their exact state content, which is
+    of the counts.  ``transient`` must be non-negative, ``n_sites`` at
+    least 1 and ``seed`` in ``[0, 2**64)``, so that no two seeds give the
+    same samples.  Orbits are grouped by their exact state content, which is
     rotation invariant and exact because super-stable orbits repeat
     bit-identically after clipping: the samples of one period are rebuilt
     from their post-transient states, each distinct state once, in blocks
@@ -543,6 +535,8 @@ def census(
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"seed must lie in [0, 2**64), got {seed}")
     if not tol >= 0.0:  # NaN fails the comparison and is rejected too
         raise ParameterError("tol must be non-negative")
     groups: dict[bytes, list] = {}

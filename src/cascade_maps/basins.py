@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import numpy.ma  # noqa: F401  # np.unique imports it on first call; do so at import
 
 from .errors import ParameterError
 from .lattice import _distinct_rows, cascade_batch
@@ -264,14 +263,16 @@ def cell_fingerprint(t: Threshold, spec: GridSpec, i: int, j: int) -> float:
 def _bucket_fingerprints(fingerprints: np.ndarray) -> tuple[np.ndarray, dict[int, float]]:
     """Greedy absolute-tolerance bucketing of fingerprint values.
 
-    Buckets are grown over the sorted unique values; a new bucket starts
+    Buckets are grown over the sorted distinct values; a new bucket starts
     when a value exceeds the current representative (the bucket's lowest
     member) by more than CLASS_TOL.  Ids are dense and ascend with the
     representative fingerprint.
     """
-    uniq = np.unique(fingerprints)
+    values = np.sort(fingerprints, axis=None)
+    # Dropping the repeats frees the full sorted copy before the classes are built.
+    values = values[np.concatenate(([True], values[1:] != values[:-1]))]
     reps: list[float] = []
-    for v in uniq:
+    for v in values:
         if not reps or v > reps[-1] + CLASS_TOL:
             reps.append(float(v))
     # A value belongs to the bucket of the last representative not above it.
@@ -394,8 +395,8 @@ def label_components(
             ("10", hi_x, lo_y),
             ("11", hi_x, hi_y),
         ):
-            sub = component_ids[np.ix_(mx, my)]
-            corner_counts[(corner, float(eps))] = int(np.unique(sub).size)
+            sub = component_ids[np.ix_(mx, my)].ravel()
+            corner_counts[(corner, float(eps))] = int(np.count_nonzero(np.bincount(sub)))
 
     disk_counts: dict[float, int] = {}
     if point is not None:
@@ -403,7 +404,7 @@ def label_components(
         dist2 = (cx[:, None] - px) ** 2 + (cy[None, :] - py) ** 2
         for radius in radii:
             sel = component_ids[dist2 <= radius * radius]
-            disk_counts[float(radius)] = int(np.unique(sel).size)
+            disk_counts[float(radius)] = int(np.count_nonzero(np.bincount(sel)))
 
     return ComponentStats(
         component_ids=component_ids,

@@ -163,14 +163,10 @@ def _read_config_file(path: str, allowed: set[str]) -> dict:
     return values
 
 
-def parse_config(
-    argv: Sequence[str],
-    env: Optional[dict] = None,
-    file: Optional[str] = None,
-) -> RunConfig:
+def parse_config(argv: Sequence[str], env: Optional[dict] = None) -> RunConfig:
     """Resolve a command line into a validated :class:`RunConfig`.
 
-    Precedence: flags > environment > config file > defaults.
+    Precedence: flags > environment > the ``--config`` file > defaults.
     """
     env = env or {}
     if not argv:
@@ -182,7 +178,7 @@ def parse_config(
     allowed = required | optional
 
     flag_values: dict = {}
-    config_path = file
+    config_path = None
     args = list(argv[1:])
     i = 0
     while i < len(args):

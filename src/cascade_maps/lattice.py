@@ -125,7 +125,7 @@ _ROW_HASH = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the bit-identical rows of an (M, N) float batch.
+    """Group the bit-identical rows of an (M, N) batch of 8-byte values.
 
     Returns ``(first, inv)`` with ``x[first][inv]`` equal to ``x`` bit for
     bit: ``first`` holds one row index per group and ``inv`` maps each row

@@ -231,6 +231,10 @@ def avoidance_measure_tent(t: Threshold, j: int) -> float:
     return t.d1 ** (j + 1)
 
 
+#: Points per chunk of :func:`estimate_avoidance`, about 2 MB of working memory.
+_AVOIDANCE_CHUNK = 65536
+
+
 def estimate_avoidance(
     t: Threshold, j: int, samples: int, seed: int
 ) -> tuple[float, float]:
@@ -239,21 +243,25 @@ def estimate_avoidance(
     Draws ``samples`` uniform points and counts those whose iterates
     ``x, f_c1(x), ..., f_c1^j(x)`` all stay outside the closed interval C.
     Returns ``(fraction, stderr)`` with the binomial standard error.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  The points are drawn and iterated in
+    chunks from one generator, which draws the same doubles as one draw.
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
     if j < 0:
         raise ParameterError("j must be >= 0")
     rng = np.random.default_rng(seed)
-    x = rng.random(samples)
     lo, hi = t.c_interval
-    alive = np.ones(samples, dtype=bool)
-    for i in range(j + 1):
-        alive &= (x < lo) | (x > hi)
-        if i < j:
-            y = 4.0 * x * (1.0 - x)
-            x = np.where(y < t.c1, y, t.c1)
-    fraction = float(alive.mean())
+    hits = 0
+    for first in range(0, samples, _AVOIDANCE_CHUNK):
+        x = rng.random(min(_AVOIDANCE_CHUNK, samples - first))
+        alive = np.ones(x.size, dtype=bool)
+        for i in range(j + 1):
+            alive &= (x < lo) | (x > hi)
+            if i < j:
+                y = 4.0 * x * (1.0 - x)
+                x = np.where(y < t.c1, y, t.c1)
+        hits += int(np.count_nonzero(alive))
+    fraction = hits / samples
     stderr = math.sqrt(fraction * (1.0 - fraction) / samples)
     return fraction, stderr

@@ -67,7 +67,7 @@ def closed_form_star(s: int) -> float:
 
 
 def test_find_star_two_matches_closed_form():
-    xi2 = cm.find_star(2)
+    xi2 = cm.star_values(2)[-1]
     assert xi2.s == 2
     assert abs(xi2.value - (2.0 + math.sqrt(3.0)) / 4.0) <= 1e-12
     v = xi2.value
@@ -75,9 +75,17 @@ def test_find_star_two_matches_closed_form():
     assert abs(f2 - 0.75) <= 1e-12
 
 
-@pytest.mark.parametrize("s", range(2, 10))
+@pytest.mark.parametrize("s", range(2, analysis._LAST_STAR + 1))
 def test_star_values_match_backward_construction(s):
-    assert cm.find_star(s).value == pytest.approx(closed_form_star(s), abs=1e-12)
+    assert cm.star_values(s)[-1].value == pytest.approx(closed_form_star(s), abs=1e-12)
+
+
+@pytest.mark.parametrize("max_s", [analysis._LAST_STAR + 1, analysis._LAST_STAR + 2, 22])
+def test_star_values_reject_stars_past_the_last_resolved(max_s):
+    # Star 16 lies above the bisection bracket, and from about s = 17 on
+    # doubles cannot resolve a star at all: such requests are rejected.
+    with pytest.raises(ParameterError, match=f"2..{analysis._LAST_STAR}"):
+        cm.star_values(max_s)
 
 
 def test_star_spacing_ratios_approach_one_quarter():
@@ -91,12 +99,13 @@ def test_star_spacing_ratios_approach_one_quarter():
 
 
 def test_find_star_with_explicit_bracket_and_errors():
-    v = cm.find_star(2, bracket=(0.92, 0.94)).value
+    def gap(c):
+        return analysis._star_gap(c, 2)
+
+    v = analysis._bisect(gap, 0.92, 0.94, 1e-13)
     assert v == pytest.approx((2.0 + math.sqrt(3.0)) / 4.0, abs=1e-12)
     with pytest.raises(BracketError):
-        cm.find_star(2, bracket=(0.95, 0.96))  # no sign change here
-    with pytest.raises(ParameterError):
-        cm.find_star(1)
+        analysis._bisect(gap, 0.95, 0.96, 1e-13)  # no sign change here
     with pytest.raises(ParameterError):
         cm.star_values(1)
 
@@ -650,6 +659,20 @@ def test_census_memory_does_not_grow_with_sample_chunks():
     one = _traced_peak(lambda: cm.census(T84, 2, chunk, seed=SEED))
     four = _traced_peak(lambda: cm.census(T84, 2, 4 * chunk, seed=SEED))
     assert four <= one + (1 << 16)
+
+
+@pytest.mark.parametrize("seed", [-1, -5, 2**64, 2**64 + 5])
+def test_census_rejects_seeds_outside_64_bits(seed):
+    # The samples come from the seed modulo 2**64, so such a seed would
+    # silently alias one inside the range.
+    with pytest.raises(ParameterError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        cm.census(T84, 2, 10, seed=seed)
+
+
+def test_census_accepts_the_ends_of_the_seed_range():
+    for seed in (0, 2**64 - 1):
+        entries = cm.census(T84, 2, 50, seed=seed)
+        assert sum(hits for _, hits in entries) == 50
 
 
 def _splitmix_states_oracle(seed, samples, n):

@@ -468,6 +468,22 @@ def test_main_stars_csv(capsys):
     assert len(lines) == 4
 
 
+def test_main_stars_past_the_last_resolved_star_is_usage_error(capsys):
+    assert main(["stars", "--max-s", "15"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 15
+    assert main(["stars", "--max-s", "16"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: max_s must lie in 2..15")
+
+
+def test_main_census_seed_past_64_bits_is_usage_error(capsys):
+    argv = ["census", "--c1", "0.95", "--sites", "2", "--samples", "300"]
+    assert main(argv + ["--seed", "0x10000000000000005"]) == 2
+    assert capsys.readouterr() == (
+        "", "usage error: seed must lie in [0, 2**64), got 18446744073709551621\n"
+    )
+
+
 def test_main_scan_csv(capsys):
     assert main(["scan", "--lo", "0.76", "--hi", "0.8", "--steps", "3"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -1,6 +1,7 @@
 """Guards on the package's public names, the CLI's subcommand table and
 what importing the CLI loads."""
 
+import ast
 import dataclasses
 import subprocess
 import sys
@@ -20,7 +21,7 @@ PUBLIC_NAMES = [
     "bifurcation_scan", "build_markov", "cell_fingerprint",
     "census", "central_component_reaches_boundary", "classify_orbit",
     "corner_accumulation", "detect_periodic_orbit", "estimate_avoidance",
-    "excess_window_sum", "find_star", "forward_orbit",
+    "excess_window_sum", "forward_orbit",
     "interior_accumulation", "label_components", "logistic",
     "make_threshold", "render_basins", "star_values", "step", "step_batch",
     "tent_conjugacy", "tent_conjugacy_inverse", "tent_map", "threshold_map",
@@ -82,3 +83,43 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+#: one tiny run of every subcommand, with ``{tmp}`` for an output directory
+TINY_RUNS = [
+    ["orbit", "--c1", "0.84"],
+    ["stars", "--max-s", "4"],
+    ["scan", "--lo", "0.76", "--hi", "0.8", "--steps", "3"],
+    ["basin", "--c1", "0.95", "--res", "9", "--out", "{tmp}/basin.csv"],
+    ["census", "--c1", "0.95", "--sites", "3", "--samples", "50"],
+    ["markov", "--c1", "0.95", "--n", "6"],
+    ["measure", "--c1", "0.9", "--j", "2", "--samples", "100"],
+    ["accumulation", "--c1", "0.95", "--corner", "--resolutions", "9,17", "--eps", "0.2"],
+    ["accumulation", "--c1", "0.95", "--res", "9", "--point", "0.5,0.5", "--radii", "0.2"],
+]
+
+
+def test_runs_do_not_load_numpy_ma(tmp_path):
+    # The package uses no masked arrays; numpy's 1-D np.unique would import
+    # numpy.ma on its first call, so no run path calls it.
+    assert {argv[0] for argv in TINY_RUNS} == set(cli._SUBCOMMANDS)
+    src = str(Path(cm.__file__).resolve().parents[1])
+    runs = [[a.format(tmp=tmp_path) for a in argv] for argv in TINY_RUNS]
+    code = (
+        f"import contextlib, io, sys; sys.path.insert(0, {src!r}); "
+        "import cascade_maps.cli as cli; "
+        "seen = [('import', 0, 'numpy.ma' in sys.modules)]\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc = cli.main(argv)\n"
+        "    seen.append((argv[0], rc, 'numpy.ma' in sys.modules))\n"
+        "print(seen)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    seen = ast.literal_eval(proc.stdout)
+    assert [name for name, _, _ in seen] == ["import"] + [a[0] for a in TINY_RUNS]
+    assert [(name, rc, loaded) for name, rc, loaded in seen] == [
+        (name, 0, False) for name, _, _ in seen
+    ]

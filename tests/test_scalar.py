@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import cascade_maps as cm
+from cascade_maps import scalar
 from cascade_maps.errors import DomainError, ParameterError
 
 WINDOW_END = cm.PERIOD2_WINDOW_END  # (5 + sqrt 5)/8
@@ -303,6 +305,51 @@ def test_estimate_avoidance_validates_arguments():
         cm.estimate_avoidance(t, -1, 10, seed=0)
     with pytest.raises(ParameterError):
         cm.estimate_avoidance(t, 1, 0, seed=0)
+
+
+def _estimate_avoidance_oracle(t, j, samples, seed):
+    # The unchunked loop: every sample drawn at once and iterated together.
+    x = np.random.default_rng(seed).random(samples)
+    lo, hi = t.c_interval
+    alive = np.ones(samples, dtype=bool)
+    for i in range(j + 1):
+        alive &= (x < lo) | (x > hi)
+        if i < j:
+            y = 4.0 * x * (1.0 - x)
+            x = np.where(y < t.c1, y, t.c1)
+    fraction = float(alive.mean())
+    return fraction, math.sqrt(fraction * (1.0 - fraction) / samples)
+
+
+CHUNK = scalar._AVOIDANCE_CHUNK
+
+
+@pytest.mark.parametrize("samples", [1, 7, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize("j", [0, 4])
+def test_estimate_avoidance_chunks_match_one_draw(samples, j):
+    t = cm.make_threshold(0.9)
+    got = cm.estimate_avoidance(t, j, samples, seed=11)
+    want = _estimate_avoidance_oracle(t, j, samples, seed=11)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimate_avoidance_memory_does_not_grow_with_samples():
+    # One chunk's points are alive at a time; holding all eight chunks'
+    # points at once, as one draw does, would add about 15 MB here.
+    t = cm.make_threshold(0.9)
+    cm.estimate_avoidance(t, 3, 100, seed=1)  # warm imports outside the trace
+    one = _traced_peak(lambda: cm.estimate_avoidance(t, 3, CHUNK, seed=1))
+    eight = _traced_peak(lambda: cm.estimate_avoidance(t, 3, 8 * CHUNK, seed=1))
+    assert eight <= one + (1 << 16)
 
 
 # ----------------------------------------------------------------- absorption
