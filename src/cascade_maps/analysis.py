@@ -94,7 +94,7 @@ class AttractorRecord:
     """A detected periodic lattice orbit in canonical phase."""
 
     period: int
-    orbit: np.ndarray  # shape (period, n_sites), lexicographically least rotation
+    orbit: np.ndarray  # (period, n_sites), least rotation; read-only
     kind: OrbitType
     window_fingerprint: float
 
@@ -281,8 +281,9 @@ def _canonical_rotation(orbit: np.ndarray) -> np.ndarray:
     return np.concatenate((orbit[best:], orbit[:best]))
 
 
-def _lag_matches(orbit: np.ndarray, lag: int, t: Threshold, tol: float) -> bool:
-    """Shifted-site comparison: site i+1 repeats site i ``lag`` steps later.
+def _lag_match_rows(orbits: np.ndarray, lag: int, t: Threshold, tol: float) -> np.ndarray:
+    """Shifted-site comparison of each (p, N) orbit in a (B, p, N) batch:
+    whether site i+1 repeats site i ``lag`` steps later, as a (B,) mask.
 
     Slots inside C are exempt from the strict comparison: that is where the
     upstream clip deposits its carry, and the perturbation is absorbed by
@@ -290,24 +291,13 @@ def _lag_matches(orbit: np.ndarray, lag: int, t: Threshold, tol: float) -> bool:
     lie inside C for the slot to count as matching.
     """
     lo, hi = t.c_interval
-    k = lag % orbit.shape[0]
-    a = orbit[:, :-1]
-    b = np.concatenate((orbit[k:, 1:], orbit[:k, 1:]))  # orbit[(j + lag) % p, i + 1]
+    k = lag % orbits.shape[1]
+    a = orbits[:, :, :-1]
+    # b[:, j, i] is orbits[:, (j + lag) % p, i + 1]
+    b = np.concatenate((orbits[:, k:, 1:], orbits[:, :k, 1:]), axis=1)
     ok = np.abs(a - b) <= tol
     ok |= (np.minimum(a, b) >= lo) & (np.maximum(a, b) <= hi)
-    return bool(ok.all())
-
-
-def _classify_orbit_kind(orbit: np.ndarray, t: Threshold, tol: float) -> OrbitType:
-    p, n = orbit.shape
-    spread = np.max(orbit, axis=1) - np.min(orbit, axis=1)
-    if np.all(spread <= tol):
-        return "in_phase"
-    if n == 2 and p % 2 == 0 and _lag_matches(orbit, p // 2, t, tol):
-        return "anti_phase"
-    if _lag_matches(orbit, 1, t, tol):
-        return "ripple"
-    return "other"
+    return ok.all(axis=(1, 2))
 
 
 def excess_window_sum(
@@ -392,17 +382,50 @@ def _orbit_states(t: Threshold, x0: np.ndarray, p: int) -> np.ndarray:
     return out.transpose(0, 2, 1)
 
 
-def _attractor_record(orbit: np.ndarray, t: Threshold, tol: float) -> AttractorRecord:
-    """Record of one period of an orbit, in canonical phase."""
-    canon = _canonical_rotation(orbit.copy())
-    return AttractorRecord(
-        period=orbit.shape[0],
-        orbit=canon,
-        kind=_classify_orbit_kind(canon, t, tol),
-        window_fingerprint=excess_window_sum(
-            LatticeState(sites=canon[0]), t, 0, FINGERPRINT_WINDOW
-        ),
-    )
+def _attractor_records(t: Threshold, orbits: np.ndarray, tol: float) -> list[AttractorRecord]:
+    """Records of a (B, p, N) batch of orbits of one period ``p``, in order.
+
+    Each orbit is rotated to canonical phase, its lexicographically least
+    rotation: one lexsort per row finds its least state, and a gather
+    rotates the row to start there.  Rows whose least state occurs more
+    than once go through :func:`_canonical_rotation`, which compares the
+    candidate starts.  The kind is decided for the whole batch at once:
+    ``in_phase`` if no step spreads its sites by more than ``tol``, else
+    ``anti_phase`` for two sites and even ``p`` if site 1 repeats site 0
+    half a period later (:func:`_lag_match_rows`), else ``ripple`` if each
+    site repeats its left neighbour one step later, else ``other``.  The
+    fingerprint is :func:`excess_window_sum` from the canonical first
+    state, one record at a time.  The canonical orbits share one block,
+    which is made read-only, so no record's orbit can be written.
+    """
+    b, p, n = orbits.shape
+    rows = np.arange(b)[:, None]
+    order = np.lexsort(orbits.transpose(2, 0, 1)[::-1], axis=-1)  # (B, p)
+    canon = orbits[rows, (order[:, :1] + np.arange(p)) % p]
+    if p > 1:
+        # The sort is stable and the least state comes first: it repeats
+        # exactly when the second sorted state equals it.
+        least = orbits[rows, order[:, :2]]
+        for j in np.flatnonzero((least[:, 0] == least[:, 1]).all(axis=1)).tolist():
+            canon[j] = _canonical_rotation(orbits[j])
+    canon.setflags(write=False)
+    in_phase = (canon.max(axis=2) - canon.min(axis=2) <= tol).all(axis=1)
+    anti = n == 2 and p % 2 == 0 and _lag_match_rows(canon, p // 2, t, tol)
+    ripple = _lag_match_rows(canon, 1, t, tol)
+    kinds = np.select(
+        [in_phase, anti, ripple], ["in_phase", "anti_phase", "ripple"], "other"
+    ).tolist()
+    return [
+        AttractorRecord(
+            period=p,
+            orbit=canon[j],
+            kind=kinds[j],
+            window_fingerprint=excess_window_sum(
+                LatticeState(sites=canon[j, 0]), t, 0, FINGERPRINT_WINDOW
+            ),
+        )
+        for j in range(b)
+    ]
 
 
 def detect_periodic_orbit(
@@ -427,8 +450,8 @@ def detect_periodic_orbit(
     periods, x0 = _recurrences(t, s0.sites[None, :], transient, max_period, tol)
     if periods[0] == 0:
         return None
-    orbit = _orbit_states(t, x0, int(periods[0]))[:, 0]
-    return _attractor_record(orbit, t, tol)
+    orbits = _orbit_states(t, x0, int(periods[0])).transpose(1, 0, 2)
+    return _attractor_records(t, orbits, tol)[0]
 
 
 _MASK64 = (1 << 64) - 1
@@ -527,9 +550,11 @@ def census(
     of at most ``_GROUP_BLOCK_STATES`` orbit states, each block's orbits are
     row-sorted and deduplicated at once, and the blocks and chunks merge
     by the sorted orbit's bytes.  A record is built in canonical phase, so
-    any sample of a group gives the same record.  Apart from the groups
-    found, working memory is bounded by the chunk, whatever ``samples``
-    and ``max_period``.  The result is sorted by decreasing hit count, then
+    any sample of a group gives the same record; the groups are stacked by
+    period and each period's records are built in one batch by
+    :func:`_attractor_records`.  Apart from the groups found, working
+    memory is bounded by the chunk, whatever ``samples`` and
+    ``max_period``.  The result is sorted by decreasing hit count, then
     fingerprint, period and orbit (distinct groups cannot tie, as lattice
     states never hold ``-0.0``), and is a pure function of the arguments.
     """
@@ -550,9 +575,16 @@ def census(
         )
         _group_orbits(t, periods, x0, groups)
         del periods, x0
-    # Each group's orbit is dropped once its record holds a copy.
-    entries = [(_attractor_record(g.pop(), t, tol), g[0]) for g in groups.values()]
+    by_period: dict[int, list] = {}
+    for hits, orbit in groups.values():
+        by_period.setdefault(orbit.shape[0], []).append((hits, orbit))
     del groups
+    entries = []
+    while by_period:
+        # Each period's orbits are dropped once their records hold a copy.
+        hits, orbits = zip(*by_period.popitem()[1])
+        entries += zip(_attractor_records(t, np.stack(orbits), tol), hits)
+        del orbits
     entries.sort(
         key=lambda e: (
             -e[1],

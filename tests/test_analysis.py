@@ -405,13 +405,39 @@ def _record_bytes(entries):
     ]
 
 
+def _orbit_kind_oracle(orbit, t, tol):
+    # The per-orbit classifier the records were first built with.
+    p, n = orbit.shape
+    spread = np.max(orbit, axis=1) - np.min(orbit, axis=1)
+    if np.all(spread <= tol):
+        return "in_phase"
+    if n == 2 and p % 2 == 0 and _lag_matches_oracle(orbit, p // 2, t, tol):
+        return "anti_phase"
+    if _lag_matches_oracle(orbit, 1, t, tol):
+        return "ripple"
+    return "other"
+
+
+def _attractor_record_oracle(orbit, t, tol):
+    # One record per orbit, as the census and detection first built them.
+    canon = _canonical_rotation_oracle(orbit.copy())
+    return cm.AttractorRecord(
+        period=orbit.shape[0],
+        orbit=canon,
+        kind=_orbit_kind_oracle(canon, t, tol),
+        window_fingerprint=cm.excess_window_sum(
+            cm.LatticeState(sites=canon[0]), t, 0, analysis.FINGERPRINT_WINDOW
+        ),
+    )
+
+
 def _detect_oracle(t, s0, transient, max_period, tol=analysis.RECURRENCE_TOL):
     # Single-orbit detection as first written: the orbit is read straight
     # out of the row-major history.
     periods, history = _recurrences_oracle(t, s0.sites[None, :], transient, max_period, tol)
     if periods[0] == 0:
         return None
-    return analysis._attractor_record(history[: periods[0], 0], t, tol)
+    return _attractor_record_oracle(history[: periods[0], 0], t, tol)
 
 
 def _census_oracle(t, n_sites, samples, seed, tol):
@@ -426,7 +452,7 @@ def _census_oracle(t, n_sites, samples, seed, tol):
         key = orbit[np.lexsort(orbit.T[::-1])].tobytes()
         groups.setdefault(key, [orbit, 0])[1] += 1
     entries = [
-        (analysis._attractor_record(orbit, t, tol), hits) for orbit, hits in groups.values()
+        (_attractor_record_oracle(orbit, t, tol), hits) for orbit, hits in groups.values()
     ]
     entries.sort(
         key=lambda e: (
@@ -507,7 +533,7 @@ def test_group_records_do_not_depend_on_sample_order(c1, tol):
         analysis._group_orbits(t, periods, x0, groups)
         return sorted(
             _record_bytes(
-                [(analysis._attractor_record(orbit, t, tol), h) for h, orbit in groups.values()]
+                [(_attractor_record_oracle(orbit, t, tol), h) for h, orbit in groups.values()]
             )
         )
 
@@ -537,6 +563,81 @@ def test_group_orbits_keeps_overlapping_windows_apart(block):
         m.setattr(analysis, "_GROUP_BLOCK_STATES", block)
         analysis._group_orbits(t, np.full(8, p), np.asfortranarray(x[:8]), groups)
     assert {k: h for k, (h, _) in groups.items()} == want
+
+
+def _records_match_oracle(t, orbits, tol):
+    # Orbits of one (period, n_sites) shape share a batch, and each batch's
+    # records equal the per-orbit oracle's, byte for byte.
+    batches = {}
+    for orbit in orbits:
+        batches.setdefault(orbit.shape, []).append(orbit)
+    for batch in map(np.stack, batches.values()):
+        got = analysis._attractor_records(t, batch, tol)
+        want = [_attractor_record_oracle(orbit, t, tol) for orbit in batch]
+        assert _record_bytes([(r, 0) for r in got]) == _record_bytes([(r, 0) for r in want])
+
+
+@pytest.mark.parametrize("c1", [0.84, 0.9, 0.95, 0.98])
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+def test_attractor_records_match_per_orbit_oracle_on_census_groups(c1, n, tol):
+    t = cm.make_threshold(c1)
+    periods, x0 = analysis._recurrences(
+        t, analysis._census_initial_states(SEED, 300, n), 100, 64, tol
+    )
+    groups = {}
+    analysis._group_orbits(t, periods, x0, groups)
+    assert groups
+    _records_match_oracle(t, [orbit for _, orbit in groups.values()], tol)
+
+
+def test_attractor_records_match_per_orbit_oracle_on_every_kind():
+    # Hand-built orbits at c1 = 0.84, where C = [0.3, 0.7]; the values off C
+    # must match exactly.  Orbits of one shape share a batch, so anti-phase,
+    # ripple, in-phase and other rows sit next to each other.
+    s0 = [0.125, 0.25, 0.75, 0.875]
+    a, b, c = [0.125, 0.25], [0.875, 0.875], [0.75, 0.125]
+    cases = [
+        ([[0.25] * 3, [0.875] * 3], "in_phase"),
+        ([[0.25, 0.875], [0.875, 0.25]], "anti_phase"),
+        (np.stack([s0, np.roll(s0, 2)], axis=1), "anti_phase"),
+        (np.stack([s0, np.roll(s0, 1)], axis=1), "ripple"),
+        (np.stack([s0, s0], axis=1), "in_phase"),
+        (np.stack([s0, s0[::-1]], axis=1), "other"),
+        (np.stack([s0, np.roll(s0, 1), np.roll(s0, 2)], axis=1), "ripple"),
+        ([[0.125, 0.875], [0.25, 0.125], [0.875, 0.25]], "ripple"),
+        ([[0.25, 0.25]], "in_phase"),
+        ([[0.25, 0.875]], "other"),
+        ([[0.5, 0.625]], "ripple"),  # both sites inside C
+        ([[0.125], [0.5], [0.875]], "in_phase"),
+        # A least state that occurs twice: its second start gives the least rotation.
+        ([a, b, a, c], "other"),
+        ([a, c, a, b], "other"),
+        ([b, a, b, a], "other"),
+    ]
+    orbits = [np.array(orbit, dtype=np.float64) for orbit, _ in cases]
+    assert [_orbit_kind_oracle(o, T84, 0.0) for o in orbits] == [k for _, k in cases]
+    (rec,) = analysis._attractor_records(T84, orbits[12][None], 0.0)
+    assert rec.orbit.tolist() == [a, c, a, b]
+    for tol in (0.0, 1e-9, 0.2):
+        _records_match_oracle(T84, orbits, tol)
+
+
+def test_record_orbits_are_read_only():
+    # Records of one period share one block: none of them can be written,
+    # and they do not change when the batch they were built from does.
+    t = cm.make_threshold(0.95)
+    entries = cm.census(t, 3, 500, seed=SEED)
+    assert len(entries) > 1
+    detected = cm.detect_periodic_orbit(T84, cm.LatticeState(sites=[0.5, 0.5]), 10, 16)
+    for rec in [r for r, _ in entries] + [detected]:
+        with pytest.raises(ValueError):
+            rec.orbit[0, 0] = 0.5
+    batch = np.stack([entries[0][0].orbit, entries[0][0].orbit[::-1]])
+    records = analysis._attractor_records(t, batch, analysis.RECURRENCE_TOL)
+    want = [r.orbit.copy() for r in records]
+    batch[:] = 0.5
+    assert [r.orbit.tobytes() for r in records] == [w.tobytes() for w in want]
 
 
 def _canonical_rotation_oracle(orbit):
@@ -605,10 +706,15 @@ def test_lag_matches_agrees_with_slot_loop(data, c1, lag, tol):
         orbit[:, i] = np.roll(orbit[:, i - 1], lag)
         for j in data.draw(st.sets(st.integers(0, p - 1), max_size=2)):
             orbit[j, i] = data.draw(st.sampled_from([lo, hi, 0.5 * (lo + hi), 0.0, 1.0]))
+    # Stacked with its time-reversed, rotated and site-reversed copies, each
+    # row keeps its own answer: no row's slots leak into its neighbour's.
+    batch = np.stack([orbit, orbit[::-1], np.roll(orbit, 1, axis=0), orbit[:, ::-1]])
     for k in (lag, lag + 1):
-        got = analysis._lag_matches(orbit, k, t, tol)
-        assert type(got) is bool
-        assert got == _lag_matches_oracle(orbit, k, t, tol)
+        got = analysis._lag_match_rows(orbit[None], k, t, tol)
+        assert got.dtype == bool and got.shape == (1,)
+        assert got[0] == _lag_matches_oracle(orbit, k, t, tol)
+        got = analysis._lag_match_rows(batch, k, t, tol)
+        assert got.tolist() == [_lag_matches_oracle(o, k, t, tol) for o in batch]
 
 
 def _traced_peak(fn):

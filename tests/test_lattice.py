@@ -35,6 +35,48 @@ def test_state_rejects_nan_sites(sites):
         cm.LatticeState(sites=sites)
 
 
+def _sites_in_range_oracle(sites):
+    # The range predicate the state was first checked with: two numpy
+    # reductions, which propagate NaN.
+    arr = np.array(sites, dtype=float)
+    return bool(arr.min() >= 0.0 and arr.max() <= 1.0)
+
+
+def _state_accepts(sites):
+    try:
+        cm.LatticeState(sites=sites)
+    except DomainError:
+        return False
+    return True
+
+
+_EDGE_SITES = [
+    np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, 0.5, 5e-324,
+    np.nextafter(1.0, 2.0), np.nextafter(0.0, -1.0),
+]
+
+
+@pytest.mark.parametrize(
+    "sites",
+    [
+        [np.nan, 0.5, 0.5, 0.5, 0.5],
+        [0.5, 0.5, np.nan, 0.5, 0.5],
+        [0.5, 0.5, 0.5, 0.5, np.nan],
+        [np.inf, 0.5], [0.5, -np.inf], [np.inf], [-np.inf],
+        [-0.0], [-0.0, 1.0], [np.nextafter(1.0, 2.0)], [0.5, np.nextafter(1.0, 2.0)],
+        [np.nextafter(0.0, -1.0)], [np.nextafter(0.0, -1.0), 0.5],
+        [0.0], [1.0], [np.nan],
+    ],
+)
+def test_state_range_check_matches_min_max_oracle_at_edges(sites):
+    assert _state_accepts(sites) == _sites_in_range_oracle(sites)
+
+
+@given(st.lists(st.one_of(st.sampled_from(_EDGE_SITES), st.floats()), min_size=1, max_size=9))
+def test_state_range_check_matches_min_max_oracle(sites):
+    assert _state_accepts(sites) == _sites_in_range_oracle(sites)
+
+
 def test_state_rejects_nan_last_excess():
     with pytest.raises(DomainError, match="last_excess"):
         cm.LatticeState(sites=[0.5, 0.5], last_excess=np.nan)
