@@ -226,7 +226,10 @@ def render_basins(t: Threshold, spec: GridSpec) -> BasinGrid:
     chunk of ``_CHUNK_CELLS`` cells writes a disjoint slice.  On the unit
     square only the first ``(r*r + 1) // 2`` cells are simulated; the rest
     are their exact mirror images.  Within a chunk, bit-identical cells are
-    stepped once, which changes no bit (see the module docstring).
+    stepped once, which changes no bit (see the module docstring).  The
+    classes are bucketed on the simulated cells alone and mirrored with
+    the fingerprints: the mirrored half holds bit-identical values, so the
+    classes and the class table are those of the whole grid.
     """
     r = spec.resolution
     ux = _axis_offsets(spec.x_range, r)
@@ -241,10 +244,15 @@ def render_basins(t: Threshold, spec: GridSpec) -> BasinGrid:
         flat[k0:k1] = _window_sums(u, t.c1, spec.transient, spec.window)
     flat[n:] = flat[: cells - n][::-1]
 
-    fingerprints = flat.reshape(r, r)
-    classes, class_table = _bucket_fingerprints(fingerprints)
+    # The mirrored half holds the same values, so it adds no class.
+    classes = np.empty(cells, dtype=np.int32)
+    classes[:n], class_table = _bucket_fingerprints(flat[:n])
+    classes[n:] = classes[: cells - n][::-1]
     return BasinGrid(
-        spec=spec, fingerprints=fingerprints, classes=classes, class_table=class_table
+        spec=spec,
+        fingerprints=flat.reshape(r, r),
+        classes=classes.reshape(r, r),
+        class_table=class_table,
     )
 
 

@@ -6,10 +6,12 @@ parses back to the identical double.  CSV rows may come from any iterable
 ``csv`` module.  A table of numeric numpy columns wrapped in
 :class:`Columns` skips the rows altogether: it is written in fixed-size
 chunks sliced from the arrays, since numeric text never needs CSV
-quoting.  Each chunk codes every column slice against the texts of its
-distinct values, separators included, and becomes one string from one
-gather through that vocabulary and one ``"".join``, so the writer holds
-at most one chunk of codes and strings in memory.  Images are binary
+quoting.  A column may be index-coded, ``values[index]``; its values are
+formatted once per table and its index slices serve as codes.  Each chunk
+codes every other column slice against the texts of its distinct values,
+separators included, and becomes one string from one gather through that
+vocabulary and one ``"".join``, so the writer holds at most one chunk of
+codes and strings in memory.  Images are binary
 "P5"/"P6" with the grid transposed so that x grows to the right and y
 grows upward.
 The colour palette spaces class hues evenly on a 12-colour wheel from
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import colorsys
 import csv
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -56,32 +58,74 @@ def _format_field(value) -> str:
 _CHUNK_ROWS = 16384
 
 
-class Columns:
-    """Equal-length 1-D numpy arrays read as the columns of a table.
+class _Coded(NamedTuple):
+    """An index-coded column of a :class:`Columns` table: ``values[index]``."""
 
-    Each array must be ``float64`` or of an integer dtype; the arrays are
-    held as given, not copied.  Iterating yields the same row tuples as
-    ``zip(*arrays)``, so any consumer of rows can read a ``Columns``, while
-    :func:`write_rows` formats it column by column without building rows.
+    values: np.ndarray
+    index: np.ndarray
+
+
+def _numeric(a) -> np.ndarray:
+    a = np.asarray(a)
+    if a.ndim != 1:
+        raise ValueError(f"a column must be 1-D, got shape {a.shape}")
+    if a.dtype != np.float64 and a.dtype.kind not in "iu":
+        raise ValueError(f"a column must be float64 or integer, got {a.dtype}")
+    return a
+
+
+def _column(col) -> np.ndarray | _Coded:
+    if not isinstance(col, _Coded):
+        return _numeric(col)
+    values, index = _numeric(col.values), np.asarray(col.index)
+    if index.ndim != 1 or index.dtype.kind not in "iu":
+        raise ValueError(
+            f"a column index must be a 1-D integer array, got {index.dtype} {index.shape}"
+        )
+    # Checked here: a code outside the values would pick another column's text.
+    if index.size and not 0 <= int(index.min()) <= int(index.max()) < values.shape[0]:
+        raise ValueError(f"a column index must lie in [0, {values.shape[0]})")
+    return _Coded(values, index)
+
+
+def _length(col: np.ndarray | _Coded) -> int:
+    return (col.index if isinstance(col, _Coded) else col).shape[0]
+
+
+class Columns:
+    """Equal-length numpy columns read as a table.
+
+    A column is a 1-D ``float64`` or integer array, or an index-coded pair
+    ``_Coded(values, index)`` that stands for ``values[index]``: ``values``
+    is such an array and ``index`` a 1-D integer array whose entries lie in
+    ``[0, len(values))``.  A column that repeats few values, such as a grid
+    axis, is cheaper coded: :func:`write_rows` formats its ``values`` once
+    per table.  A column that breaks these rules raises ``ValueError``.
+    Arrays are held as given, not copied.  Iterating yields the same row
+    tuples as ``zip`` over the materialised columns, so any consumer of rows
+    can read a ``Columns``, while :func:`write_rows` formats it column by
+    column without building rows.
     """
 
     __slots__ = ("arrays",)
 
-    def __init__(self, *arrays: np.ndarray):
-        self.arrays = tuple(map(np.asarray, arrays))
-        for a in self.arrays:
-            if a.ndim != 1:
-                raise ValueError(f"a column must be 1-D, got shape {a.shape}")
-            if a.dtype != np.float64 and a.dtype.kind not in "iu":
-                raise ValueError(f"a column must be float64 or integer, got {a.dtype}")
-        if len({a.shape[0] for a in self.arrays}) > 1:
+    def __init__(self, *columns: np.ndarray | _Coded):
+        self.arrays = tuple(map(_column, columns))
+        if len({_length(c) for c in self.arrays}) > 1:
             raise ValueError("columns must have equal lengths")
 
     def __len__(self) -> int:
-        return self.arrays[0].shape[0] if self.arrays else 0
+        return _length(self.arrays[0]) if self.arrays else 0
 
     def __iter__(self) -> Iterator[tuple]:
-        return zip(*self.arrays)
+        return zip(*(c.values[c.index] if isinstance(c, _Coded) else c for c in self.arrays))
+
+
+def _texts(values: np.ndarray, sep: str) -> list[str]:
+    """The text of each value of a 1-D numeric array, each ending in ``sep``."""
+    if values.dtype.kind in "iu":
+        return [f"{v}{sep}" for v in values.tolist()]
+    return [format_real(v) + sep for v in values.tolist()]
 
 
 def _encode(values: np.ndarray, sep: str) -> tuple[np.ndarray, list[str]]:
@@ -90,10 +134,12 @@ def _encode(values: np.ndarray, sep: str) -> tuple[np.ndarray, list[str]]:
     An integer slice whose values span no more than its length is coded as
     ``values - min`` against the texts of ``range(min, max + 1)``, with no
     sort; min and max are taken as Python ints, so ``int64`` and ``uint64``
-    extremes cannot overflow.  Any other slice is coded by ``np.unique``.
-    Doubles are told apart by their 64-bit pattern, so ``-0.0`` stays apart
-    from ``0.0`` and NaN payloads from each other.
+    extremes cannot overflow.  Any other slice is coded by one sort and one
+    ``np.searchsorted`` into its distinct sorted keys: the values of an
+    integer slice, the 64-bit patterns of a double slice, so ``-0.0`` stays
+    apart from ``0.0`` and NaN payloads from each other.
     """
+    keys = values
     if values.dtype.kind in "iu":
         lo, hi = int(values.min()), int(values.max())
         if hi - lo < values.shape[0]:
@@ -101,26 +147,36 @@ def _encode(values: np.ndarray, sep: str) -> tuple[np.ndarray, list[str]]:
             # where the signed subtraction wraps (an int8 slice spans 255).
             codes = (values - lo).view(f"u{values.itemsize}")
             return codes, [f"{v}{sep}" for v in range(lo, hi + 1)]
-        uniq, codes = np.unique(values, return_inverse=True)
-        return codes, [f"{v}{sep}" for v in uniq.tolist()]
-    uniq, codes = np.unique(values.view(np.int64), return_inverse=True)
-    return codes, [format_real(v) + sep for v in uniq.view(np.float64).tolist()]
+    else:
+        keys = values.view(np.int64)
+    uniq = np.sort(keys)
+    uniq = uniq[np.concatenate(([True], uniq[1:] != uniq[:-1]))]
+    return np.searchsorted(uniq, keys), _texts(uniq.view(values.dtype), sep)
 
 
-def _format_chunk(arrays: Sequence[np.ndarray]) -> str:
+def _format_chunk(
+    columns: Sequence[np.ndarray | _Coded],
+    seps: Sequence[str],
+    table_texts: list[str],
+    starts: Sequence[int],
+) -> str:
     """The CSV text of equal-length column slices, each row ending in ``"\\r\\n"``.
 
-    Each column's codes are offset into one chunk vocabulary and stored in
+    A coded slice's index is its codes, offset by its column's start in
+    ``table_texts``.  Any other slice is coded by :func:`_encode` against
+    texts appended to a copy of ``table_texts``.  The codes are stored in
     an (m, ncols) array, whose row-major gather is joined once.
     """
-    codes = np.empty((arrays[0].shape[0], len(arrays)), dtype=np.intp)
-    vocab: list[str] = []
-    offsets = []
-    for c, a in enumerate(arrays):
-        col, texts = _encode(a, "\r\n" if c == len(arrays) - 1 else ",")
-        codes[:, c] = col
-        offsets.append(len(vocab))
-        vocab += texts
+    codes = np.empty((_length(columns[0]), len(columns)), dtype=np.intp)
+    vocab = list(table_texts)
+    offsets = list(starts)
+    for c, (col, sep) in enumerate(zip(columns, seps)):
+        if isinstance(col, _Coded):
+            codes[:, c] = col.index
+        else:
+            codes[:, c], texts = _encode(col, sep)
+            offsets[c] = len(vocab)
+            vocab += texts
     codes += offsets
     return "".join(np.array(vocab, dtype=object).take(codes.ravel()).tolist())
 
@@ -138,13 +194,15 @@ def write_rows(
 
     A :class:`Columns` table whose column count differs from the header's
     raises ``ValueError`` before anything is written.  Otherwise it is
-    written a chunk of ``_CHUNK_ROWS`` array slices at a time without the
-    ``csv`` module: each column slice is coded against the texts of its
-    distinct values (each with its ``","`` or ``"\\r\\n"`` appended), and the
-    chunk is one gather through the joined vocabulary and one
-    ``"".join``.  Numeric text is never empty and holds no ``,``, ``"``,
-    ``\\r`` or ``\\n``, so the excel dialect would quote none of it, and the
-    bytes are the same as for its rows.
+    written without the ``csv`` module.  The ``values`` of each coded
+    column are formatted once per table, each text with its ``","`` or
+    ``"\\r\\n"`` appended.  The table is then written a chunk of
+    ``_CHUNK_ROWS`` rows at a time: a coded column's index slice is used
+    as its codes, any other column slice is coded against the texts of its
+    distinct values, and the chunk is one gather through the joined
+    vocabulary and one ``"".join``.  Numeric text is never empty and holds
+    no ``,``, ``"``, ``\\r`` or ``\\n``, so the excel dialect would quote
+    none of it, and the bytes are the same as for its rows.
     """
     width = len(header)
     if isinstance(rows, Columns) and len(rows.arrays) != width:
@@ -152,8 +210,20 @@ def write_rows(
     writer = csv.writer(fh)
     writer.writerow(list(header))
     if isinstance(rows, Columns):
+        seps = [","] * (width - 1) + ["\r\n"]
+        table_texts: list[str] = []
+        starts = []
+        for col, sep in zip(rows.arrays, seps):
+            starts.append(len(table_texts))
+            if isinstance(col, _Coded):
+                table_texts += _texts(col.values, sep)
         for k0 in range(0, len(rows), _CHUNK_ROWS):
-            fh.write(_format_chunk([a[k0 : k0 + _CHUNK_ROWS] for a in rows.arrays]))
+            chunk = slice(k0, k0 + _CHUNK_ROWS)
+            columns = [
+                _Coded(c.values, c.index[chunk]) if isinstance(c, _Coded) else c[chunk]
+                for c in rows.arrays
+            ]
+            fh.write(_format_chunk(columns, seps, table_texts, starts))
         return
     for row in rows:
         fields = [_format_field(v) for v in row]

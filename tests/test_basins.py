@@ -18,6 +18,7 @@ T80 = cm.make_threshold(0.80)
 T94 = cm.make_threshold(0.94)
 T95 = cm.make_threshold(0.95)
 T98 = cm.make_threshold(0.98)
+_UNIT = (0.0, 1.0)
 
 
 # ------------------------------------------------------------------ GridSpec
@@ -251,6 +252,22 @@ def test_bucketing_splits_beyond_tolerance():
     classes, table = _bucket_fingerprints(values)
     assert len(table) == 3
     assert classes.tolist() == [[0, 1], [2, 2]]
+
+
+@pytest.mark.parametrize("r", [2, 31, 32, 129])
+@pytest.mark.parametrize(
+    "ranges", [(_UNIT, _UNIT), ((0.1, 0.7), (0.25, 0.9))], ids=["unit", "sub"]
+)
+@pytest.mark.parametrize("t", [T84, T95], ids=["c84", "c95"])
+def test_render_classes_match_bucketing_of_the_whole_grid(t, ranges, r):
+    # On the unit square the render buckets only its simulated half; the
+    # oracle buckets every cell.
+    x_range, y_range = ranges
+    g = cm.render_basins(t, cm.GridSpec(resolution=r, x_range=x_range, y_range=y_range))
+    classes, table = _bucket_fingerprints(g.fingerprints)
+    assert g.classes.dtype == np.int32
+    assert np.array_equal(g.classes, classes)
+    assert g.class_table == table
 
 
 # ------------------------------------------------------------------ labelling

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 import cascade_maps as cm
-from cascade_maps import io as cio
+from cascade_maps import cli, io as cio
 from cascade_maps.cli import DEFAULT_SEED, UsageError, main, parse_config
 
 # Golden image fixtures: c1 = 0.84, R = 63 render (generated once, frozen).
@@ -213,6 +213,112 @@ def test_write_rows_columns_match_per_row_writer(arrays):
     got = _csv_text(cio.write_rows, header, cio.Columns(*arrays))
     # Compared as lists of rows: a failing diff of the whole text is very slow.
     assert got.split("\r\n") == expect.split("\r\n")
+
+
+_INDEX_DTYPES = (np.int32, np.int64, np.uint8, np.uint32, np.uint64)
+
+
+@st.composite
+def _coded_table(draw):
+    # Each column is drawn as a coded pair or as a plain array; the coded
+    # pairs' values hold drawn edge values (-0.0, NaN payloads) and repeats.
+    n = draw(st.sampled_from(_LENGTHS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for dtype in draw(st.lists(st.sampled_from(list(_ARRAY_VALUES)), min_size=1, max_size=5)):
+        values = np.array(draw(st.lists(_ARRAY_VALUES[dtype], min_size=1, max_size=6)), dtype=dtype)
+        index = rng.integers(0, len(values), size=2 * n).astype(draw(st.sampled_from(_INDEX_DTYPES)))
+        # A strided view checks that no index needs to be contiguous.
+        index = index[::2] if draw(st.booleans()) else index[:n]
+        columns.append(cio._Coded(values, index) if draw(st.booleans()) else values[index])
+    return columns
+
+
+def _materialised(columns):
+    return [c.values[c.index] if isinstance(c, cio._Coded) else c for c in columns]
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
+@given(_coded_table())
+def test_write_rows_coded_columns_match_materialised_columns(columns):
+    header = [f"c{k}" for k in range(len(columns))]
+    plain = _materialised(columns)
+    expect = _csv_text(_oracle_write_rows, header, list(zip(*plain)))
+    got = _csv_text(cio.write_rows, header, cio.Columns(*columns))
+    assert got.split("\r\n") == expect.split("\r\n")
+    assert got == _csv_text(cio.write_rows, header, cio.Columns(*plain))
+
+
+def test_columns_write_signed_zero_and_nan_payloads_apart():
+    # Coded, each value is formatted once; plain, the chunk codes it.
+    values = np.concatenate(([-0.0, 0.0], _NAN_PAYLOADS))
+    index = np.arange(len(values))[::-1]
+    expect = _csv_text(_oracle_write_rows, ["v", "w"], list(zip(values[index], values[index])))
+    assert expect.split("\r\n")[-3:] == ["0.0,0.0", "-0.0,-0.0", ""]
+    table = cio.Columns(cio._Coded(values, index), values[index])
+    assert _csv_text(cio.write_rows, ["v", "w"], table) == expect
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        (cio._Coded(np.arange(3.0), np.array([0, -1, 2])),),
+        (cio._Coded(np.arange(3.0), np.array([0, 3, 2], dtype=np.uint8)),),
+        (cio._Coded(np.arange(3.0), np.array([2**63], dtype=np.uint64)),),
+        (cio._Coded(np.arange(3.0), np.array([0.0, 1.0])),),
+        (cio._Coded(np.arange(3.0), np.array([True, False])),),
+        (cio._Coded(np.zeros((3, 2)), np.array([0, 1])),),
+        (cio._Coded(np.arange(3.0), np.zeros((2, 2), dtype=np.int64)),),
+        (cio._Coded(np.zeros(3, dtype=np.float32), np.array([0, 1])),),
+        (cio._Coded(np.arange(3.0), np.array([0, 1])), np.arange(3)),
+        (np.arange(2), cio._Coded(np.arange(3.0), np.array([0, 1, 2]))),
+    ],
+    ids=[
+        "negative",
+        "past-values",
+        "past-int64",
+        "float-index",
+        "bool-index",
+        "2-D-values",
+        "2-D-index",
+        "float32-values",
+        "unequal",
+        "unequal-after-array",
+    ],
+)
+def test_columns_reject_bad_coded_columns_before_writing(columns, tmp_path):
+    header = [f"c{k}" for k in range(len(columns))]
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError):
+        cio.write_csv(header, cio.Columns(*columns), str(path))
+    assert not path.exists()
+
+
+def test_coded_columns_iterate_as_zip_of_materialised_columns():
+    columns = (
+        cio._Coded(np.arange(3, dtype=np.int32), np.array([2, 0, 0, 1], dtype=np.uint8)),
+        np.array([0, 1, 2**64 - 1, 7], dtype=np.uint64),
+        cio._Coded(np.array([-0.0, 0.5, math.nan]), np.array([1, 2, 0, 0])),
+    )
+    rows = list(cio.Columns(*columns))
+    expect = list(zip(*_materialised(columns)))
+    assert len(rows) == len(cio.Columns(*columns)) == 4
+    assert [tuple(map(type, row)) for row in rows] == [tuple(map(type, row)) for row in expect]
+    assert _csv_text(_oracle_write_rows, ["a", "b", "c"], rows) == _csv_text(
+        _oracle_write_rows, ["a", "b", "c"], expect
+    )
+    assert rows[0] == (2, 0, 0.5)
+
+
+def test_columns_of_plain_tuples_are_still_columns():
+    table = cio.Columns((1, 2), (3, 4))
+    assert len(table.arrays) == 2 and len(table) == 2
+    assert list(table) == [(1, 3), (2, 4)]
+    assert _csv_text(cio.write_rows, ["a", "b"], table) == "a,b\r\n1,3\r\n2,4\r\n"
 
 
 def test_columns_iterate_as_zip():
@@ -567,16 +673,15 @@ def test_main_basin_csv_matches_row_writer(capsys, monkeypatch, tmp_path, r, c1,
 
 
 def test_basin_csv_writer_peak_stays_below_one_chunk_bound(tmp_path):
-    # The r=499 table is 17.1 MB of text; the writer holds one chunk of it
-    # (16,384 rows: codes, their gather and its joined text), 2.99 MB traced;
-    # the bound is that plus 10%.
+    # The r=499 table the CLI builds is 17.1 MB of text; the writer holds
+    # one chunk of it (16,384 rows: codes, their gather and its joined
+    # text), 3.00 MB traced; the bound is 3.3 MB.
     grid = cm.render_basins(cm.make_threshold(0.95), cm.GridSpec(resolution=499))
-    rows = cio.Columns(*_basin_columns(grid))
-    header = ["i", "j", "x", "y", "fingerprint", "class"]
+    rows = cli._basin_table(grid)
     path = str(tmp_path / "grid.csv")
     tracemalloc.start()
     try:
-        cio.write_csv(header, rows, path)
+        cio.write_csv(cli._BASIN_HEADER, rows, path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
