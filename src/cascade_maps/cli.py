@@ -14,12 +14,9 @@ the benchmark's commands still pass it.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import analysis, basins, io
 from .errors import DomainError, ParameterError
@@ -299,28 +296,6 @@ def _basin_spec(cfg: RunConfig) -> basins.GridSpec:
     )
 
 
-_BASIN_HEADER = ("i", "j", "x", "y", "fingerprint", "class")
-
-
-def _basin_table(grid: basins.BasinGrid) -> io.Columns:
-    """The CSV table of a basin grid, one row per cell ``k = i*r + j``.
-
-    ``i``, ``j``, ``x`` and ``y`` are index-coded over the r cells of their
-    axis, so no per-cell coordinate is built and each is formatted once.
-    """
-    r = grid.spec.resolution
-    cells = np.arange(r, dtype=np.int32)
-    ii, jj = np.repeat(cells, r), np.tile(cells, r)
-    return io.Columns(
-        io._Coded(cells, ii),
-        io._Coded(cells, jj),
-        io._Coded(basins._axis_centers(grid.spec.x_range, r), ii),
-        io._Coded(basins._axis_centers(grid.spec.y_range, r), jj),
-        grid.fingerprints.ravel(),
-        grid.classes.ravel(),
-    )
-
-
 def _run_basin(cfg: RunConfig) -> None:
     t = make_threshold(cfg.c1)
     grid = basins.render_basins(t, _basin_spec(cfg))
@@ -331,7 +306,7 @@ def _run_basin(cfg: RunConfig) -> None:
     )
     out = cfg.output_path or f"basin_c1_{cfg.c1}_r{cfg.resolution}.{cfg.format}"
     if cfg.format == "csv":
-        io.write_csv(_BASIN_HEADER, _basin_table(grid), out)
+        io.write_basin_csv(grid, out)
     else:
         io.write_image(grid, out, cfg.format)
     print(f"wrote {out}")

@@ -3,15 +3,12 @@
 Real numbers are written in shortest round-trip form, so a written value
 parses back to the identical double.  CSV rows may come from any iterable
 (a lazy ``zip`` included) and are written one at a time through the
-``csv`` module.  A table of numeric numpy columns wrapped in
-:class:`Columns` skips the rows altogether: it is written in fixed-size
-chunks sliced from the arrays, since numeric text never needs CSV
-quoting.  A column may be index-coded, ``values[index]``; its values are
-formatted once per table and its index slices serve as codes.  Each chunk
-codes every other column slice against the texts of its distinct values,
-separators included, and becomes one string from one gather through that
-vocabulary and one ``"".join``, so the writer holds at most one chunk of
-codes and strings in memory.  Images are binary
+``csv`` module.  The basin CSV of :func:`write_basin_csv` skips the rows:
+its six columns are coded into one vocabulary of texts per table, each
+distinct value formatted once with its separator, and the table is
+written a chunk of whole grid rows at a time, each chunk one gather
+through that vocabulary and one ``"".join``, so the writer holds at most
+one chunk of codes and strings in memory.  Images are binary
 "P5"/"P6" with the grid transposed so that x grows to the right and y
 grows upward.
 The colour palette spaces class hues evenly on a 12-colour wheel from
@@ -22,17 +19,17 @@ from __future__ import annotations
 
 import colorsys
 import csv
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .basins import BasinGrid
+from .basins import BasinGrid, _axis_centers
 
 __all__ = [
-    "Columns",
     "format_real",
     "write_rows",
     "write_csv",
+    "write_basin_csv",
     "read_csv",
     "grid_to_image",
     "class_palette",
@@ -53,137 +50,91 @@ def _format_field(value) -> str:
     return str(value)
 
 
-#: Rows formatted per chunk of a :class:`Columns` table; bounds the
-#: writer's memory for any table size.
+#: Cells formatted per chunk of a basin table; a chunk is a run of whole
+#: grid rows, at least one, so this bounds the writer's memory for r <= 16384.
 _CHUNK_ROWS = 16384
 
-
-class _Coded(NamedTuple):
-    """An index-coded column of a :class:`Columns` table: ``values[index]``."""
-
-    values: np.ndarray
-    index: np.ndarray
+_BASIN_HEADER = ("i", "j", "x", "y", "fingerprint", "class")
 
 
-def _numeric(a) -> np.ndarray:
-    a = np.asarray(a)
-    if a.ndim != 1:
-        raise ValueError(f"a column must be 1-D, got shape {a.shape}")
-    if a.dtype != np.float64 and a.dtype.kind not in "iu":
-        raise ValueError(f"a column must be float64 or integer, got {a.dtype}")
-    return a
+class _BasinTable:
+    """The basin CSV rows of a grid, one per cell ``k = i*r + j``.
 
-
-def _column(col) -> np.ndarray | _Coded:
-    if not isinstance(col, _Coded):
-        return _numeric(col)
-    values, index = _numeric(col.values), np.asarray(col.index)
-    if index.ndim != 1 or index.dtype.kind not in "iu":
-        raise ValueError(
-            f"a column index must be a 1-D integer array, got {index.dtype} {index.shape}"
-        )
-    # Checked here: a code outside the values would pick another column's text.
-    if index.size and not 0 <= int(index.min()) <= int(index.max()) < values.shape[0]:
-        raise ValueError(f"a column index must lie in [0, {values.shape[0]})")
-    return _Coded(values, index)
-
-
-def _length(col: np.ndarray | _Coded) -> int:
-    return (col.index if isinstance(col, _Coded) else col).shape[0]
-
-
-class Columns:
-    """Equal-length numpy columns read as a table.
-
-    A column is a 1-D ``float64`` or integer array, or an index-coded pair
-    ``_Coded(values, index)`` that stands for ``values[index]``: ``values``
-    is such an array and ``index`` a 1-D integer array whose entries lie in
-    ``[0, len(values))``.  A column that repeats few values, such as a grid
-    axis, is cheaper coded: :func:`write_rows` formats its ``values`` once
-    per table.  A column that breaks these rules raises ``ValueError``.
-    Arrays are held as given, not copied.  Iterating yields the same row
-    tuples as ``zip`` over the materialised columns, so any consumer of rows
-    can read a ``Columns``, while :func:`write_rows` formats it column by
-    column without building rows.
+    A row is ``(i, j, x, y, fingerprint, class)``, with ``(x, y)`` the cell
+    centre.  Iterating yields these rows as tuples of numpy scalars, while
+    :func:`write_rows` writes the table without building them.
     """
 
-    __slots__ = ("arrays",)
+    __slots__ = ("grid",)
 
-    def __init__(self, *columns: np.ndarray | _Coded):
-        self.arrays = tuple(map(_column, columns))
-        if len({_length(c) for c in self.arrays}) > 1:
-            raise ValueError("columns must have equal lengths")
-
-    def __len__(self) -> int:
-        return _length(self.arrays[0]) if self.arrays else 0
+    def __init__(self, grid: BasinGrid):
+        self.grid = grid
 
     def __iter__(self) -> Iterator[tuple]:
-        return zip(*(c.values[c.index] if isinstance(c, _Coded) else c for c in self.arrays))
+        grid = self.grid
+        r = grid.spec.resolution
+        ii, jj = np.divmod(np.arange(r * r), r)
+        return zip(
+            ii,
+            jj,
+            _axis_centers(grid.spec.x_range, r)[ii],
+            _axis_centers(grid.spec.y_range, r)[jj],
+            grid.fingerprints.ravel(),
+            grid.classes.ravel(),
+        )
+
+    def write(self, fh: TextIO) -> None:
+        """Write the rows as CSV text, with no header.
+
+        Every field is coded into one vocabulary of texts, each ending in
+        its ``","`` or ``"\\r\\n"``: ``i`` and ``j`` over ``range(r)``,
+        ``x`` and ``y`` over the axis centres, the fingerprint over its
+        distinct 64-bit patterns (one sort per table, so ``-0.0`` stays
+        apart from ``0.0`` and NaN payloads from each other), and the class
+        over ``range(n_classes)``.  Each chunk of whole grid rows is one
+        gather through that vocabulary and one ``"".join``.
+        """
+        grid = self.grid
+        r = grid.spec.resolution
+        keys = np.sort(grid.fingerprints.view(np.int64), axis=None)
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        reals = np.concatenate(
+            (
+                _axis_centers(grid.spec.x_range, r),
+                _axis_centers(grid.spec.y_range, r),
+                keys.view(np.float64),
+            )
+        )
+        vocab = np.array(
+            [f"{k}," for k in range(r)]
+            + [format_real(v) + "," for v in reals.tolist()]
+            + [f"{k}\r\n" for k in range(grid.n_classes)],
+            dtype=object,
+        )
+        step = max(1, _CHUNK_ROWS // r)
+        for i0 in range(0, r, step):
+            fh.write(self._chunk(vocab, keys, i0, min(i0 + step, r)))
+
+    def _chunk(self, vocab: np.ndarray, keys: np.ndarray, i0: int, i1: int) -> str:
+        """The CSV text of grid rows ``i0:i1``, coded as :meth:`write` says."""
+        grid = self.grid
+        r = grid.spec.resolution
+        cells = np.arange(r)
+        i = cells[i0:i1, None]
+        codes = np.empty((i1 - i0, r, 6), dtype=np.intp)
+        codes[..., 0] = i
+        codes[..., 1] = cells
+        codes[..., 2] = i + r
+        codes[..., 3] = cells + 2 * r
+        bits = grid.fingerprints[i0:i1].view(np.int64)
+        codes[..., 4] = np.searchsorted(keys, bits) + 3 * r
+        codes[..., 5] = grid.classes[i0:i1] + (3 * r + keys.shape[0])
+        texts = vocab.take(codes.ravel()).tolist()
+        del codes  # freed before the join, to keep the writer's peak low
+        return "".join(texts)
 
 
-def _texts(values: np.ndarray, sep: str) -> list[str]:
-    """The text of each value of a 1-D numeric array, each ending in ``sep``."""
-    if values.dtype.kind in "iu":
-        return [f"{v}{sep}" for v in values.tolist()]
-    return [format_real(v) + sep for v in values.tolist()]
-
-
-def _encode(values: np.ndarray, sep: str) -> tuple[np.ndarray, list[str]]:
-    """Codes into a list of texts, each ending in ``sep``, for a 1-D slice.
-
-    An integer slice whose values span no more than its length is coded as
-    ``values - min`` against the texts of ``range(min, max + 1)``, with no
-    sort; min and max are taken as Python ints, so ``int64`` and ``uint64``
-    extremes cannot overflow.  Any other slice is coded by one sort and one
-    ``np.searchsorted`` into its distinct sorted keys: the values of an
-    integer slice, the 64-bit patterns of a double slice, so ``-0.0`` stays
-    apart from ``0.0`` and NaN payloads from each other.
-    """
-    keys = values
-    if values.dtype.kind in "iu":
-        lo, hi = int(values.min()), int(values.max())
-        if hi - lo < values.shape[0]:
-            # The difference fits the unsigned type of the same width even
-            # where the signed subtraction wraps (an int8 slice spans 255).
-            codes = (values - lo).view(f"u{values.itemsize}")
-            return codes, [f"{v}{sep}" for v in range(lo, hi + 1)]
-    else:
-        keys = values.view(np.int64)
-    uniq = np.sort(keys)
-    uniq = uniq[np.concatenate(([True], uniq[1:] != uniq[:-1]))]
-    return np.searchsorted(uniq, keys), _texts(uniq.view(values.dtype), sep)
-
-
-def _format_chunk(
-    columns: Sequence[np.ndarray | _Coded],
-    seps: Sequence[str],
-    table_texts: list[str],
-    starts: Sequence[int],
-) -> str:
-    """The CSV text of equal-length column slices, each row ending in ``"\\r\\n"``.
-
-    A coded slice's index is its codes, offset by its column's start in
-    ``table_texts``.  Any other slice is coded by :func:`_encode` against
-    texts appended to a copy of ``table_texts``.  The codes are stored in
-    an (m, ncols) array, whose row-major gather is joined once.
-    """
-    codes = np.empty((_length(columns[0]), len(columns)), dtype=np.intp)
-    vocab = list(table_texts)
-    offsets = list(starts)
-    for c, (col, sep) in enumerate(zip(columns, seps)):
-        if isinstance(col, _Coded):
-            codes[:, c] = col.index
-        else:
-            codes[:, c], texts = _encode(col, sep)
-            offsets[c] = len(vocab)
-            vocab += texts
-    codes += offsets
-    return "".join(np.array(vocab, dtype=object).take(codes.ravel()).tolist())
-
-
-def write_rows(
-    fh: TextIO, header: Sequence[str], rows: Iterable[Sequence] | Columns
-) -> None:
+def write_rows(fh: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a header row and data rows as CSV to an open text stream.
 
     ``rows`` may be any iterable of rows; it is read once and written one
@@ -192,38 +143,20 @@ def write_rows(
     occurs, once the rows before it are written.  Every row, the header
     included, ends in ``"\\r\\n"`` (the ``csv`` module's excel dialect).
 
-    A :class:`Columns` table whose column count differs from the header's
-    raises ``ValueError`` before anything is written.  Otherwise it is
-    written without the ``csv`` module.  The ``values`` of each coded
-    column are formatted once per table, each text with its ``","`` or
-    ``"\\r\\n"`` appended.  The table is then written a chunk of
-    ``_CHUNK_ROWS`` rows at a time: a coded column's index slice is used
-    as its codes, any other column slice is coded against the texts of its
-    distinct values, and the chunk is one gather through the joined
-    vocabulary and one ``"".join``.  Numeric text is never empty and holds
-    no ``,``, ``"``, ``\\r`` or ``\\n``, so the excel dialect would quote
-    none of it, and the bytes are the same as for its rows.
+    The basin table of :func:`write_basin_csv` is written by its own
+    ``write``, without the ``csv`` module; under a header of other than six
+    names it raises ``ValueError`` before anything is written.  Numeric
+    text is never empty and holds no ``,``, ``"``, ``\\r`` or ``\\n``, so
+    the excel dialect would quote none of it, and the bytes are the same as
+    for its rows.
     """
     width = len(header)
-    if isinstance(rows, Columns) and len(rows.arrays) != width:
-        raise ValueError(f"a table of {len(rows.arrays)} columns under {width} names")
+    if isinstance(rows, _BasinTable) and width != len(_BASIN_HEADER):
+        raise ValueError(f"a table of {len(_BASIN_HEADER)} columns under {width} names")
     writer = csv.writer(fh)
     writer.writerow(list(header))
-    if isinstance(rows, Columns):
-        seps = [","] * (width - 1) + ["\r\n"]
-        table_texts: list[str] = []
-        starts = []
-        for col, sep in zip(rows.arrays, seps):
-            starts.append(len(table_texts))
-            if isinstance(col, _Coded):
-                table_texts += _texts(col.values, sep)
-        for k0 in range(0, len(rows), _CHUNK_ROWS):
-            chunk = slice(k0, k0 + _CHUNK_ROWS)
-            columns = [
-                _Coded(c.values, c.index[chunk]) if isinstance(c, _Coded) else c[chunk]
-                for c in rows.arrays
-            ]
-            fh.write(_format_chunk(columns, seps, table_texts, starts))
+    if isinstance(rows, _BasinTable):
+        rows.write(fh)
         return
     for row in rows:
         fields = [_format_field(v) for v in row]
@@ -232,18 +165,18 @@ def write_rows(
         writer.writerow(fields)
 
 
-def write_csv(
-    header: Sequence[str], rows: Iterable[Sequence] | Columns, path: str
-) -> None:
-    """Write a table with a header row to ``path`` via :func:`write_rows`.
-
-    ``rows`` is an iterable of rows or a :class:`Columns` table.
-    """
+def write_csv(header: Sequence[str], rows: Iterable[Sequence], path: str) -> None:
+    """Write a table with a header row to ``path`` via :func:`write_rows`."""
     try:
         with open(path, "w", newline="") as fh:
             write_rows(fh, header, rows)
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path!r}: {exc}") from exc
+
+
+def write_basin_csv(grid: BasinGrid, path: str) -> None:
+    """Write a basin grid as CSV, one ``i, j, x, y, fingerprint, class`` row per cell."""
+    write_csv(_BASIN_HEADER, _BasinTable(grid), path)
 
 
 def read_csv(path: str) -> tuple[list[str], list[list[str]]]:

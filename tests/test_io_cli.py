@@ -6,10 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import cascade_maps as cm
-from cascade_maps import cli, io as cio
+from cascade_maps import io as cio
 from cascade_maps.cli import DEFAULT_SEED, UsageError, main, parse_config
 
 # Golden image fixtures: c1 = 0.84, R = 63 render (generated once, frozen).
@@ -142,221 +142,6 @@ def test_write_rows_rejects_a_ragged_row_after_a_full_chunk():
 def test_write_rows_rejects_rows_narrower_than_the_header():
     with pytest.raises(ValueError):
         cio.write_rows(io.StringIO(), ["a", "b", "c"], [(1, 2), (3, 4)])
-
-
-@pytest.mark.parametrize("n_arrays", [2, 4])
-def test_write_rows_rejects_columns_that_miss_the_header_before_writing(n_arrays):
-    buf = io.StringIO()
-    with pytest.raises(ValueError):
-        cio.write_rows(buf, ["a", "b", "c"], cio.Columns(*[np.arange(3)] * n_arrays))
-    assert buf.getvalue() == ""
-
-
-def test_write_rows_columns_write_integer_extremes_as_rows_do():
-    # Each column spans its whole dtype in two rows: coding it as
-    # ``values - min`` would need 2**64 texts.
-    arrays = (
-        np.array([-(2**63), 2**63 - 1], dtype=np.int64),
-        np.array([0, 2**64 - 1], dtype=np.uint64),
-    )
-    expect = _csv_text(_oracle_write_rows, ["a", "b"], list(zip(*arrays)))
-    assert _csv_text(cio.write_rows, ["a", "b"], cio.Columns(*arrays)) == expect
-
-
-_NAN_PAYLOADS = np.array(
-    [0x7FF8000000000001, 0xFFF8000000000ABC, 0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF],
-    dtype=np.uint64,
-).view(np.float64)
-_ARRAY_VALUES = {
-    np.float64: _FLOATS | st.sampled_from(_NAN_PAYLOADS.tolist()),
-    np.int32: st.integers(-(2**31), 2**31 - 1),
-    np.int64: _INT64,
-    np.uint8: st.integers(0, 255),
-    np.uint64: st.integers(2**63, 2**64 - 1) | st.integers(0, 2**64 - 1),
-}
-_LENGTHS = (
-    0,
-    1,
-    cio._CHUNK_ROWS - 1,
-    cio._CHUNK_ROWS + 1,
-    2 * cio._CHUNK_ROWS + 7,
-)
-
-
-@st.composite
-def _numeric_columns(draw):
-    # A few drawn values per column, spread over a long table by a seeded
-    # pick, so that every chunk repeats values and mixes their bit patterns.
-    n = draw(st.sampled_from(_LENGTHS))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    arrays = []
-    for dtype in draw(st.lists(st.sampled_from(list(_ARRAY_VALUES)), min_size=1, max_size=4)):
-        pool = draw(st.lists(_ARRAY_VALUES[dtype], min_size=1, max_size=6))
-        pool = np.array(pool, dtype=dtype)
-        values = pool[rng.integers(0, len(pool), size=2 * n)]
-        # A strided view checks that no column needs to be contiguous.
-        arrays.append(values[::2] if draw(st.booleans()) else values[:n])
-    return arrays
-
-
-# Examples run up to 2*_CHUNK_ROWS + 7 rows, so shrinking a failure would
-# take minutes; the unshrunk example is reported instead.
-@settings(
-    max_examples=30,
-    deadline=None,
-    phases=(Phase.explicit, Phase.reuse, Phase.generate),
-)
-@given(_numeric_columns())
-def test_write_rows_columns_match_per_row_writer(arrays):
-    header = [f"c{k}" for k in range(len(arrays))]
-    expect = _csv_text(_oracle_write_rows, header, list(zip(*arrays)))
-    got = _csv_text(cio.write_rows, header, cio.Columns(*arrays))
-    # Compared as lists of rows: a failing diff of the whole text is very slow.
-    assert got.split("\r\n") == expect.split("\r\n")
-
-
-_INDEX_DTYPES = (np.int32, np.int64, np.uint8, np.uint32, np.uint64)
-
-
-@st.composite
-def _coded_table(draw):
-    # Each column is drawn as a coded pair or as a plain array; the coded
-    # pairs' values hold drawn edge values (-0.0, NaN payloads) and repeats.
-    n = draw(st.sampled_from(_LENGTHS))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    columns = []
-    for dtype in draw(st.lists(st.sampled_from(list(_ARRAY_VALUES)), min_size=1, max_size=5)):
-        values = np.array(draw(st.lists(_ARRAY_VALUES[dtype], min_size=1, max_size=6)), dtype=dtype)
-        index = rng.integers(0, len(values), size=2 * n).astype(draw(st.sampled_from(_INDEX_DTYPES)))
-        # A strided view checks that no index needs to be contiguous.
-        index = index[::2] if draw(st.booleans()) else index[:n]
-        columns.append(cio._Coded(values, index) if draw(st.booleans()) else values[index])
-    return columns
-
-
-def _materialised(columns):
-    return [c.values[c.index] if isinstance(c, cio._Coded) else c for c in columns]
-
-
-@settings(
-    max_examples=30,
-    deadline=None,
-    phases=(Phase.explicit, Phase.reuse, Phase.generate),
-)
-@given(_coded_table())
-def test_write_rows_coded_columns_match_materialised_columns(columns):
-    header = [f"c{k}" for k in range(len(columns))]
-    plain = _materialised(columns)
-    expect = _csv_text(_oracle_write_rows, header, list(zip(*plain)))
-    got = _csv_text(cio.write_rows, header, cio.Columns(*columns))
-    assert got.split("\r\n") == expect.split("\r\n")
-    assert got == _csv_text(cio.write_rows, header, cio.Columns(*plain))
-
-
-def test_columns_write_signed_zero_and_nan_payloads_apart():
-    # Coded, each value is formatted once; plain, the chunk codes it.
-    values = np.concatenate(([-0.0, 0.0], _NAN_PAYLOADS))
-    index = np.arange(len(values))[::-1]
-    expect = _csv_text(_oracle_write_rows, ["v", "w"], list(zip(values[index], values[index])))
-    assert expect.split("\r\n")[-3:] == ["0.0,0.0", "-0.0,-0.0", ""]
-    table = cio.Columns(cio._Coded(values, index), values[index])
-    assert _csv_text(cio.write_rows, ["v", "w"], table) == expect
-
-
-@pytest.mark.parametrize(
-    "columns",
-    [
-        (cio._Coded(np.arange(3.0), np.array([0, -1, 2])),),
-        (cio._Coded(np.arange(3.0), np.array([0, 3, 2], dtype=np.uint8)),),
-        (cio._Coded(np.arange(3.0), np.array([2**63], dtype=np.uint64)),),
-        (cio._Coded(np.arange(3.0), np.array([0.0, 1.0])),),
-        (cio._Coded(np.arange(3.0), np.array([True, False])),),
-        (cio._Coded(np.zeros((3, 2)), np.array([0, 1])),),
-        (cio._Coded(np.arange(3.0), np.zeros((2, 2), dtype=np.int64)),),
-        (cio._Coded(np.zeros(3, dtype=np.float32), np.array([0, 1])),),
-        (cio._Coded(np.arange(3.0), np.array([0, 1])), np.arange(3)),
-        (np.arange(2), cio._Coded(np.arange(3.0), np.array([0, 1, 2]))),
-    ],
-    ids=[
-        "negative",
-        "past-values",
-        "past-int64",
-        "float-index",
-        "bool-index",
-        "2-D-values",
-        "2-D-index",
-        "float32-values",
-        "unequal",
-        "unequal-after-array",
-    ],
-)
-def test_columns_reject_bad_coded_columns_before_writing(columns, tmp_path):
-    header = [f"c{k}" for k in range(len(columns))]
-    path = tmp_path / "t.csv"
-    with pytest.raises(ValueError):
-        cio.write_csv(header, cio.Columns(*columns), str(path))
-    assert not path.exists()
-
-
-def test_coded_columns_iterate_as_zip_of_materialised_columns():
-    columns = (
-        cio._Coded(np.arange(3, dtype=np.int32), np.array([2, 0, 0, 1], dtype=np.uint8)),
-        np.array([0, 1, 2**64 - 1, 7], dtype=np.uint64),
-        cio._Coded(np.array([-0.0, 0.5, math.nan]), np.array([1, 2, 0, 0])),
-    )
-    rows = list(cio.Columns(*columns))
-    expect = list(zip(*_materialised(columns)))
-    assert len(rows) == len(cio.Columns(*columns)) == 4
-    assert [tuple(map(type, row)) for row in rows] == [tuple(map(type, row)) for row in expect]
-    assert _csv_text(_oracle_write_rows, ["a", "b", "c"], rows) == _csv_text(
-        _oracle_write_rows, ["a", "b", "c"], expect
-    )
-    assert rows[0] == (2, 0, 0.5)
-
-
-def test_columns_of_plain_tuples_are_still_columns():
-    table = cio.Columns((1, 2), (3, 4))
-    assert len(table.arrays) == 2 and len(table) == 2
-    assert list(table) == [(1, 3), (2, 4)]
-    assert _csv_text(cio.write_rows, ["a", "b"], table) == "a,b\r\n1,3\r\n2,4\r\n"
-
-
-def test_columns_iterate_as_zip():
-    arrays = (
-        np.arange(5),
-        np.linspace(-1.0, 1.0, 5),
-        np.array([0, 1, 2**63, 2**64 - 1, 7], dtype=np.uint64),
-        np.arange(5, dtype=np.int32),
-    )
-    rows = list(cio.Columns(*arrays))
-    assert rows == list(zip(*arrays))
-    assert [tuple(map(type, row)) for row in rows] == [
-        tuple(map(type, row)) for row in zip(*arrays)
-    ]
-    assert len(cio.Columns(*arrays)) == 5
-    assert list(cio.Columns()) == [] and len(cio.Columns()) == 0
-
-
-def test_columns_hold_arrays_without_copy():
-    a = np.arange(4.0)
-    assert cio.Columns(a, np.arange(4)).arrays[0] is a
-
-
-@pytest.mark.parametrize(
-    "arrays",
-    [
-        (np.arange(3), np.arange(4.0)),
-        (np.zeros((2, 2)),),
-        (np.zeros(3, dtype=bool),),
-        (np.zeros(3, dtype=np.float32),),
-        (np.array([1, 2.5, "x"], dtype=object),),
-        (np.array(["1", "2"]),),
-    ],
-    ids=["unequal", "2-D", "bool", "float32", "object", "str"],
-)
-def test_columns_reject_non_numeric_or_unequal_arrays(arrays):
-    with pytest.raises(ValueError):
-        cio.Columns(*arrays)
 
 
 def test_csv_write_failure_reports_path():
@@ -673,19 +458,80 @@ def test_main_basin_csv_matches_row_writer(capsys, monkeypatch, tmp_path, r, c1,
 
 
 def test_basin_csv_writer_peak_stays_below_one_chunk_bound(tmp_path):
-    # The r=499 table the CLI builds is 17.1 MB of text; the writer holds
-    # one chunk of it (16,384 rows: codes, their gather and its joined
-    # text), 3.00 MB traced; the bound is 3.3 MB.
+    # The r=499 table is 17.1 MB of text.  write_basin_csv holds at most
+    # the sort of the fingerprints' bit patterns (2.0 MB) or one chunk of
+    # 15,968 rows (codes, their gather, its text and the encoded bytes):
+    # 2.63 MB traced; the bound is 3.3 MB.
     grid = cm.render_basins(cm.make_threshold(0.95), cm.GridSpec(resolution=499))
-    rows = cli._basin_table(grid)
     path = str(tmp_path / "grid.csv")
     tracemalloc.start()
     try:
-        cio.write_csv(cli._BASIN_HEADER, rows, path)
+        cio.write_basin_csv(grid, path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 3.3e6
+
+
+def _basin_texts(grid):
+    # The lines of the basin table as written, and as the per-row writer
+    # writes its rows; a failing diff of the whole text is very slow.
+    got = _csv_text(cio.write_rows, cio._BASIN_HEADER, cio._BasinTable(grid))
+    rows = list(zip(*_basin_columns(grid)))
+    expect = _csv_text(_oracle_write_rows, cio._BASIN_HEADER, rows)
+    return got.split("\r\n"), expect.split("\r\n")
+
+
+_NAN_PAYLOADS = np.array(
+    [0x7FF8000000000001, 0xFFF8000000000ABC], dtype=np.uint64
+).view(np.float64)
+
+
+def test_basin_table_writes_signed_zero_and_nan_payloads_apart():
+    # A coder that sorted the fingerprints by value would merge -0.0 and 0.0.
+    nan_a, nan_b = _NAN_PAYLOADS
+    fingerprints = np.array([[-0.0, 0.0, nan_b], [0.5, nan_a, -0.0], [0.0, nan_b, 0.5]])
+    classes = np.array([[0, 0, 2], [1, 2, 0], [0, 2, 1]], dtype=np.int32)
+    table = {0: -0.0, 1: 0.5, 2: nan_a}
+    grid = cm.BasinGrid(cm.GridSpec(resolution=3), fingerprints, classes, table)
+    got, expect = _basin_texts(grid)
+    assert [row.split(",")[4] for row in expect[1:-1]] == [
+        "-0.0", "0.0", "nan", "0.5", "nan", "-0.0", "0.0", "nan", "0.5"
+    ]
+    assert got == expect
+
+
+# c1=0.95 at r=31 has several classes; 98 cells make chunks of 3 grid rows
+# with one left over, and 30 make chunks of one grid row.
+@pytest.mark.parametrize("chunk_rows", [30, 98], ids=["row-per-chunk", "partial-last-chunk"])
+def test_basin_table_chunks_match_row_writer(monkeypatch, chunk_rows):
+    grid = cm.render_basins(cm.make_threshold(0.95), cm.GridSpec(resolution=31))
+    monkeypatch.setattr(cio, "_CHUNK_ROWS", chunk_rows)
+    got, expect = _basin_texts(grid)
+    assert got == expect
+
+
+def test_basin_table_of_a_sub_range_grid_matches_row_writer():
+    spec = cm.GridSpec(resolution=37, x_range=(0.2, 0.7), y_range=(0.1, 0.9))
+    got, expect = _basin_texts(cm.render_basins(cm.make_threshold(0.95), spec))
+    assert got == expect
+
+
+def test_basin_table_iterates_as_zip_of_its_columns():
+    grid = cm.render_basins(cm.make_threshold(0.84), cm.GridSpec(resolution=7))
+    rows = list(cio._BasinTable(grid))
+    expect = list(zip(*_basin_columns(grid)))
+    assert rows == expect
+    assert [tuple(map(type, row)) for row in rows] == [tuple(map(type, row)) for row in expect]
+
+
+@pytest.mark.parametrize("width", [5, 7])
+def test_write_rows_rejects_a_basin_table_that_misses_the_header_before_writing(width):
+    grid = cm.render_basins(cm.make_threshold(0.84), cm.GridSpec(resolution=4))
+    buf = io.StringIO()
+    with pytest.raises(ValueError):
+        cio.write_rows(buf, (cio._BASIN_HEADER * 2)[:width], cio._BasinTable(grid))
+    assert buf.getvalue() == ""
 
 
 def test_main_basin_csv_rows_end_in_the_class(capsys, monkeypatch, tmp_path):
