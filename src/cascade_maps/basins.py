@@ -3,9 +3,12 @@
 Every grid cell launches one lattice orbit from the cell centre; after a
 transient the excesses of a fixed window are summed into the cell's
 fingerprint, fingerprints are bucketed into classes, and classes are split
-into 4-connected components.  Corner boxes and interior disks then count
-how many distinct components they meet, the finite-resolution proxy for
-basin components accumulating at the corners and at interior points.
+into 4-connected components by :func:`label_components`.  The accumulation
+drivers then count the distinct components that meet their regions, the
+finite-resolution proxy for basin components accumulating at the corners
+and at interior points: :func:`corner_accumulation` its corner boxes, and
+:func:`interior_accumulation` its disks.  Each driver selects and checks
+its own regions.
 
 Mirror symmetry is preserved exactly: on the default unit square the cell
 centres are stored as offsets ``u`` from 1/2 with ``u`` exactly
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -123,14 +126,11 @@ class BasinGrid:
 
 @dataclass(frozen=True)
 class ComponentStats:
-    """4-connected components of the class map plus accumulation counts."""
+    """4-connected components of the class map."""
 
     component_ids: np.ndarray  # 1-based ids over the full grid
     class_component_counts: dict[int, int]
     total_components: int
-    corner_counts: dict[tuple[str, float], int]
-    disk_counts: dict[float, int]
-    point: Optional[tuple[float, float]]
 
 
 def _axis_offsets(axis_range: tuple[float, float], resolution: int) -> np.ndarray:
@@ -289,22 +289,6 @@ def _bucket_fingerprints(fingerprints: np.ndarray) -> tuple[np.ndarray, dict[int
     return classes, {k: rep for k, rep in enumerate(reps)}
 
 
-def _check_regions(
-    eps_list: Sequence[float],
-    point: Optional[tuple[float, float]],
-    radii: Sequence[float],
-) -> None:
-    """Reject the corner boxes and disks that no grid can count (NaN included)."""
-    if not all(eps > 0.0 for eps in eps_list):
-        raise ParameterError("corner box size must be positive")
-    if point is not None:
-        px, py = point
-        if not (0.0 < px < 1.0 and 0.0 < py < 1.0):
-            raise ParameterError("accumulation point must lie in the open square")
-        if not all(radius > 0.0 for radius in radii):
-            raise ParameterError("disk radius must be positive")
-
-
 def _run_graph(
     classes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -367,61 +351,25 @@ def _label_cells(classes: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.nd
     return run.reshape(classes.shape), np.bincount(root_class, minlength=n_classes)
 
 
-def label_components(
-    g: BasinGrid,
-    eps_list: Sequence[float] = (),
-    point: Optional[tuple[float, float]] = None,
-    radii: Sequence[float] = (),
-) -> ComponentStats:
+def label_components(g: BasinGrid) -> ComponentStats:
     """4-connected labelling of same-class cells, all classes in one pass.
 
     Union-find over the row runs of equal class (see :func:`_label_cells`).
     Component ids are 1-based: the components of class 0 come first, then
     those of class 1 and so on, and within a class they ascend with their
     first cell in raster order.
-
-    ``eps_list`` requests counts of distinct components meeting each corner
-    box of side eps (all four corners); ``point`` and ``radii`` request
-    counts over grid-rasterised disks.  Components are counted as meeting a
-    region when any member cell centre falls inside it.
     """
-    _check_regions(eps_list, point, radii)
-    r = g.spec.resolution
     component_ids, counts = _label_cells(g.classes, g.n_classes)
-    class_counts = {k: int(counts[k]) for k in g.class_table}
-
-    cx = _axis_centers(g.spec.x_range, r)
-    cy = _axis_centers(g.spec.y_range, r)
-
-    corner_counts: dict[tuple[str, float], int] = {}
-    for eps in eps_list:
-        lo_x, hi_x = cx <= eps, cx >= 1.0 - eps
-        lo_y, hi_y = cy <= eps, cy >= 1.0 - eps
-        for corner, mx, my in (
-            ("00", lo_x, lo_y),
-            ("01", lo_x, hi_y),
-            ("10", hi_x, lo_y),
-            ("11", hi_x, hi_y),
-        ):
-            sub = component_ids[np.ix_(mx, my)].ravel()
-            corner_counts[(corner, float(eps))] = int(np.count_nonzero(np.bincount(sub)))
-
-    disk_counts: dict[float, int] = {}
-    if point is not None:
-        px, py = point
-        dist2 = (cx[:, None] - px) ** 2 + (cy[None, :] - py) ** 2
-        for radius in radii:
-            sel = component_ids[dist2 <= radius * radius]
-            disk_counts[float(radius)] = int(np.count_nonzero(np.bincount(sel)))
-
     return ComponentStats(
         component_ids=component_ids,
-        class_component_counts=class_counts,
+        class_component_counts={k: int(counts[k]) for k in g.class_table},
         total_components=int(counts.sum()),
-        corner_counts=corner_counts,
-        disk_counts=disk_counts,
-        point=point,
     )
+
+
+def _components_meeting(component_ids: np.ndarray, cells) -> int:
+    """Number of distinct components among the cells that ``cells`` indexes."""
+    return int(np.count_nonzero(np.bincount(component_ids[cells].ravel())))
 
 
 def corner_accumulation(
@@ -433,7 +381,10 @@ def corner_accumulation(
     """Corner-box component counts across grid refinements.
 
     Returns a (header, rows) table with one row per resolution, box size
-    and corner, ready for CSV export.
+    and corner, ready for CSV export.  The box of side eps at corner ``ab``
+    holds the cells whose centre has ``cx <= eps`` (``a`` = 0) or
+    ``cx >= 1 - eps`` (``a`` = 1), and likewise ``cy`` for ``b``; it counts
+    the distinct components with a cell in it.
     """
     eps_list = [float(e) for e in eps_list]
     resolutions = [int(r) for r in resolutions]
@@ -443,15 +394,23 @@ def corner_accumulation(
         raise ParameterError("eps_list must be strictly decreasing")
     if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise ParameterError("resolutions must be strictly increasing")
-    _check_regions(eps_list, None, ())
+    if not all(eps > 0.0 for eps in eps_list):
+        raise ParameterError("corner box size must be positive")
     header = ["resolution", "eps", "corner", "components"]
     rows: list[tuple] = []
     for r in resolutions:
         spec = dataclasses.replace(base_spec, resolution=r)
-        stats = label_components(render_basins(t, spec), eps_list)
+        ids = label_components(render_basins(t, spec)).component_ids
+        cx = _axis_centers(spec.x_range, r)
+        cy = _axis_centers(spec.y_range, r)
         for eps in eps_list:
+            x_sides = (cx <= eps, cx >= 1.0 - eps)
+            y_sides = (cy <= eps, cy >= 1.0 - eps)
             for corner in _CORNERS:
-                rows.append((r, eps, corner, stats.corner_counts[(corner, eps)]))
+                box = np.ix_(x_sides[int(corner[0])], y_sides[int(corner[1])])
+                rows.append((r, eps, corner, _components_meeting(ids, box)))
+        # Free this grid's labels before the next, larger grid is rendered.
+        del ids, cx, cy
     return header, rows
 
 
@@ -461,12 +420,22 @@ def interior_accumulation(
     point: tuple[float, float],
     radii: Sequence[float],
 ) -> tuple[list[str], list[tuple]]:
-    """Component counts over disks around an interior point (one render)."""
+    """Component counts over disks around an interior point (one render).
+
+    The disk of a radius holds the cells whose centre lies within it, and
+    it counts the distinct components with a cell in it.
+    """
     radii = [float(x) for x in radii]
     if not radii:
         raise ParameterError("radii must not be empty")
-    _check_regions((), point, radii)
-    stats = label_components(render_basins(t, spec), point=point, radii=radii)
-    header = ["radius", "components"]
-    rows = [(radius, stats.disk_counts[radius]) for radius in radii]
-    return header, rows
+    px, py = point
+    if not (0.0 < px < 1.0 and 0.0 < py < 1.0):
+        raise ParameterError("accumulation point must lie in the open square")
+    if not all(radius > 0.0 for radius in radii):
+        raise ParameterError("disk radius must be positive")
+    ids = label_components(render_basins(t, spec)).component_ids
+    cx = _axis_centers(spec.x_range, spec.resolution)
+    cy = _axis_centers(spec.y_range, spec.resolution)
+    dist2 = (cx[:, None] - px) ** 2 + (cy[None, :] - py) ** 2
+    rows = [(radius, _components_meeting(ids, dist2 <= radius * radius)) for radius in radii]
+    return ["radius", "components"], rows

@@ -143,7 +143,7 @@ def _coerce(key: str, raw: str, origin: str):
 def _read_config_file(path: str, allowed: set[str]) -> dict:
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 text = line.strip()
                 if not text or text.startswith("#"):
@@ -155,7 +155,7 @@ def _read_config_file(path: str, allowed: set[str]) -> dict:
                 if key not in allowed:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = _coerce(key, raw.strip(), f"config {path}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
     return values
 

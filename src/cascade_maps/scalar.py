@@ -220,6 +220,8 @@ def tent_conjugacy_inverse(u):
 def tent_map(u):
     """Slope-2 tent map ``1 - |1 - 2u|`` on [0, 1]."""
     u = np.asarray(u, dtype=float)
+    if not np.all((u >= 0.0) & (u <= 1.0)):
+        raise DomainError("tent map is defined on [0, 1]")
     out = 1.0 - np.abs(1.0 - 2.0 * u)
     return out.item() if out.ndim == 0 else out
 

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 import tracemalloc
 
@@ -52,12 +53,13 @@ def test_gridspec_validation(kwargs):
 
 
 def test_single_attractor_parameter_gives_one_class():
-    g = cm.render_basins(T80, cm.GridSpec(resolution=64))
+    spec = cm.GridSpec(resolution=64)
+    g = cm.render_basins(T80, spec)
     assert g.n_classes == 1
     assert np.all(g.classes == 0)
-    stats = cm.label_components(g, eps_list=[0.1])
-    assert stats.total_components == 1
-    assert all(v == 1 for v in stats.corner_counts.values())
+    assert cm.label_components(g).total_components == 1
+    _, rows = cm.corner_accumulation(T80, spec, [0.1], [64])
+    assert [count for *_, count in rows] == [1, 1, 1, 1]
 
 
 def test_two_attractor_parameter_gives_two_classes():
@@ -65,7 +67,7 @@ def test_two_attractor_parameter_gives_two_classes():
     assert g.n_classes == 2
     assert g.class_table[0] == pytest.approx(0.07577117593436133, abs=1e-12)
     assert g.class_table[1] == pytest.approx(1.8521395199999993, abs=1e-12)
-    stats = cm.label_components(g, eps_list=[0.1])
+    stats = cm.label_components(g)
     assert stats.total_components == 49
     assert stats.total_components > g.n_classes
 
@@ -321,7 +323,7 @@ def test_label_equal_class_neighbours_share_a_component():
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
-def _assert_matches_ndimage(g: cm.BasinGrid) -> None:
+def _ndimage_labels(g: cm.BasinGrid) -> tuple[np.ndarray, dict[int, int]]:
     """Per-class ``ndimage.label`` in class order is the reference labelling."""
     ids = np.zeros(g.classes.shape, dtype=np.int32)
     counts = {}
@@ -330,6 +332,11 @@ def _assert_matches_ndimage(g: cm.BasinGrid) -> None:
         labels, count = ndimage.label(mask, structure=_CROSS)
         ids[mask] = labels[mask] + sum(counts.values())
         counts[k] = count
+    return ids, counts
+
+
+def _assert_matches_ndimage(g: cm.BasinGrid) -> None:
+    ids, counts = _ndimage_labels(g)
     stats = cm.label_components(g)
     assert stats.component_ids.dtype == np.int32
     assert np.array_equal(stats.component_ids, ids)
@@ -434,19 +441,10 @@ def test_label_memory_stays_below_the_per_class_ndimage_loop():
 
 
 def test_disk_covering_domain_counts_every_component():
-    g = cm.render_basins(T84, cm.GridSpec(resolution=64))
-    stats = cm.label_components(g, point=(0.75, 0.75), radii=[1.5])
-    assert stats.disk_counts[1.5] == stats.total_components
-
-
-def test_label_validates_regions():
-    g = cm.render_basins(T80, cm.GridSpec(resolution=16))
-    with pytest.raises(ParameterError):
-        cm.label_components(g, eps_list=[-0.1])
-    with pytest.raises(ParameterError):
-        cm.label_components(g, point=(1.5, 0.5), radii=[0.1])
-    with pytest.raises(ParameterError):
-        cm.label_components(g, point=(0.5, 0.5), radii=[0.0])
+    spec = cm.GridSpec(resolution=64)
+    _, rows = cm.interior_accumulation(T84, spec, (0.75, 0.75), [1.5])
+    total = cm.label_components(cm.render_basins(T84, spec)).total_components
+    assert rows == [(1.5, total)]
 
 
 # ------------------------------------------------------------- accumulation
@@ -466,6 +464,55 @@ def test_corner_accumulation_table_shape_and_growth():
             assert len(vals) == 1
     # refinement exposes at least as many corner components
     assert counts[(125, 0.1, "00")] >= counts[(63, 0.1, "00")]
+
+
+_RANGES = [(_UNIT, _UNIT), ((0.2, 0.7), (0.1, 0.9))]
+
+
+def _oracle_count(ids: np.ndarray, mask: np.ndarray) -> int:
+    return len(set(ids[mask].tolist()))
+
+
+def _oracle_labels_and_centres(t, spec):
+    ids, _ = _ndimage_labels(cm.render_basins(t, spec))
+    r = spec.resolution
+    return ids, basins._axis_centers(spec.x_range, r), basins._axis_centers(spec.y_range, r)
+
+
+@pytest.mark.parametrize("ranges", _RANGES, ids=["unit", "sub"])
+@pytest.mark.parametrize("t", [T84, T95], ids=["c84", "c95"])
+def test_corner_accumulation_matches_ndimage_oracle(t, ranges):
+    # Boxes hold the cells whose centre has cx <= eps or cx >= 1 - eps on
+    # each axis; the sub-range leaves some boxes empty.
+    x_range, y_range = ranges
+    base = cm.GridSpec(resolution=31, x_range=x_range, y_range=y_range)
+    eps_list = [0.3, 0.1, 0.02]
+    _, rows = cm.corner_accumulation(t, base, eps_list, [31, 32, 125])
+    expected = []
+    for r in (31, 32, 125):
+        ids, cx, cy = _oracle_labels_and_centres(t, dataclasses.replace(base, resolution=r))
+        for eps in eps_list:
+            sides = {"0": (cx <= eps, cy <= eps), "1": (cx >= 1 - eps, cy >= 1 - eps)}
+            for corner in ("00", "01", "10", "11"):
+                box = np.outer(sides[corner[0]][0], sides[corner[1]][1])
+                expected.append((r, eps, corner, _oracle_count(ids, box)))
+    assert rows == expected
+
+
+@pytest.mark.parametrize("r", [31, 32, 125])
+@pytest.mark.parametrize(
+    "ranges, point",
+    [(_RANGES[0], (0.75, 0.75)), (_RANGES[1], (0.45, 0.5))],
+    ids=["unit", "sub"],
+)
+@pytest.mark.parametrize("t", [T84, T95], ids=["c84", "c95"])
+def test_interior_accumulation_matches_ndimage_oracle(t, ranges, point, r):
+    spec = cm.GridSpec(resolution=r, x_range=ranges[0], y_range=ranges[1])
+    radii = [0.5, 0.2, 0.05, 0.01]
+    _, rows = cm.interior_accumulation(t, spec, point, radii)
+    ids, cx, cy = _oracle_labels_and_centres(t, spec)
+    dist2 = (cx[:, None] - point[0]) ** 2 + (cy[None, :] - point[1]) ** 2
+    assert rows == [(radius, _oracle_count(ids, dist2 <= radius * radius)) for radius in radii]
 
 
 def test_corner_accumulation_validates_monotone_args():

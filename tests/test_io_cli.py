@@ -586,6 +586,15 @@ def test_main_accumulation_rejects_bad_regions_without_rendering(
     assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
+def test_main_config_file_that_is_not_utf8_is_usage_error(capsys, tmp_path):
+    conf = tmp_path / "bad.cfg"
+    conf.write_bytes(b"c1=0.9\xff\n")
+    assert main(["orbit", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot read config file {str(conf)!r}: ")
+    assert "can't decode byte 0xff" in err
+
+
 def test_main_unknown_subcommand(capsys):
     assert main(["nonsense"]) == 2
     assert "unknown subcommand" in capsys.readouterr().err

@@ -210,6 +210,14 @@ def test_tent_map_values():
     assert cm.tent_map(1.0) == 0.0
 
 
+@pytest.mark.parametrize("u", [1.5, -0.5, math.nan, [0.5, 1.5], [0.5, math.nan]])
+def test_tent_map_rejects_points_outside_the_unit_interval(u):
+    # Outside [0, 1] the formula still gives a number (-1.0 at 1.5, -2.0 at
+    # -0.5) and passes NaN through; the map rejects them, as logistic does.
+    with pytest.raises(DomainError, match="tent map"):
+        cm.tent_map(u)
+
+
 def test_tent_conjugacy_domain_errors():
     # NaN lies outside [0, 1] too, as a scalar or inside an array.
     for fn in (cm.tent_conjugacy, cm.tent_conjugacy_inverse):
