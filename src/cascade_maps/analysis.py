@@ -271,9 +271,7 @@ def _canonical_rotation(orbit: np.ndarray) -> np.ndarray:
     The least rotation starts at a least state, so only rotations starting
     at a state equal to it are compared; ties go to the first such index.
     """
-    p, n = orbit.shape
-    if p == 1:
-        return orbit
+    n = orbit.shape[1]
     least = orbit[np.lexsort(orbit.T[::-1])[0]]
     starts = np.flatnonzero((orbit == least).all(axis=1)).tolist()
     flat = orbit.ravel().tolist()
@@ -330,10 +328,10 @@ def _recurrences(
 
     ``x`` has shape (M, N).  After ``transient`` steps, row i's period is
     the least ``p <= max_period`` with a max-norm return to its
-    post-transient state within ``tol``, or 0 if there is none.  Returns
-    ``(periods, x0)`` with ``x0`` the (M, N) post-transient states; no
-    history is kept, and :func:`_orbit_states` rebuilds an orbit from its
-    row of ``x0``.
+    post-transient state within ``tol >= 0`` (0 asks for a bit-exact
+    return), or 0 if there is none.  Returns ``(periods, x0)`` with ``x0``
+    the (M, N) post-transient states; no history is kept, and
+    :func:`_orbit_states` rebuilds an orbit from its row of ``x0``.
 
     The batch is stepped column-major, the kernel's fast path.  A row
     whose period is found retires from the stepped batch at once; rows
@@ -346,6 +344,8 @@ def _recurrences(
         raise ParameterError("transient must be >= 0")
     if x.shape[1] < 1:
         raise ParameterError("n_sites must be >= 1")
+    if not tol >= 0.0:  # NaN fails the comparison and is rejected too
+        raise ParameterError("tol must be non-negative")
     x = np.asfortranarray(x)
     for _ in range(transient):
         x, _ = step_batch(x, t)
@@ -367,7 +367,7 @@ def _recurrences(
 
 
 def _orbit_states(t: Threshold, x0: np.ndarray, p: int) -> np.ndarray:
-    """States 0 .. p-1 of the orbits from the (B, N) states ``x0``, as (p, B, N).
+    """States 0 .. p-1 of the orbits from the (B, N) states ``x0``, as (B, p, N).
 
     ``step_batch`` is elementwise over rows, so each row's states are
     bit-identical to the ones stepped from it in any larger batch.  The
@@ -379,26 +379,15 @@ def _orbit_states(t: Threshold, x0: np.ndarray, p: int) -> np.ndarray:
     for k in range(1, p):
         x, _ = step_batch(x, t)
         out[k] = x.T
-    return out.transpose(0, 2, 1)
+    return out.transpose(2, 0, 1)
 
 
-def _attractor_records(t: Threshold, orbits: np.ndarray, tol: float) -> list[AttractorRecord]:
-    """Records of a (B, p, N) batch of orbits of one period ``p``, in order.
-
-    Each orbit is rotated to canonical phase, its lexicographically least
-    rotation: one lexsort per row finds its least state, and a gather
-    rotates the row to start there.  Rows whose least state occurs more
-    than once go through :func:`_canonical_rotation`, which compares the
-    candidate starts.  The kind is decided for the whole batch at once:
-    ``in_phase`` if no step spreads its sites by more than ``tol``, else
-    ``anti_phase`` for two sites and even ``p`` if site 1 repeats site 0
-    half a period later (:func:`_lag_match_rows`), else ``ripple`` if each
-    site repeats its left neighbour one step later, else ``other``.  The
-    fingerprint is :func:`excess_window_sum` from the canonical first
-    state, one record at a time.  The canonical orbits share one block,
-    which is made read-only, so no record's orbit can be written.
-    """
-    b, p, n = orbits.shape
+def _canonical_orbits(orbits: np.ndarray) -> np.ndarray:
+    """Each orbit of a (B, p, N) batch in canonical phase, its lexicographically
+    least rotation, as a fresh (B, p, N) array: a lexsort per row finds its least
+    state and a gather rotates the row to start there; rows whose least state
+    occurs more than once go through :func:`_canonical_rotation`."""
+    b, p, _ = orbits.shape
     rows = np.arange(b)[:, None]
     order = np.lexsort(orbits.transpose(2, 0, 1)[::-1], axis=-1)  # (B, p)
     canon = orbits[rows, (order[:, :1] + np.arange(p)) % p]
@@ -408,6 +397,23 @@ def _attractor_records(t: Threshold, orbits: np.ndarray, tol: float) -> list[Att
         least = orbits[rows, order[:, :2]]
         for j in np.flatnonzero((least[:, 0] == least[:, 1]).all(axis=1)).tolist():
             canon[j] = _canonical_rotation(orbits[j])
+    return canon
+
+
+def _attractor_records(t: Threshold, canon: np.ndarray, tol: float) -> list[AttractorRecord]:
+    """Records of a (B, p, N) batch ``canon`` of canonical orbits of one
+    period ``p`` (:func:`_canonical_orbits`), in order.
+
+    The kind is decided for the whole batch at once: ``in_phase`` if no
+    step spreads its sites by more than ``tol``, else ``anti_phase`` for
+    two sites and even ``p`` if site 1 repeats site 0 half a period later
+    (:func:`_lag_match_rows`), else ``ripple`` if each site repeats its
+    left neighbour one step later, else ``other``.  The fingerprint is
+    :func:`excess_window_sum` from the canonical first state, one record
+    at a time.  The records' orbits are rows of ``canon``, which is made
+    read-only, so no record's orbit can be written.
+    """
+    b, p, n = canon.shape
     canon.setflags(write=False)
     in_phase = (canon.max(axis=2) - canon.min(axis=2) <= tol).all(axis=1)
     anti = n == 2 and p % 2 == 0 and _lag_match_rows(canon, p // 2, t, tol)
@@ -440,18 +446,15 @@ def detect_periodic_orbit(
     After the transient, looks for the least ``p <= max_period`` with a
     max-norm return to the post-transient state within ``tol``, keeping no
     history; the orbit is then rebuilt by stepping ``p - 1`` more times
-    from that state, canonicalised in phase and classified by its
-    synchronisation pattern.  Returns None if no recurrence is found.
-    ``tol`` must be positive (NaN is rejected) and ``transient`` must be
-    non-negative.
+    from that state, put in canonical phase as the census's orbits are,
+    and classified by its synchronisation pattern.  Returns None if no
+    recurrence is found.  ``tol`` and ``transient`` must be non-negative.
     """
-    if not tol > 0.0:  # NaN fails the comparison and is rejected too
-        raise ParameterError("tol must be positive")
     periods, x0 = _recurrences(t, s0.sites[None, :], transient, max_period, tol)
     if periods[0] == 0:
         return None
-    orbits = _orbit_states(t, x0, int(periods[0])).transpose(1, 0, 2)
-    return _attractor_records(t, orbits, tol)[0]
+    orbits = _orbit_states(t, x0, int(periods[0]))
+    return _attractor_records(t, _canonical_orbits(orbits), tol)[0]
 
 
 _MASK64 = (1 << 64) - 1
@@ -487,40 +490,38 @@ _GROUP_BLOCK_STATES = 4096
 
 
 def _group_orbits(
-    t: Threshold,
-    periods: np.ndarray,
-    x0: np.ndarray,
-    groups: dict[bytes, list],
+    t: Threshold, periods: np.ndarray, x0: np.ndarray, groups: dict[int, dict[bytes, list]]
 ) -> None:
     """Add one chunk's resolved samples to ``groups``.
 
     ``periods`` and ``x0`` are as returned by :func:`_recurrences`.
-    ``groups`` maps ``key``, the orbit with its states sorted
-    lexicographically, as C-ordered bytes, to ``[hits, orbit]``, with
-    ``orbit`` the (p, N) orbit of one of the group's samples.
+    ``groups[p]`` maps the bytes of a (p, N) canonical orbit
+    (:func:`_canonical_orbits`) to ``[hits, orbit]``.
+
+    A sample's orbit is the window x, F(x), ..., F^(p-1)(x), with F the
+    lattice step and p the least near-return period of x.  Windows with
+    one multiset of states are equal or rotations of one exact cycle: if
+    window y starts k steps along window x, 0 < k < p, x recurs among
+    F^p(x) .. F^(p+k-1)(x), so it lies on an exact cycle; a shift by k
+    changes the set of a window shorter than the cycle, so both windows
+    are the whole cycle.  The canonical key thus makes the same groups as
+    a key of sorted states.
     """
     for p in (np.flatnonzero(np.bincount(periods)[1:]) + 1).tolist():
         idx = np.flatnonzero(periods == p)
         # Bit-identical post-transient states have identical orbits: rebuild
         # each distinct state once, weighted by its number of samples.
         first, inv = _distinct_rows(x0[idx])
-        idx, counts = idx[first], np.bincount(inv)
+        idx, counts = idx[first], np.bincount(inv).tolist()
         size = max(1, _GROUP_BLOCK_STATES // p)
+        by_key = groups.setdefault(p, {})
         for start in range(0, idx.size, size):
-            block = idx[start : start + size]
-            sub = _orbit_states(t, x0[block], p)  # (p, B, N)
-            order = np.lexsort(sub.transpose(2, 1, 0)[::-1], axis=-1)  # (B, p)
-            rows = sub[order, np.arange(block.size)[:, None]]  # (B, p, N), sorted
-            # Group the sorted orbits by their states' ids: p columns, not p * N.
-            ids = _distinct_rows(rows.reshape(-1, x0.shape[1]))[1].reshape(block.size, p)
-            first, inv = _distinct_rows(ids)
-            hits = np.bincount(inv, counts[start : start + size]).astype(int)
-            for j, h in zip(first.tolist(), hits.tolist()):
-                key = rows[j].tobytes()
-                if key in groups:
-                    groups[key][0] += h
+            canon = _canonical_orbits(_orbit_states(t, x0[idx[start : start + size]], p))
+            for orbit, h in zip(canon, counts[start : start + size]):
+                if (key := orbit.tobytes()) in by_key:
+                    by_key[key][0] += h
                 else:
-                    groups[key] = [h, sub[:, j].copy()]
+                    by_key[key] = [h, orbit.copy()]
 
 
 def census(
@@ -543,28 +544,23 @@ def census(
     batch once its period is found, and samples without one are left out
     of the counts.  ``transient`` must be non-negative, ``n_sites`` at
     least 1 and ``seed`` in ``[0, 2**64)``, so that no two seeds give the
-    same samples.  Orbits are grouped by their exact state content, which is
-    rotation invariant and exact because super-stable orbits repeat
-    bit-identically after clipping: the samples of one period are rebuilt
-    from their post-transient states, each distinct state once, in blocks
-    of at most ``_GROUP_BLOCK_STATES`` orbit states, each block's orbits are
-    row-sorted and deduplicated at once, and the blocks and chunks merge
-    by the sorted orbit's bytes.  A record is built in canonical phase, so
-    any sample of a group gives the same record; the groups are stacked by
-    period and each period's records are built in one batch by
-    :func:`_attractor_records`.  Apart from the groups found, working
-    memory is bounded by the chunk, whatever ``samples`` and
-    ``max_period``.  The result is sorted by decreasing hit count, then
-    fingerprint, period and orbit (distinct groups cannot tie, as lattice
-    states never hold ``-0.0``), and is a pure function of the arguments.
+    same samples.  Orbits are grouped by canonical phase, the attractor
+    identity of :func:`detect_periodic_orbit` too, which is exact because
+    super-stable orbits repeat bit-identically after clipping: each
+    period's samples are rebuilt from their distinct post-transient states
+    in blocks of at most ``_GROUP_BLOCK_STATES`` orbit states, and merge
+    by canonical orbit (:func:`_group_orbits`); each period's records are
+    built in one batch.  Apart from the groups found, working memory is
+    bounded by the chunk, whatever ``samples`` and ``max_period``.  The
+    result is sorted by decreasing hit count, then fingerprint, period and
+    orbit (distinct groups cannot tie, as lattice states never hold
+    ``-0.0``), and is a pure function of the arguments.
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
     if not 0 <= seed < 2**64:
         raise ParameterError(f"seed must lie in [0, 2**64), got {seed}")
-    if not tol >= 0.0:  # NaN fails the comparison and is rejected too
-        raise ParameterError("tol must be non-negative")
-    groups: dict[bytes, list] = {}
+    groups: dict[int, dict[bytes, list]] = {}
     for first in range(0, samples, _CENSUS_CHUNK):
         # The initial states go straight into the search, and each chunk's
         # arrays are freed before the next chunk is made, so that no more
@@ -575,14 +571,10 @@ def census(
         )
         _group_orbits(t, periods, x0, groups)
         del periods, x0
-    by_period: dict[int, list] = {}
-    for hits, orbit in groups.values():
-        by_period.setdefault(orbit.shape[0], []).append((hits, orbit))
-    del groups
     entries = []
-    while by_period:
+    while groups:
         # Each period's orbits are dropped once their records hold a copy.
-        hits, orbits = zip(*by_period.popitem()[1])
+        hits, orbits = zip(*groups.popitem()[1].values())
         entries += zip(_attractor_records(t, np.stack(orbits), tol), hits)
         del orbits
     entries.sort(

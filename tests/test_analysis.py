@@ -354,8 +354,8 @@ def test_census_rejects_negative_or_nan_tol(tol):
         cm.census(T84, 2, 10, seed=1, tol=tol)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
-def test_detect_rejects_non_positive_or_nan_tol(tol):
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_detect_rejects_negative_or_nan_tol(tol):
     with pytest.raises(ParameterError, match="tol"):
         cm.detect_periodic_orbit(
             T84, cm.LatticeState(sites=[0.3, 0.6]), 10, 16, tol=tol
@@ -369,6 +369,17 @@ def test_census_accepts_zero_tol():
     default = cm.census(T84, 2, 500, seed=SEED)
     assert _record_bytes(exact) == _record_bytes(default)
     assert sum(h for _, h in exact) == 500
+
+
+def test_detect_at_zero_tol_redetects_every_census_record():
+    # Census and detection share one attractor identity and one tol rule:
+    # detection from a record's first state gives that record back.
+    t = cm.make_threshold(0.95)
+    entries = cm.census(t, 4, 500, seed=SEED, tol=0.0)
+    assert len(entries) > 1
+    for rec, _ in entries:
+        got = cm.detect_periodic_orbit(t, cm.LatticeState(sites=rec.orbit[0]), 0, 64, tol=0.0)
+        assert _record_bytes([(got, 0)]) == _record_bytes([(rec, 0)])
 
 
 def _recurrences_oracle(t, x, transient, max_period, tol):
@@ -481,7 +492,7 @@ def test_census_matches_row_major_recurrence_oracle(c1, n):
     assert x0.tobytes() == want_history[0].tobytes()
     for i in np.flatnonzero(periods).tolist():
         p = int(periods[i])
-        orbit = analysis._orbit_states(t, x0[i : i + 1], p)[:, 0]
+        orbit = analysis._orbit_states(t, x0[i : i + 1], p)[0]
         assert orbit.shape == (p, n)
         assert orbit.tobytes() == want_history[:p, i].tobytes()
 
@@ -533,7 +544,11 @@ def test_group_records_do_not_depend_on_sample_order(c1, tol):
         analysis._group_orbits(t, periods, x0, groups)
         return sorted(
             _record_bytes(
-                [(_attractor_record_oracle(orbit, t, tol), h) for h, orbit in groups.values()]
+                [
+                    (_attractor_record_oracle(orbit, t, tol), h)
+                    for by_key in groups.values()
+                    for h, orbit in by_key.values()
+                ]
             )
         )
 
@@ -548,21 +563,29 @@ def test_group_records_do_not_depend_on_sample_order(c1, tol):
 @pytest.mark.parametrize("block", [1, analysis._GROUP_BLOCK_STATES])
 def test_group_orbits_keeps_overlapping_windows_apart(block):
     # Windows of p states along one unsettled orbit share all but one state,
-    # and often their least state, yet each is a group of its own.
+    # and often their least state, yet each is a group of its own.  An exact
+    # cycle started at each of its q phases is one group with q hits.
     t = cm.make_threshold(0.95)
-    x = analysis._orbit_states(t, analysis._census_initial_states(SEED, 1, 3), 12)[:, 0]
+    x = analysis._orbit_states(t, analysis._census_initial_states(SEED, 1, 3), 12)[0]
     p = 4
-    want = {}
+    windows = {}
     for i in range(8):
-        orbit = x[i : i + p]
-        key = orbit[np.lexsort(orbit.T[::-1])].tobytes()
-        want[key] = want.get(key, 0) + 1
-    assert len(want) == 8
+        key = _canonical_rotation_oracle(x[i : i + p]).tobytes()
+        windows[key] = windows.get(key, 0) + 1
+    assert len(windows) == 8
+    cycle = cm.census(t, 3, 300, seed=SEED)[0][0].orbit
+    q = len(cycle)
+    assert q > 1
+    want = {p: windows, q: {cycle.tobytes(): q}}
+    periods = np.concatenate((np.full(8, p), np.full(q, q)))
     groups = {}
     with pytest.MonkeyPatch.context() as m:
         m.setattr(analysis, "_GROUP_BLOCK_STATES", block)
-        analysis._group_orbits(t, np.full(8, p), np.asfortranarray(x[:8]), groups)
-    assert {k: h for k, (h, _) in groups.items()} == want
+        x0 = np.asfortranarray(np.vstack((x[:8], cycle)))
+        analysis._group_orbits(t, periods, x0, groups)
+    assert {p: {k: h for k, (h, _) in g.items()} for p, g in groups.items()} == want
+    for g in groups.values():
+        assert all(orbit.tobytes() == k for k, (_, orbit) in g.items())
 
 
 def _records_match_oracle(t, orbits, tol):
@@ -572,7 +595,7 @@ def _records_match_oracle(t, orbits, tol):
     for orbit in orbits:
         batches.setdefault(orbit.shape, []).append(orbit)
     for batch in map(np.stack, batches.values()):
-        got = analysis._attractor_records(t, batch, tol)
+        got = analysis._attractor_records(t, analysis._canonical_orbits(batch), tol)
         want = [_attractor_record_oracle(orbit, t, tol) for orbit in batch]
         assert _record_bytes([(r, 0) for r in got]) == _record_bytes([(r, 0) for r in want])
 
@@ -588,7 +611,7 @@ def test_attractor_records_match_per_orbit_oracle_on_census_groups(c1, n, tol):
     groups = {}
     analysis._group_orbits(t, periods, x0, groups)
     assert groups
-    _records_match_oracle(t, [orbit for _, orbit in groups.values()], tol)
+    _records_match_oracle(t, [o for g in groups.values() for _, o in g.values()], tol)
 
 
 def test_attractor_records_match_per_orbit_oracle_on_every_kind():
@@ -617,7 +640,8 @@ def test_attractor_records_match_per_orbit_oracle_on_every_kind():
     ]
     orbits = [np.array(orbit, dtype=np.float64) for orbit, _ in cases]
     assert [_orbit_kind_oracle(o, T84, 0.0) for o in orbits] == [k for _, k in cases]
-    (rec,) = analysis._attractor_records(T84, orbits[12][None], 0.0)
+    canon = analysis._canonical_orbits(orbits[12][None])
+    (rec,) = analysis._attractor_records(T84, canon, 0.0)
     assert rec.orbit.tolist() == [a, c, a, b]
     for tol in (0.0, 1e-9, 0.2):
         _records_match_oracle(T84, orbits, tol)
@@ -634,7 +658,9 @@ def test_record_orbits_are_read_only():
         with pytest.raises(ValueError):
             rec.orbit[0, 0] = 0.5
     batch = np.stack([entries[0][0].orbit, entries[0][0].orbit[::-1]])
-    records = analysis._attractor_records(t, batch, analysis.RECURRENCE_TOL)
+    records = analysis._attractor_records(
+        t, analysis._canonical_orbits(batch), analysis.RECURRENCE_TOL
+    )
     want = [r.orbit.copy() for r in records]
     batch[:] = 0.5
     assert [r.orbit.tobytes() for r in records] == [w.tobytes() for w in want]
@@ -681,10 +707,13 @@ def _dyadic_orbits(draw, t):
 @given(st.data())
 def test_canonical_rotation_matches_all_rotations_oracle(data):
     orbit = data.draw(_dyadic_orbits(T84))
-    got = analysis._canonical_rotation(orbit.copy())
     want = _canonical_rotation_oracle(orbit.copy())
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    for got in (
+        analysis._canonical_rotation(orbit.copy()),
+        analysis._canonical_orbits(orbit[None])[0],
+    ):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=300)
