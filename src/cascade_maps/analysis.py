@@ -4,7 +4,9 @@ Covers the scalar bifurcation structure (the period-2 window, the "star"
 thresholds where the orbit of ``c1`` hits the repelling fixed point 3/4,
 the Markov partition near 3/4 and its entropy bound) and the lattice side
 (anti-phase existence condition, periodic-orbit detection with in-phase /
-anti-phase / ripple classification, and a seeded attractor census).
+anti-phase / ripple classification, and a seeded attractor census).  An
+attractor is identified by its bit-exact return: a clip sets a site to
+exactly ``c1``, so every super-stable orbit repeats bit for bit.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ XI2 = (2.0 + math.sqrt(3.0)) / 4.0
 #: Right end of the unique period-2 window (image of c1 hits c0 exactly).
 PERIOD2_WINDOW_END = (5.0 + math.sqrt(5.0)) / 8.0
 
-RECURRENCE_TOL = 1e-9
 #: Steps of excess summed into an :class:`AttractorRecord`'s fingerprint.
 FINGERPRINT_WINDOW = 12
 
@@ -265,25 +266,11 @@ def build_markov(t: Threshold, n: int) -> MarkovModel:
     )
 
 
-def _canonical_rotation(orbit: np.ndarray) -> np.ndarray:
-    """Lexicographically least rotation of the orbit's state sequence.
-
-    The least rotation starts at a least state, so only rotations starting
-    at a state equal to it are compared; ties go to the first such index.
-    """
-    n = orbit.shape[1]
-    least = orbit[np.lexsort(orbit.T[::-1])[0]]
-    starts = np.flatnonzero((orbit == least).all(axis=1)).tolist()
-    flat = orbit.ravel().tolist()
-    best = min(starts, key=lambda r: flat[r * n :] + flat[: r * n])
-    return np.concatenate((orbit[best:], orbit[:best]))
-
-
-def _lag_match_rows(orbits: np.ndarray, lag: int, t: Threshold, tol: float) -> np.ndarray:
+def _lag_match_rows(orbits: np.ndarray, lag: int, t: Threshold) -> np.ndarray:
     """Shifted-site comparison of each (p, N) orbit in a (B, p, N) batch:
     whether site i+1 repeats site i ``lag`` steps later, as a (B,) mask.
 
-    Slots inside C are exempt from the strict comparison: that is where the
+    Slots inside C are exempt from the exact comparison: that is where the
     upstream clip deposits its carry, and the perturbation is absorbed by
     the receiving site's own clip one step later.  Both partners must still
     lie inside C for the slot to count as matching.
@@ -293,7 +280,7 @@ def _lag_match_rows(orbits: np.ndarray, lag: int, t: Threshold, tol: float) -> n
     a = orbits[:, :, :-1]
     # b[:, j, i] is orbits[:, (j + lag) % p, i + 1]
     b = np.concatenate((orbits[:, k:, 1:], orbits[:, :k, 1:]), axis=1)
-    ok = np.abs(a - b) <= tol
+    ok = a == b
     ok |= (np.minimum(a, b) >= lo) & (np.maximum(a, b) <= hi)
     return ok.all(axis=(1, 2))
 
@@ -322,15 +309,14 @@ def excess_window_sum(
 
 
 def _recurrences(
-    t: Threshold, x: np.ndarray, transient: int, max_period: int, tol: float
+    t: Threshold, x: np.ndarray, transient: int, max_period: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least return periods of a batch of orbits after a transient.
 
     ``x`` has shape (M, N).  After ``transient`` steps, row i's period is
-    the least ``p <= max_period`` with a max-norm return to its
-    post-transient state within ``tol >= 0`` (0 asks for a bit-exact
-    return), or 0 if there is none.  Returns ``(periods, x0)`` with ``x0``
-    the (M, N) post-transient states; no history is kept, and
+    the least ``p <= max_period`` with a bit-exact return to its
+    post-transient state, or 0 if there is none.  Returns ``(periods, x0)``
+    with ``x0`` the (M, N) post-transient states; no history is kept, and
     :func:`_orbit_states` rebuilds an orbit from its row of ``x0``.
 
     The batch is stepped column-major, the kernel's fast path.  A row
@@ -344,8 +330,6 @@ def _recurrences(
         raise ParameterError("transient must be >= 0")
     if x.shape[1] < 1:
         raise ParameterError("n_sites must be >= 1")
-    if not tol >= 0.0:  # NaN fails the comparison and is rejected too
-        raise ParameterError("tol must be non-negative")
     x = np.asfortranarray(x)
     for _ in range(transient):
         x, _ = step_batch(x, t)
@@ -354,7 +338,7 @@ def _recurrences(
     live = np.arange(x.shape[0])
     for p in range(1, max_period + 1):
         x, _ = step_batch(x, t)
-        hit = np.max(np.abs(x.T - ref.T), axis=0) <= tol  # over contiguous site rows
+        hit = (x.T == ref.T).all(axis=0)  # over contiguous site rows
         if hit.any():
             periods[live[hit]] = p
             stay = ~hit
@@ -385,39 +369,37 @@ def _orbit_states(t: Threshold, x0: np.ndarray, p: int) -> np.ndarray:
 def _canonical_orbits(orbits: np.ndarray) -> np.ndarray:
     """Each orbit of a (B, p, N) batch in canonical phase, its lexicographically
     least rotation, as a fresh (B, p, N) array: a lexsort per row finds its least
-    state and a gather rotates the row to start there; rows whose least state
-    occurs more than once go through :func:`_canonical_rotation`."""
-    b, p, _ = orbits.shape
-    rows = np.arange(b)[:, None]
+    state and a gather rotates the row to start there.
+
+    Each row must hold p distinct states, as every orbit of the census and of
+    detection does: if x has least bit-exact return period p and
+    F^i(x) = F^j(x) with 0 <= i < j < p, then stepping both p - i more times
+    gives x = F^(j-i)(x), an earlier return.  So the least state occurs once,
+    and the rotation that starts there is the least one.
+    """
+    p = orbits.shape[1]
     order = np.lexsort(orbits.transpose(2, 0, 1)[::-1], axis=-1)  # (B, p)
-    canon = orbits[rows, (order[:, :1] + np.arange(p)) % p]
-    if p > 1:
-        # The sort is stable and the least state comes first: it repeats
-        # exactly when the second sorted state equals it.
-        least = orbits[rows, order[:, :2]]
-        for j in np.flatnonzero((least[:, 0] == least[:, 1]).all(axis=1)).tolist():
-            canon[j] = _canonical_rotation(orbits[j])
-    return canon
+    return orbits[np.arange(len(orbits))[:, None], (order[:, :1] + np.arange(p)) % p]
 
 
-def _attractor_records(t: Threshold, canon: np.ndarray, tol: float) -> list[AttractorRecord]:
+def _attractor_records(t: Threshold, canon: np.ndarray) -> list[AttractorRecord]:
     """Records of a (B, p, N) batch ``canon`` of canonical orbits of one
     period ``p`` (:func:`_canonical_orbits`), in order.
 
-    The kind is decided for the whole batch at once: ``in_phase`` if no
-    step spreads its sites by more than ``tol``, else ``anti_phase`` for
-    two sites and even ``p`` if site 1 repeats site 0 half a period later
-    (:func:`_lag_match_rows`), else ``ripple`` if each site repeats its
-    left neighbour one step later, else ``other``.  The fingerprint is
+    The kind is decided for the whole batch at once, by bit-exact
+    comparisons: ``in_phase`` if all sites are equal at every step, else
+    ``anti_phase`` for two sites and even ``p`` if site 1 repeats site 0
+    half a period later (:func:`_lag_match_rows`), else ``ripple`` if each
+    site repeats its left neighbour one step later, else ``other``.  The fingerprint is
     :func:`excess_window_sum` from the canonical first state, one record
     at a time.  The records' orbits are rows of ``canon``, which is made
     read-only, so no record's orbit can be written.
     """
     b, p, n = canon.shape
     canon.setflags(write=False)
-    in_phase = (canon.max(axis=2) - canon.min(axis=2) <= tol).all(axis=1)
-    anti = n == 2 and p % 2 == 0 and _lag_match_rows(canon, p // 2, t, tol)
-    ripple = _lag_match_rows(canon, 1, t, tol)
+    in_phase = (canon.max(axis=2) == canon.min(axis=2)).all(axis=1)
+    anti = n == 2 and p % 2 == 0 and _lag_match_rows(canon, p // 2, t)
+    ripple = _lag_match_rows(canon, 1, t)
     kinds = np.select(
         [in_phase, anti, ripple], ["in_phase", "anti_phase", "ripple"], "other"
     ).tolist()
@@ -439,22 +421,21 @@ def detect_periodic_orbit(
     s0: LatticeState,
     transient: int,
     max_period: int,
-    tol: float = RECURRENCE_TOL,
 ) -> Optional[AttractorRecord]:
     """Find the periodic orbit reached from ``s0``, if any.
 
     After the transient, looks for the least ``p <= max_period`` with a
-    max-norm return to the post-transient state within ``tol``, keeping no
-    history; the orbit is then rebuilt by stepping ``p - 1`` more times
-    from that state, put in canonical phase as the census's orbits are,
-    and classified by its synchronisation pattern.  Returns None if no
-    recurrence is found.  ``tol`` and ``transient`` must be non-negative.
+    bit-exact return to the post-transient state, keeping no history; the
+    orbit is then rebuilt by stepping ``p - 1`` more times from that
+    state, put in canonical phase as the census's orbits are, and
+    classified by its synchronisation pattern.  Returns None if no
+    recurrence is found.  ``transient`` must be non-negative.
     """
-    periods, x0 = _recurrences(t, s0.sites[None, :], transient, max_period, tol)
+    periods, x0 = _recurrences(t, s0.sites[None, :], transient, max_period)
     if periods[0] == 0:
         return None
     orbits = _orbit_states(t, x0, int(periods[0]))
-    return _attractor_records(t, _canonical_orbits(orbits), tol)[0]
+    return _attractor_records(t, _canonical_orbits(orbits))[0]
 
 
 _MASK64 = (1 << 64) - 1
@@ -498,14 +479,10 @@ def _group_orbits(
     ``groups[p]`` maps the bytes of a (p, N) canonical orbit
     (:func:`_canonical_orbits`) to ``[hits, orbit]``.
 
-    A sample's orbit is the window x, F(x), ..., F^(p-1)(x), with F the
-    lattice step and p the least near-return period of x.  Windows with
-    one multiset of states are equal or rotations of one exact cycle: if
-    window y starts k steps along window x, 0 < k < p, x recurs among
-    F^p(x) .. F^(p+k-1)(x), so it lies on an exact cycle; a shift by k
-    changes the set of a window shorter than the cycle, so both windows
-    are the whole cycle.  The canonical key thus makes the same groups as
-    a key of sorted states.
+    A sample's orbit is the cycle x, F(x), ..., F^(p-1)(x), with F the
+    lattice step and p the least bit-exact return period of x.  Samples
+    on one cycle give rotations of it, which share their least rotation,
+    so each group is one attractor.
     """
     for p in (np.flatnonzero(np.bincount(periods)[1:]) + 1).tolist():
         idx = np.flatnonzero(periods == p)
@@ -531,30 +508,27 @@ def census(
     seed: int,
     transient: int = 100,
     max_period: int = 64,
-    tol: float = RECURRENCE_TOL,
 ) -> list[tuple[AttractorRecord, int]]:
     """Seeded random-start survey of attractors with basin-hit counts.
 
     The samples run in chunks of ``_CENSUS_CHUNK``, each generated from
     its own splitmix indices.  A chunk is advanced through the transient
     together, and only its post-transient states are kept; a sample's
-    period is the least ``p <= max_period`` with a max-norm return to its
-    post-transient state within ``tol`` (``tol >= 0``; 0 asks for a
-    bit-exact return, NaN is rejected), a sample retires from the stepped
-    batch once its period is found, and samples without one are left out
-    of the counts.  ``transient`` must be non-negative, ``n_sites`` at
-    least 1 and ``seed`` in ``[0, 2**64)``, so that no two seeds give the
-    same samples.  Orbits are grouped by canonical phase, the attractor
-    identity of :func:`detect_periodic_orbit` too, which is exact because
-    super-stable orbits repeat bit-identically after clipping: each
-    period's samples are rebuilt from their distinct post-transient states
-    in blocks of at most ``_GROUP_BLOCK_STATES`` orbit states, and merge
-    by canonical orbit (:func:`_group_orbits`); each period's records are
-    built in one batch.  Apart from the groups found, working memory is
-    bounded by the chunk, whatever ``samples`` and ``max_period``.  The
-    result is sorted by decreasing hit count, then fingerprint, period and
-    orbit (distinct groups cannot tie, as lattice states never hold
-    ``-0.0``), and is a pure function of the arguments.
+    period is the least ``p <= max_period`` with a bit-exact return to its
+    post-transient state, a sample retires from the stepped batch once its
+    period is found, and samples without one are left out of the counts.
+    ``transient`` must be non-negative, ``n_sites`` at least 1 and ``seed``
+    in ``[0, 2**64)``, so that no two seeds give the same samples.  Orbits
+    are grouped by canonical phase, the attractor identity of
+    :func:`detect_periodic_orbit` too: each period's samples are rebuilt
+    from their distinct post-transient states in blocks of at most
+    ``_GROUP_BLOCK_STATES`` orbit states, and merge by canonical orbit
+    (:func:`_group_orbits`); each period's records are built in one batch.
+    Apart from the groups found, working memory is bounded by the chunk,
+    whatever ``samples`` and ``max_period``.  The result is sorted by
+    decreasing hit count, then fingerprint, period and orbit (distinct
+    groups cannot tie, as lattice states never hold ``-0.0``), and is a
+    pure function of the arguments.
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
@@ -567,7 +541,7 @@ def census(
         # than one chunk's states are alive at a time.
         m = min(_CENSUS_CHUNK, samples - first)
         periods, x0 = _recurrences(
-            t, _census_initial_states(seed, m, n_sites, first), transient, max_period, tol
+            t, _census_initial_states(seed, m, n_sites, first), transient, max_period
         )
         _group_orbits(t, periods, x0, groups)
         del periods, x0
@@ -575,7 +549,7 @@ def census(
     while groups:
         # Each period's orbits are dropped once their records hold a copy.
         hits, orbits = zip(*groups.popitem()[1].values())
-        entries += zip(_attractor_records(t, np.stack(orbits), tol), hits)
+        entries += zip(_attractor_records(t, np.stack(orbits)), hits)
         del orbits
     entries.sort(
         key=lambda e: (

@@ -22,6 +22,8 @@ from . import analysis, basins, io
 from .errors import DomainError, ParameterError
 from .scalar import (
     MAX_ITER_DEFAULT,
+    Boundary,
+    SuperStable,
     avoidance_measure_tent,
     classify_orbit,
     estimate_avoidance,
@@ -251,9 +253,9 @@ def _run_orbit(cfg: RunConfig) -> None:
         f"c1={io.format_real(t.c1)} c0={io.format_real(t.c0)} "
         f"c2={io.format_real(t.c2)} d1={io.format_real(t.d1)}"
     )
-    if isinstance(oc, analysis.SuperStable):
+    if isinstance(oc, SuperStable):
         print(f"{base} class=super-stable period={oc.period} steps_to_c={oc.steps_to_c}")
-    elif isinstance(oc, analysis.Boundary):
+    elif isinstance(oc, Boundary):
         print(f"{base} class=boundary step={oc.step}")
     else:
         print(f"{base} class=repeller iterations={oc.iterations_checked}")
@@ -281,9 +283,9 @@ def _run_scan(cfg: RunConfig) -> None:
     rows = []
     for s in samples:
         oc = s.orbit_class
-        if isinstance(oc, analysis.SuperStable):
+        if isinstance(oc, SuperStable):
             rows.append((s.c1, "super-stable", oc.period, oc.steps_to_c))
-        elif isinstance(oc, analysis.Boundary):
+        elif isinstance(oc, Boundary):
             rows.append((s.c1, "boundary", "", oc.step))
         else:
             rows.append((s.c1, "repeller", "", oc.iterations_checked))

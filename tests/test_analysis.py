@@ -204,7 +204,7 @@ def test_detected_orbit_recurs_for_ten_periods():
     for _ in range(10):
         for _ in range(rec.period):
             s = cm.step(s, T84)
-        assert np.max(np.abs(s.sites - rec.orbit[0])) <= 1e-9
+        assert np.array_equal(s.sites, rec.orbit[0])
 
 
 def test_detect_canonical_phase_is_rotation_invariant():
@@ -229,7 +229,7 @@ def test_detect_ripple_at_high_threshold():
             if lo <= a <= hi and lo <= b <= hi:
                 assert abs(a - b) <= n * (1.0 - t.c1)
             else:
-                assert abs(a - b) <= 1e-9
+                assert a == b
 
 
 def test_ripple_basin_has_interior():
@@ -305,7 +305,7 @@ def test_census_records_recur_when_resimulated():
         s = cm.LatticeState(sites=rec.orbit[0])
         for _ in range(10 * rec.period):
             s = cm.step(s, T84)
-        assert np.max(np.abs(s.sites - rec.orbit[0])) <= 1e-9
+        assert np.array_equal(s.sites, rec.orbit[0])
 
 
 def test_census_validates_sample_count():
@@ -338,8 +338,8 @@ def test_recurrence_search_validates_max_period(max_period):
 
 
 def test_census_orbits_return_exactly_at_many_attractors():
-    # Grouping by exact orbit bytes needs every detected return to be
-    # bit-exact, not merely within the recurrence tolerance.
+    # The period search is a bit-exact return test: stepping a record's
+    # first state ``period`` times gives that state back bit for bit.
     t = cm.make_threshold(0.95)
     for rec, _ in cm.census(t, 8, 2_000, seed=SEED):
         s = cm.LatticeState(sites=rec.orbit[0])
@@ -348,41 +348,43 @@ def test_census_orbits_return_exactly_at_many_attractors():
         assert np.array_equal(s.sites, rec.orbit[0])
 
 
-@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
-def test_census_rejects_negative_or_nan_tol(tol):
-    with pytest.raises(ParameterError, match="tol"):
-        cm.census(T84, 2, 10, seed=1, tol=tol)
-
-
-@pytest.mark.parametrize("tol", [-1.0, math.nan])
-def test_detect_rejects_negative_or_nan_tol(tol):
-    with pytest.raises(ParameterError, match="tol"):
-        cm.detect_periodic_orbit(
-            T84, cm.LatticeState(sites=[0.3, 0.6]), 10, 16, tol=tol
-        )
-
-
-def test_census_accepts_zero_tol():
-    # Super-stable orbits repeat bit-exactly, so an exact return test finds
-    # the same attractors as the default tolerance.
-    exact = cm.census(T84, 2, 500, seed=SEED, tol=0.0)
-    default = cm.census(T84, 2, 500, seed=SEED)
-    assert _record_bytes(exact) == _record_bytes(default)
-    assert sum(h for _, h in exact) == 500
-
-
-def test_detect_at_zero_tol_redetects_every_census_record():
-    # Census and detection share one attractor identity and one tol rule:
-    # detection from a record's first state gives that record back.
+def test_detect_redetects_every_census_record():
+    # Census and detection share one attractor identity, the bit-exact
+    # cycle: detection from a record's first state gives that record back.
     t = cm.make_threshold(0.95)
-    entries = cm.census(t, 4, 500, seed=SEED, tol=0.0)
+    entries = cm.census(t, 4, 500, seed=SEED)
     assert len(entries) > 1
     for rec, _ in entries:
-        got = cm.detect_periodic_orbit(t, cm.LatticeState(sites=rec.orbit[0]), 0, 64, tol=0.0)
+        got = cm.detect_periodic_orbit(t, cm.LatticeState(sites=rec.orbit[0]), 0, 64)
         assert _record_bytes([(got, 0)]) == _record_bytes([(rec, 0)])
 
 
-def _recurrences_oracle(t, x, transient, max_period, tol):
+@pytest.mark.parametrize("c1", [0.84, 0.95, 0.98])
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_census_orbits_have_distinct_states_and_least_rotation(c1, n):
+    # A least bit-exact return period p puts p distinct states on the orbit,
+    # so its least state occurs once and starts the least rotation: every
+    # rotation of a record's orbit is put back in the record's phase.
+    t = cm.make_threshold(c1)
+    entries = cm.census(t, n, 1_000, seed=SEED)
+    assert entries
+    for rec, _ in entries:
+        p = rec.period
+        assert len({state.tobytes() for state in rec.orbit}) == p
+        assert rec.orbit.tobytes() == _canonical_rotation_oracle(rec.orbit).tobytes()
+        rotations = np.stack([np.roll(rec.orbit, k, axis=0) for k in range(p)])
+        canon = analysis._canonical_orbits(rotations)
+        assert canon.tobytes() == np.stack([rec.orbit] * p).tobytes()
+
+
+# Oracle tolerances: 0.0 is the exact comparison (for finite doubles,
+# |a - b| <= 0 exactly when a == b), and 1e-9 is the recurrence tolerance
+# the census and detection had before they compared exactly, kept so the
+# exact identity is also checked against the records that tolerance gave.
+ORACLE_TOLS = [0.0, 1e-9]
+
+
+def _recurrences_oracle(t, x, transient, max_period, tol=0.0):
     # The row-major recurrence search the census was first written with:
     # (M, N) batches in C order and a (max_period + 1, M, N) history.
     if max_period < 1:
@@ -416,7 +418,7 @@ def _record_bytes(entries):
     ]
 
 
-def _orbit_kind_oracle(orbit, t, tol):
+def _orbit_kind_oracle(orbit, t, tol=0.0):
     # The per-orbit classifier the records were first built with.
     p, n = orbit.shape
     spread = np.max(orbit, axis=1) - np.min(orbit, axis=1)
@@ -429,7 +431,7 @@ def _orbit_kind_oracle(orbit, t, tol):
     return "other"
 
 
-def _attractor_record_oracle(orbit, t, tol):
+def _attractor_record_oracle(orbit, t, tol=0.0):
     # One record per orbit, as the census and detection first built them.
     canon = _canonical_rotation_oracle(orbit.copy())
     return cm.AttractorRecord(
@@ -442,16 +444,16 @@ def _attractor_record_oracle(orbit, t, tol):
     )
 
 
-def _detect_oracle(t, s0, transient, max_period, tol=analysis.RECURRENCE_TOL):
+def _detect_oracle(t, s0, transient, max_period):
     # Single-orbit detection as first written: the orbit is read straight
     # out of the row-major history.
-    periods, history = _recurrences_oracle(t, s0.sites[None, :], transient, max_period, tol)
+    periods, history = _recurrences_oracle(t, s0.sites[None, :], transient, max_period)
     if periods[0] == 0:
         return None
-    return _attractor_record_oracle(history[: periods[0], 0], t, tol)
+    return _attractor_record_oracle(history[: periods[0], 0], t)
 
 
-def _census_oracle(t, n_sites, samples, seed, tol):
+def _census_oracle(t, n_sites, samples, seed, tol=0.0):
     # The per-sample grouping loop the census was first written with, over
     # the row-major history: one lexsort and one tobytes key per resolved
     # sample, first sample kept.
@@ -484,9 +486,8 @@ def test_census_matches_row_major_recurrence_oracle(c1, n):
     # oracle's stored history, byte for byte.
     t = cm.make_threshold(c1)
     x = analysis._census_initial_states(SEED, 400, n)
-    tol = analysis.RECURRENCE_TOL
-    periods, x0 = analysis._recurrences(t, x, 100, 64, tol)
-    want_periods, want_history = _recurrences_oracle(t, x, 100, 64, tol)
+    periods, x0 = analysis._recurrences(t, x, 100, 64)
+    want_periods, want_history = _recurrences_oracle(t, x, 100, 64)
     assert periods.tolist() == want_periods.tolist()
     assert x0.shape == want_history[0].shape
     assert x0.tobytes() == want_history[0].tobytes()
@@ -510,15 +511,15 @@ def test_census_matches_row_major_recurrence_oracle(c1, n):
 
     assert records(cm.detect_periodic_orbit) == records(_detect_oracle)
     got = _record_bytes(cm.census(t, n, 400, seed=SEED))
-    assert got and got == _record_bytes(_census_oracle(t, n, 400, SEED, tol))
+    assert got and got == _record_bytes(_census_oracle(t, n, 400, SEED))
 
 
 @pytest.mark.parametrize("c1", [0.84, 0.9, 0.95, 0.98])
 @pytest.mark.parametrize("n", [2, 3, 8])
-@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
-def test_census_grouping_matches_per_sample_oracle(c1, n, tol):
+@pytest.mark.parametrize("oracle_tol", ORACLE_TOLS)
+def test_census_grouping_matches_per_sample_oracle(c1, n, oracle_tol):
     t = cm.make_threshold(c1)
-    want = _record_bytes(_census_oracle(t, n, 300, SEED, tol))
+    want = _record_bytes(_census_oracle(t, n, 300, SEED, oracle_tol))
     assert want
     # One sample per block, the default cap, and every sample of a period
     # in one block; four sample chunks (the last one short) and one.
@@ -527,17 +528,16 @@ def test_census_grouping_matches_per_sample_oracle(c1, n, tol):
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(analysis, "_GROUP_BLOCK_STATES", block)
                 m.setattr(analysis, "_CENSUS_CHUNK", chunk)
-                assert _record_bytes(cm.census(t, n, 300, seed=SEED, tol=tol)) == want
+                assert _record_bytes(cm.census(t, n, 300, seed=SEED)) == want
 
 
 @pytest.mark.parametrize("c1", [0.9, 0.95])
-@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
-def test_group_records_do_not_depend_on_sample_order(c1, tol):
+def test_group_records_do_not_depend_on_sample_order(c1):
     # Any sample of a group gives its record, so a chunk's samples grouped
     # in reverse order give the same records and hits, at any block size.
     t = cm.make_threshold(c1)
     x = analysis._census_initial_states(SEED, 300, 3)
-    periods, x0 = analysis._recurrences(t, x, 100, 64, tol)
+    periods, x0 = analysis._recurrences(t, x, 100, 64)
 
     def records(periods, x0):
         groups = {}
@@ -545,7 +545,7 @@ def test_group_records_do_not_depend_on_sample_order(c1, tol):
         return sorted(
             _record_bytes(
                 [
-                    (_attractor_record_oracle(orbit, t, tol), h)
+                    (_attractor_record_oracle(orbit, t), h)
                     for by_key in groups.values()
                     for h, orbit in by_key.values()
                 ]
@@ -588,30 +588,31 @@ def test_group_orbits_keeps_overlapping_windows_apart(block):
         assert all(orbit.tobytes() == k for k, (_, orbit) in g.items())
 
 
-def _records_match_oracle(t, orbits, tol):
+def _records_match_oracle(t, orbits, tol=0.0):
     # Orbits of one (period, n_sites) shape share a batch, and each batch's
     # records equal the per-orbit oracle's, byte for byte.
     batches = {}
     for orbit in orbits:
         batches.setdefault(orbit.shape, []).append(orbit)
     for batch in map(np.stack, batches.values()):
-        got = analysis._attractor_records(t, analysis._canonical_orbits(batch), tol)
+        got = analysis._attractor_records(t, analysis._canonical_orbits(batch))
         want = [_attractor_record_oracle(orbit, t, tol) for orbit in batch]
         assert _record_bytes([(r, 0) for r in got]) == _record_bytes([(r, 0) for r in want])
 
 
 @pytest.mark.parametrize("c1", [0.84, 0.9, 0.95, 0.98])
 @pytest.mark.parametrize("n", [2, 3, 8])
-@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
-def test_attractor_records_match_per_orbit_oracle_on_census_groups(c1, n, tol):
+@pytest.mark.parametrize("oracle_tol", ORACLE_TOLS)
+def test_attractor_records_match_per_orbit_oracle_on_census_groups(c1, n, oracle_tol):
     t = cm.make_threshold(c1)
     periods, x0 = analysis._recurrences(
-        t, analysis._census_initial_states(SEED, 300, n), 100, 64, tol
+        t, analysis._census_initial_states(SEED, 300, n), 100, 64
     )
     groups = {}
     analysis._group_orbits(t, periods, x0, groups)
     assert groups
-    _records_match_oracle(t, [o for g in groups.values() for _, o in g.values()], tol)
+    orbits = [o for g in groups.values() for _, o in g.values()]
+    _records_match_oracle(t, orbits, oracle_tol)
 
 
 def test_attractor_records_match_per_orbit_oracle_on_every_kind():
@@ -619,7 +620,6 @@ def test_attractor_records_match_per_orbit_oracle_on_every_kind():
     # must match exactly.  Orbits of one shape share a batch, so anti-phase,
     # ripple, in-phase and other rows sit next to each other.
     s0 = [0.125, 0.25, 0.75, 0.875]
-    a, b, c = [0.125, 0.25], [0.875, 0.875], [0.75, 0.125]
     cases = [
         ([[0.25] * 3, [0.875] * 3], "in_phase"),
         ([[0.25, 0.875], [0.875, 0.25]], "anti_phase"),
@@ -633,18 +633,10 @@ def test_attractor_records_match_per_orbit_oracle_on_every_kind():
         ([[0.25, 0.875]], "other"),
         ([[0.5, 0.625]], "ripple"),  # both sites inside C
         ([[0.125], [0.5], [0.875]], "in_phase"),
-        # A least state that occurs twice: its second start gives the least rotation.
-        ([a, b, a, c], "other"),
-        ([a, c, a, b], "other"),
-        ([b, a, b, a], "other"),
     ]
     orbits = [np.array(orbit, dtype=np.float64) for orbit, _ in cases]
-    assert [_orbit_kind_oracle(o, T84, 0.0) for o in orbits] == [k for _, k in cases]
-    canon = analysis._canonical_orbits(orbits[12][None])
-    (rec,) = analysis._attractor_records(T84, canon, 0.0)
-    assert rec.orbit.tolist() == [a, c, a, b]
-    for tol in (0.0, 1e-9, 0.2):
-        _records_match_oracle(T84, orbits, tol)
+    assert [_orbit_kind_oracle(o, T84) for o in orbits] == [k for _, k in cases]
+    _records_match_oracle(T84, orbits)
 
 
 def test_record_orbits_are_read_only():
@@ -658,9 +650,7 @@ def test_record_orbits_are_read_only():
         with pytest.raises(ValueError):
             rec.orbit[0, 0] = 0.5
     batch = np.stack([entries[0][0].orbit, entries[0][0].orbit[::-1]])
-    records = analysis._attractor_records(
-        t, analysis._canonical_orbits(batch), analysis.RECURRENCE_TOL
-    )
+    records = analysis._attractor_records(t, analysis._canonical_orbits(batch))
     want = [r.orbit.copy() for r in records]
     batch[:] = 0.5
     assert [r.orbit.tobytes() for r in records] == [w.tobytes() for w in want]
@@ -676,7 +666,7 @@ def _canonical_rotation_oracle(orbit):
     return np.roll(orbit, -best, axis=0)
 
 
-def _lag_matches_oracle(orbit, lag, t, tol):
+def _lag_matches_oracle(orbit, lag, t, tol=0.0):
     # The slot-by-slot loop, stopping at the first mismatch.
     p, n = orbit.shape
     lo, hi = t.c_interval
@@ -693,6 +683,19 @@ def _lag_matches_oracle(orbit, lag, t, tol):
 
 
 @st.composite
+def _dyadic_cycles(draw, t):
+    # Batches of orbits of distinct states, as every census and detected
+    # orbit is: distinct rows of eighths (plus the ends and middle of C),
+    # each orbit a shuffle of them, so states often share leading sites.
+    lo, hi = t.c_interval
+    values = st.sampled_from([k / 8 for k in range(9)] + [lo, hi, 0.5 * (lo + hi)])
+    n = draw(st.integers(1, 4))
+    row = st.lists(values, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=1, max_size=6, unique_by=tuple))
+    return np.array(draw(st.lists(st.permutations(rows), min_size=1, max_size=4)))
+
+
+@st.composite
 def _dyadic_orbits(draw, t):
     # A few distinct-or-not rows of eighths (plus the ends and middle of C),
     # strung into a cycle that often repeats its least state.
@@ -706,24 +709,16 @@ def _dyadic_orbits(draw, t):
 
 @given(st.data())
 def test_canonical_rotation_matches_all_rotations_oracle(data):
-    orbit = data.draw(_dyadic_orbits(T84))
-    want = _canonical_rotation_oracle(orbit.copy())
-    for got in (
-        analysis._canonical_rotation(orbit.copy()),
-        analysis._canonical_orbits(orbit[None])[0],
-    ):
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    batch = data.draw(_dyadic_cycles(T84))
+    want = np.stack([_canonical_rotation_oracle(orbit.copy()) for orbit in batch])
+    got = analysis._canonical_orbits(batch)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=300)
-@given(
-    st.data(),
-    st.sampled_from([0.84, 0.95]),
-    st.integers(0, 30),
-    st.sampled_from([0.0, 1e-9, 0.125]),
-)
-def test_lag_matches_agrees_with_slot_loop(data, c1, lag, tol):
+@given(st.data(), st.sampled_from([0.84, 0.95]), st.integers(0, 30))
+def test_lag_matches_agrees_with_slot_loop(data, c1, lag):
     # Each site is the previous one ``lag`` steps later, except in up to two
     # slots set to an end or the middle of C (or 0 or 1), so matches, misses
     # and exempt slots on the edge of C are all common.
@@ -739,11 +734,11 @@ def test_lag_matches_agrees_with_slot_loop(data, c1, lag, tol):
     # row keeps its own answer: no row's slots leak into its neighbour's.
     batch = np.stack([orbit, orbit[::-1], np.roll(orbit, 1, axis=0), orbit[:, ::-1]])
     for k in (lag, lag + 1):
-        got = analysis._lag_match_rows(orbit[None], k, t, tol)
+        got = analysis._lag_match_rows(orbit[None], k, t)
         assert got.dtype == bool and got.shape == (1,)
-        assert got[0] == _lag_matches_oracle(orbit, k, t, tol)
-        got = analysis._lag_match_rows(batch, k, t, tol)
-        assert got.tolist() == [_lag_matches_oracle(o, k, t, tol) for o in batch]
+        assert got[0] == _lag_matches_oracle(orbit, k, t)
+        got = analysis._lag_match_rows(batch, k, t)
+        assert got.tolist() == [_lag_matches_oracle(o, k, t) for o in batch]
 
 
 def _traced_peak(fn):
@@ -762,12 +757,11 @@ def test_census_memory_is_bounded_by_the_recurrence_search():
     # orbit at once would add periods x samples x N doubles, over 10 MB here.
     t = cm.make_threshold(0.95)
     samples, n = 3000, 8
-    tol = analysis.RECURRENCE_TOL
     cm.census(t, n, 100, seed=SEED)  # warm imports and caches outside the trace
 
     def search():
         x = analysis._census_initial_states(SEED, samples, n)
-        analysis._recurrences(t, x, 100, 64, tol)
+        analysis._recurrences(t, x, 100, 64)
 
     base = _traced_peak(search)
     peak = _traced_peak(lambda: cm.census(t, n, samples, seed=SEED))

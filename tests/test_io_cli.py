@@ -314,6 +314,27 @@ def test_main_orbit_success(capsys):
     assert "super-stable" in out and "period=2" in out
 
 
+def test_main_orbit_reports_a_boundary_orbit(capsys):
+    # At the right end of the period-2 window the image of c1 is c0 itself.
+    assert main(["orbit", "--c1", repr(cm.PERIOD2_WINDOW_END)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(" class=boundary step=1")
+
+
+def test_main_orbit_reports_a_repeller(capsys):
+    assert main(["orbit", "--c1", "0.99", "--max-iter", "1"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(" class=repeller iterations=1")
+
+
+def test_main_scan_writes_repeller_rows_without_a_period(capsys):
+    argv = ["scan", "--lo", "0.99", "--hi", "0.9999", "--steps", "5", "--max-iter", "3"]
+    assert main(argv) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["c1", "class", "period", "detail"]
+    repellers = [r for r in rows[1:] if r[1] == "repeller"]
+    assert len(repellers) == 4
+    assert all(r[2:] == ["", "3"] for r in repellers)
+
+
 def test_main_usage_error_exit_code(capsys):
     assert main(["orbit", "--c1", "0.5"]) == 2
     assert "usage error" in capsys.readouterr().err

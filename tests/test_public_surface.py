@@ -1,5 +1,5 @@
-"""Guards on the package's public names, the CLI's subcommand table and
-what importing the CLI loads."""
+"""Guards on the package's public names, the CLI's subcommand table, the
+module attributes the CLI names and what importing the CLI loads."""
 
 import ast
 import dataclasses
@@ -11,6 +11,7 @@ import pytest
 
 import cascade_maps as cm
 from cascade_maps import analysis, basins, cli, errors, lattice, scalar
+from cascade_maps import io as cio
 
 PUBLIC_NAMES = [
     "AttractorRecord", "BasinGrid", "BifurcationSample", "Boundary",
@@ -69,6 +70,22 @@ def test_each_required_key_is_enforced(sub):
         with pytest.raises(cli.UsageError, match=f"missing required.*{key}"):
             cli.parse_config(argv)
 
+
+def test_cli_names_only_attributes_its_modules_have():
+    # A misspelt or missing ``analysis.X`` would surface only when its
+    # branch runs, as a runtime error of the subcommand.
+    modules = {"analysis": analysis, "basins": basins, "io": cio}
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    named = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert {mod for mod, _ in named} == set(modules)
+    missing = [f"{mod}.{attr}" for mod, attr in named if not hasattr(modules[mod], attr)]
+    assert sorted(missing) == []
 
 
 def test_cli_import_does_not_load_scipy():
