@@ -17,27 +17,31 @@ evaluated as ``1 - 4u**2``, which is bit-identical for ``+u`` and ``-u``.
 Reflected cells therefore run bit-identical orbits from step one, making
 the class map exactly symmetric under ``(x, y) -> (1-x, 1-y)``.
 
-Cells are numbered ``k = i*r + j`` and simulated in fixed chunks of
-``_CHUNK_CELLS`` cells, small enough for a chunk's arrays to stay in cache
-for all of its steps.  Chunks are independent, each writing its own slice,
-so the working set does not grow with the grid.  On the unit square cell
-``k`` mirrors cell ``r*r - 1 - k``, so only the first half of the cells is
-simulated and the rest is reflected.  A chunk's (m, N) arrays are
-column-major, so the cascade sweep reads each site column as one contiguous
-run (the fast path of :func:`cascade_maps.lattice.cascade_batch`).
+Cells are numbered ``k = i*r + j``.  On the unit square cell ``k`` mirrors
+cell ``r*r - 1 - k``, so only the first half of the cells is simulated and
+the rest is reflected.  Batches are (m, N) and column-major, so the cascade
+sweep reads each site column as one contiguous run (the fast path of
+:func:`cascade_maps.lattice.cascade_batch`).
 
 A clip sets a site to exactly ``c1``, so cells fall onto few exact float
-states: at c1=0.95, r=499 the 124,501 simulated cells hold 17,850 distinct
-states after 5 steps, 1,273 after 17 and 40 after 64.  Each chunk is
-compacted to its distinct rows at steps 8, 16, 32, ..., so bit-identical
-cells are stepped once.  This is exact: the kernel is elementwise over rows
-and every cell's excesses are summed in the same order, so no fingerprint
-depends on it.
+states: at c1=0.95, r=499 the 124,501 simulated cells hold 9,577 distinct
+states at step 8 and 40 from step 64 on.  The render therefore runs in two
+phases.  The head runs each chunk of ``_CHUNK_CELLS`` cells, small enough
+to stay in cache, through steps 1 to 8 and compacts it to its distinct
+rows; an ``int32`` owner map of 4 B per cell records each cell's row.  The
+tail gathers every chunk's rows into one batch, compacts it across chunks
+and runs the remaining steps once per grid, compacting again at steps 16,
+32, 64, ...  Each row carries its partial window sum, and rows merge inside
+the window only when state and partial sum agree bit for bit.  This is
+exact: the kernel is elementwise over rows and every cell's excesses are
+summed in the same order, so no fingerprint depends on it.  The working
+set is the owner map plus one chunk, or the merged batch if larger.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,6 +75,14 @@ _CORNERS = ("00", "01", "10", "11")
 _LABEL_BLOCK = 65536
 
 
+def _require_integer(name: str, value) -> None:
+    """Reject a count or index that is not an ``int`` or numpy integer."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Sampling protocol for a two-axis basin slice.
@@ -87,6 +99,8 @@ class GridSpec:
     window: int = 12
 
     def __post_init__(self):
+        for name in ("resolution", "transient", "window"):
+            _require_integer(name, getattr(self, name))
         if self.resolution < 2:
             raise ParameterError("resolution must be >= 2")
         for lo, hi in (self.x_range, self.y_range):
@@ -152,57 +166,13 @@ def _axis_centers(axis_range: tuple[float, float], resolution: int) -> np.ndarra
     return _axis_offsets(axis_range, resolution) + 0.5
 
 
-def _window_sums(u: np.ndarray, c1: float, transient: int, window: int) -> np.ndarray:
-    """Fingerprints for a block of cells given centre offsets ``u`` (m, N).
-
-    The first step maps each site through ``1 - 4u**2`` (the symmetric form
-    of the logistic map at ``1/2 + u``), computed in place: ``u`` is
-    overwritten.  Later steps evaluate the standard form ``(4x)(1 - x)``
-    into one reused buffer, taking ``1 - x`` in place of the spent state.
-
-    Bit-identical cells are stepped once.  A clip sets a site to exactly
-    ``c1``, so cells fall onto few exact states; at steps 8, 16, 32, ...
-    the batch is compacted to its distinct rows, and ``owner`` maps each
-    cell to the row that carries its state.  The kernel is elementwise over
-    rows and each cell's excesses are summed in step order, so this is
-    exact: every fingerprint equals that of the cell stepped on its own.
-
-    A chunk of ``_CHUNK_CELLS`` cells peaks at about 1.34 MB traced (c1 =
-    0.95, while compacting at step 8), less than half of what labelling
-    the r = 499 grid needs next to it, so labelling, not the render, sets
-    the peak of a render-and-label command.
-    """
-    y = u
-    np.multiply(y, y, out=y)
-    np.multiply(4.0, y, out=y)
-    np.subtract(1.0, y, out=y)
-    x, e = cascade_batch(y, c1)
-    owner = np.arange(u.shape[0])
-    total = np.zeros(u.shape[0])
-    if transient < 1:
-        total += e
-    k = 1
-    compact_at = 8
-    while k < transient + window:
-        if k == compact_at:
-            first, inv = _distinct_rows(x)
-            x = np.asfortranarray(x[first])
-            owner = inv[owner]
-            y = np.empty_like(x)
-            compact_at *= 2
-        np.multiply(4.0, x, out=y)
-        np.subtract(1.0, x, out=x)
-        np.multiply(y, x, out=y)
-        x, e = cascade_batch(y, c1)
-        k += 1
-        if k > transient:
-            total += e[owner]
-    return total
-
-
 #: Cells per chunk.  16384 cells keep each (m, 2) array at 256 KB, so a
 #: chunk stays in a core's L2 cache for all of its steps.
 _CHUNK_CELLS = 16384
+
+#: The first compaction step: each chunk is stepped this far on its own,
+#: and the grid's batch is compacted again at twice, four times, ... it.
+_FIRST_COMPACTION = 8
 
 
 def _cell_offsets(
@@ -219,29 +189,137 @@ def _cell_offsets(
     return u
 
 
-def render_basins(t: Threshold, spec: GridSpec) -> BasinGrid:
-    """Render the fingerprint grid and bucket it into classes.
+def _compact(
+    x: np.ndarray, sums: np.ndarray, in_window: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of a batch, their partial sums and each row's group.
 
-    Deterministic: cells are pure functions of their centre, and each fixed
-    chunk of ``_CHUNK_CELLS`` cells writes a disjoint slice.  On the unit
-    square only the first ``(r*r + 1) // 2`` cells are simulated; the rest
-    are their exact mirror images.  Within a chunk, bit-identical cells are
-    stepped once, which changes no bit (see the module docstring).  The
-    classes are bucketed on the simulated cells alone and mirrored with
-    the fingerprints: the mirrored half holds bit-identical values, so the
-    classes and the class table are those of the whole grid.
+    Inside the window, rows are grouped on their state and partial sum
+    together, so two rows merge only when both agree bit for bit.
+    """
+    first, inv = _distinct_rows(np.column_stack((x, sums)) if in_window else x)
+    return np.asfortranarray(x[first]), sums[first], inv
+
+
+def _logistic(x: np.ndarray, y: np.ndarray) -> None:
+    """Write ``(4x)(1 - x)`` into ``y``, taking ``1 - x`` in place of the
+    spent state ``x``."""
+    np.multiply(4.0, x, out=y)
+    np.subtract(1.0, x, out=x)
+    np.multiply(y, x, out=y)
+
+
+def _sweep(
+    y: np.ndarray, sums: np.ndarray, c1: float, k: int, stop: int, transient: int
+) -> np.ndarray:
+    """Run steps ``k + 1`` to ``stop``, given the logistic images ``y`` of step
+    ``k + 1``; return the state after step ``stop``.
+
+    ``y`` is reused as the product buffer of the later steps.  Each window
+    step's excesses are added to the rows' partial ``sums`` in place.
+    """
+    while True:
+        x, e = cascade_batch(y, c1)
+        k += 1
+        if k > transient:
+            sums += e
+        if k == stop:
+            return x
+        _logistic(x, y)
+
+
+def _chunk_head(
+    u: np.ndarray, c1: float, transient: int, steps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A chunk's first steps, up to the first compaction, given offsets ``u``.
+
+    The first step maps each site through ``1 - 4u**2`` (the symmetric form
+    of the logistic map at ``1/2 + u``), computed in place: ``u`` is
+    overwritten and then serves as the product buffer of later steps.
+    Returns the chunk's distinct rows, their partial window sums and each
+    cell's row.
+    """
+    y = u
+    np.multiply(y, y, out=y)
+    np.multiply(4.0, y, out=y)
+    np.subtract(1.0, y, out=y)
+    sums = np.zeros(u.shape[0])
+    stop = min(_FIRST_COMPACTION, steps)
+    x = _sweep(y, sums, c1, 0, stop, transient)
+    return _compact(x, sums, stop > transient)
+
+
+def _window_sums(t: Threshold, spec: GridSpec, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Window sums of cells ``k0 <= k < k1``: per-row sums and each cell's row.
+
+    The fingerprint of cell ``k`` is ``sums[owner[k - k0]]``.  Each chunk of
+    ``_CHUNK_CELLS`` cells runs its head (:func:`_chunk_head`) on its own;
+    the chunks' distinct rows are then gathered into one column-major batch,
+    which runs the tail once: it is compacted across chunks and stepped to
+    the end, compacted again at steps 16, 32, ...  Every row keeps the
+    partial sum its cells share, so each cell's excesses are still summed
+    in step order (see the module docstring).
+
+    ``owner`` is ``int32``, 4 B per cell.  A chunk's head peaks at about
+    1.18 MB traced (c1 = 0.95, while compacting at step 8), less than half
+    of what labelling the r = 499 grid needs next to it.
     """
     r = spec.resolution
     ux = _axis_offsets(spec.x_range, r)
     uy = _axis_offsets(spec.y_range, r)
+    transient, steps = spec.transient, spec.transient + spec.window
+    owner = np.empty(k1 - k0, dtype=np.int32)
+    xs, partials = [], []
+    rows = 0
+    for c0 in range(k0, k1, _CHUNK_CELLS):
+        c_end = min(c0 + _CHUNK_CELLS, k1)
+        u = _cell_offsets(ux, uy, spec, c0, c_end)
+        x, sums, inv = _chunk_head(u, t.c1, transient, steps)
+        inv += rows
+        owner[c0 - k0 : c_end - k0] = inv
+        del u, inv
+        rows += x.shape[0]
+        xs.append(x)
+        partials.append(sums)
+    x, sums = np.concatenate(xs), np.concatenate(partials)
+    del xs, partials
+
+    # The tail: the whole range's rows as one batch, and ``row`` mapping
+    # each gathered row to the batch row that now carries its state.
+    row = None
+    k = _FIRST_COMPACTION
+    while k < steps:
+        x, sums, inv = _compact(x, sums, k > transient)
+        row = inv if row is None else inv[row]
+        y = np.empty_like(x)
+        _logistic(x, y)
+        del x
+        stop = min(2 * k, steps)
+        x = _sweep(y, sums, t.c1, k, stop, transient)
+        k = stop
+    return (sums if row is None else sums[row]), owner
+
+
+def render_basins(t: Threshold, spec: GridSpec) -> BasinGrid:
+    """Render the fingerprint grid and bucket it into classes.
+
+    Deterministic: cells are pure functions of their centre, and merging
+    bit-identical cells changes no bit (see :func:`_window_sums`).  On the
+    unit square only the first ``(r*r + 1) // 2`` cells are simulated; the
+    rest are their exact mirror images.  The output is allocated once the
+    orbits are done, so the render peaks below labelling the grid.  The
+    classes are bucketed on the simulated cells alone and mirrored with the
+    fingerprints: the mirrored half holds bit-identical values, so the
+    classes and the class table are those of the whole grid.
+    """
+    r = spec.resolution
     cells = r * r
     mirrored = (*spec.x_range, *spec.y_range) == _UNIT + _UNIT
     n = (cells + 1) // 2 if mirrored else cells
+    sums, owner = _window_sums(t, spec, 0, n)
     flat = np.empty(cells)
-    for k0 in range(0, n, _CHUNK_CELLS):
-        k1 = min(k0 + _CHUNK_CELLS, n)
-        u = _cell_offsets(ux, uy, spec, k0, k1)
-        flat[k0:k1] = _window_sums(u, t.c1, spec.transient, spec.window)
+    flat[:n] = sums[owner]
+    del sums, owner
     flat[n:] = flat[: cells - n][::-1]
 
     # The mirrored half holds the same values, so it adds no class.
@@ -257,15 +335,16 @@ def render_basins(t: Threshold, spec: GridSpec) -> BasinGrid:
 
 
 def cell_fingerprint(t: Threshold, spec: GridSpec, i: int, j: int) -> float:
-    """Re-simulate a single cell through the renderer's exact code path."""
+    """Re-simulate a single cell through the renderer's exact code path,
+    as a grid of one chunk of one cell."""
+    _require_integer("i", i)
+    _require_integer("j", j)
     r = spec.resolution
     if not (0 <= i < r and 0 <= j < r):
         raise ParameterError("cell index out of range")
-    ux = _axis_offsets(spec.x_range, r)
-    uy = _axis_offsets(spec.y_range, r)
     k = i * r + j
-    u = _cell_offsets(ux, uy, spec, k, k + 1)
-    return float(_window_sums(u, t.c1, spec.transient, spec.window)[0])
+    sums, owner = _window_sums(t, spec, k, k + 1)
+    return float(sums[owner[0]])
 
 
 def _bucket_fingerprints(fingerprints: np.ndarray) -> tuple[np.ndarray, dict[int, float]]:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import threading
 import tracemalloc
 
@@ -47,6 +48,29 @@ def test_gridspec_defaults_match_protocol():
 def test_gridspec_validation(kwargs):
     with pytest.raises(ParameterError):
         cm.GridSpec(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(resolution=9.0), dict(transient=2.5), dict(window=12.0), dict(window="12")],
+)
+def test_gridspec_rejects_non_integral_counts(kwargs):
+    # A fractional transient used to shift the window silently: transient
+    # 2.5 with window 12 summed the 13 excesses of steps 3 to 15.
+    with pytest.raises(ParameterError):
+        cm.GridSpec(**kwargs)
+
+
+def test_gridspec_and_cell_fingerprint_accept_numpy_integers():
+    spec = cm.GridSpec(resolution=np.int64(9), transient=np.int32(5), window=np.int64(3))
+    g = cm.render_basins(T84, spec)
+    assert cm.cell_fingerprint(T84, spec, np.int64(2), np.int32(7)) == g.fingerprints[2, 7]
+
+
+@pytest.mark.parametrize("i, j", [(2.0, 3), (2, 3.0), (2.5, 3)])
+def test_cell_fingerprint_rejects_non_integral_indices(i, j):
+    with pytest.raises(ParameterError):
+        cm.cell_fingerprint(T84, cm.GridSpec(resolution=9), i, j)
 
 
 # ----------------------------------------------------------------- rendering
@@ -134,9 +158,11 @@ def _direct_fingerprints(t, spec):
 def test_render_matches_direct_simulation_of_every_cell(monkeypatch, r, chunk):
     # Transients 7, 8, 9 and 16 put the window's first step on either side
     # of the batch compactions at steps 8 and 16; the default spec runs
-    # through the compactions at 32 and 64 as well.
+    # through the compactions at 32 and 64 as well.  Windows of 40 from
+    # steps 1 and 10 hold the compactions at 16 and 32 (and at 8 from
+    # step 1), where rows merge only on equal partial sums.
     monkeypatch.setattr(basins, "_CHUNK_CELLS", chunk)
-    grid = [(tr, w) for tr in (0, 7, 8, 9, 16) for w in (1, 12)] + [(100, 12)]
+    grid = [(tr, w) for tr in (0, 7, 8, 9, 16) for w in (1, 12)] + [(100, 12), (0, 40), (9, 40)]
     for transient, window in grid:
         steps = dict(transient=transient, window=window)
         specs = [
@@ -156,14 +182,7 @@ def test_render_steps_each_distinct_state_once(monkeypatch):
     # steps each distinct state of a chunk once: at c1=0.95, r=64 the kernel
     # steps about a tenth of the nominal rows.  Every batch stays
     # column-major after the compactions.
-    batches = []
-    inner = basins.cascade_batch
-
-    def spy(y, c1):
-        batches.append((y.shape[0], y.flags.f_contiguous))
-        return inner(y, c1)
-
-    monkeypatch.setattr(basins, "cascade_batch", spy)
+    batches = _spy_batches(monkeypatch)
     r = 64
     spec = cm.GridSpec(resolution=r)
     cm.render_basins(T95, spec)
@@ -174,6 +193,50 @@ def test_render_steps_each_distinct_state_once(monkeypatch):
     assert rows[0] == (r * r + 1) // 2
     assert 1 < rows[-1] < rows[0]
     assert all(f_contiguous for _, f_contiguous in batches)
+
+
+def _spy_batches(monkeypatch):
+    batches = []
+    inner = basins.cascade_batch
+
+    def spy(y, c1):
+        batches.append((y.shape[0], y.flags.f_contiguous))
+        return inner(y, c1)
+
+    monkeypatch.setattr(basins, "cascade_batch", spy)
+    return batches
+
+
+def test_render_merges_the_chunks_after_the_first_compaction(monkeypatch):
+    # At r=64 chunks of 512 cells make 4 chunks of the 2048 simulated
+    # cells.  Each chunk runs steps 1-8 on its own; the merged batch then
+    # runs steps 9-112 once for the whole grid.
+    spec = cm.GridSpec(resolution=64)
+    want = cm.render_basins(T95, spec).fingerprints.tobytes()
+    monkeypatch.setattr(basins, "_CHUNK_CELLS", 512)
+    batches = _spy_batches(monkeypatch)
+    got = cm.render_basins(T95, spec).fingerprints.tobytes()
+    assert len(batches) == 4 * 8 + (112 - 8) == 136
+    assert [m for m, _ in batches[:32:8]] == [512] * 4
+    assert all(f_contiguous for _, f_contiguous in batches)
+    assert got == want
+
+
+#: sha256 of ``render_basins(T, GridSpec(resolution=r)).fingerprints.tobytes()``
+#: as rendered one chunk at a time, before the chunks were merged.
+_FINGERPRINT_DIGESTS = {
+    (0.84, 601): "ea58d49efa7d78b43090351802cef4027af4164dbdb66a536f4d9d2d0952058c",
+    (0.95, 999): "09874ff39bb7dc4d7653b1e33e4c1718dd6170ca39256754ace4378678f75d3b",
+    (0.98, 999): "d7d8acef6d018780f774bd8bb2726522562ab39a13eec6abcf82c921217d42d2",
+}
+
+
+@pytest.mark.parametrize("c1, r", sorted(_FINGERPRINT_DIGESTS))
+def test_many_chunk_render_keeps_its_fingerprints_bit_for_bit(c1, r):
+    # 12 to 31 chunks of the default size, merged into one batch.
+    g = cm.render_basins(cm.make_threshold(c1), cm.GridSpec(resolution=r))
+    digest = hashlib.sha256(g.fingerprints.tobytes()).hexdigest()
+    assert digest == _FINGERPRINT_DIGESTS[c1, r]
 
 
 def test_render_memory_is_bounded_by_the_output_and_one_chunk():
@@ -214,7 +277,7 @@ def test_two_render_chunks_at_their_peaks_stay_below_labelling():
 
     def chunk(k0, k1):
         u = basins._cell_offsets(ux, uy, spec, k0, k1)
-        basins._window_sums(u, T95.c1, spec.transient, spec.window)
+        basins._chunk_head(u, T95.c1, spec.transient, spec.transient + spec.window)
 
     chunk(0, 100)
     chunk_peak = _traced_peak(chunk, 0, basins._CHUNK_CELLS)
@@ -222,6 +285,16 @@ def test_two_render_chunks_at_their_peaks_stay_below_labelling():
     label_peak = _traced_peak(cm.label_components, g)
     # Both sides hold the fingerprints; labelling also holds the classes.
     assert 2 * chunk_peak < label_peak + g.classes.nbytes
+
+
+@pytest.mark.parametrize("t", [T84, T95, T98])
+def test_render_peak_stays_below_the_labelling_phase(t):
+    # A command holds the grid's fingerprints and classes while it labels
+    # them, so with the render below this the render never sets its peak.
+    g = cm.render_basins(t, cm.GridSpec(resolution=499))
+    render_peak = _traced_peak(cm.render_basins, t, g.spec)
+    label_peak = _traced_peak(cm.label_components, g)
+    assert render_peak < label_peak + g.fingerprints.nbytes + g.classes.nbytes
 
 
 def test_pinned_sites_slice():
