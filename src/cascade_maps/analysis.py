@@ -6,7 +6,9 @@ the Markov partition near 3/4 and its entropy bound) and the lattice side
 (anti-phase existence condition, periodic-orbit detection with in-phase /
 anti-phase / ripple classification, and a seeded attractor census).  An
 attractor is identified by its bit-exact return: a clip sets a site to
-exactly ``c1``, so every super-stable orbit repeats bit for bit.
+exactly ``c1``, so every super-stable orbit repeats bit for bit.  Census
+and detection both name it by the least state its period search visits,
+and rebuild its orbit from that state, in canonical phase.
 """
 
 from __future__ import annotations
@@ -308,21 +310,35 @@ def excess_window_sum(
     return total
 
 
+def _keep_least(low: np.ndarray, x: np.ndarray) -> None:
+    """Overwrite each row of ``low`` whose row of ``x`` is lexicographically
+    less, comparing site 0 first: one ``np.where`` per site column, from the
+    last to the first, decides which rows are below."""
+    below = x[:, -1] < low[:, -1]
+    for i in range(x.shape[1] - 2, -1, -1):
+        below = np.where(x[:, i] == low[:, i], below, x[:, i] < low[:, i])
+    np.copyto(low, x, where=below[:, None])
+
+
 def _recurrences(
     t: Threshold, x: np.ndarray, transient: int, max_period: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Least return periods of a batch of orbits after a transient.
+    """Least return periods of a batch of orbits after a transient, and the
+    least state each search visits.
 
     ``x`` has shape (M, N).  After ``transient`` steps, row i's period is
     the least ``p <= max_period`` with a bit-exact return to its
-    post-transient state, or 0 if there is none.  Returns ``(periods, x0)``
-    with ``x0`` the (M, N) post-transient states; no history is kept, and
-    :func:`_orbit_states` rebuilds an orbit from its row of ``x0``.
+    post-transient state, or 0 if there is none.  Returns ``(periods,
+    least)``: ``least`` holds the (M, N) lexicographically least state each
+    row visited (:func:`_keep_least`), which for a row with a period is the
+    least state of its orbit, shared by every row on that cycle.  No
+    history is kept.
 
-    The batch is stepped column-major, the kernel's fast path.  A row
-    whose period is found retires from the stepped batch at once; rows
-    are independent, so the survivors' bits do not change.  Stepping
-    stops once every row has a period.
+    Only the distinct post-transient rows are searched (``_distinct_rows``),
+    as bit-identical rows have identical orbits.  The batch is stepped
+    column-major, the kernel's fast path.  A row whose period is found
+    retires from the stepped batch at once; rows are independent, so the
+    survivors' bits do not change.
     """
     if max_period < 1:
         raise ParameterError("max_period must be >= 1")
@@ -333,21 +349,27 @@ def _recurrences(
     x = np.asfortranarray(x)
     for _ in range(transient):
         x, _ = step_batch(x, t)
-    x0 = ref = x
+    first, inv = _distinct_rows(x)
+    ref = x = np.asfortranarray(x[first])
+    del first
+    low = x.copy(order="F")
+    least = np.empty_like(low)
     periods = np.zeros(x.shape[0], dtype=int)
     live = np.arange(x.shape[0])
     for p in range(1, max_period + 1):
         x, _ = step_batch(x, t)
         hit = (x.T == ref.T).all(axis=0)  # over contiguous site rows
+        _keep_least(low, x)
         if hit.any():
             periods[live[hit]] = p
+            least[live[hit]] = low[hit]
             stay = ~hit
-            if not stay.any():
-                break
             live = live[stay]
-            x = np.asfortranarray(x[stay])
-            ref = np.asfortranarray(ref[stay])
-    return periods, x0
+            x, ref, low = (np.asfortranarray(a[stay]) for a in (x, ref, low))
+            if not live.size:
+                break
+    least[live] = low
+    return periods[inv], least[inv]
 
 
 def _orbit_states(t: Threshold, x0: np.ndarray, p: int) -> np.ndarray:
@@ -366,25 +388,15 @@ def _orbit_states(t: Threshold, x0: np.ndarray, p: int) -> np.ndarray:
     return out.transpose(2, 0, 1)
 
 
-def _canonical_orbits(orbits: np.ndarray) -> np.ndarray:
-    """Each orbit of a (B, p, N) batch in canonical phase, its lexicographically
-    least rotation, as a fresh (B, p, N) array: a lexsort per row finds its least
-    state and a gather rotates the row to start there.
+def _attractor_records(t: Threshold, orbits: np.ndarray) -> list[AttractorRecord]:
+    """Records of a (B, p, N) batch of orbits of one period ``p``, in order.
 
-    Each row must hold p distinct states, as every orbit of the census and of
-    detection does: if x has least bit-exact return period p and
-    F^i(x) = F^j(x) with 0 <= i < j < p, then stepping both p - i more times
-    gives x = F^(j-i)(x), an earlier return.  So the least state occurs once,
-    and the rotation that starts there is the least one.
-    """
-    p = orbits.shape[1]
-    order = np.lexsort(orbits.transpose(2, 0, 1)[::-1], axis=-1)  # (B, p)
-    return orbits[np.arange(len(orbits))[:, None], (order[:, :1] + np.arange(p)) % p]
-
-
-def _attractor_records(t: Threshold, canon: np.ndarray) -> list[AttractorRecord]:
-    """Records of a (B, p, N) batch ``canon`` of canonical orbits of one
-    period ``p`` (:func:`_canonical_orbits`), in order.
+    Each orbit must start at its least state, as it does when rebuilt by
+    :func:`_orbit_states` from a least state of :func:`_recurrences`.  That
+    puts it in canonical phase, its least rotation: with least return
+    period p it holds p distinct states (F^i(x) = F^j(x) with
+    0 <= i < j < p would give x = F^(j-i)(x), an earlier return), so its
+    least state occurs once.
 
     The kind is decided for the whole batch at once, by bit-exact
     comparisons: ``in_phase`` if all sites are equal at every step, else
@@ -392,24 +404,24 @@ def _attractor_records(t: Threshold, canon: np.ndarray) -> list[AttractorRecord]
     half a period later (:func:`_lag_match_rows`), else ``ripple`` if each
     site repeats its left neighbour one step later, else ``other``.  The fingerprint is
     :func:`excess_window_sum` from the canonical first state, one record
-    at a time.  The records' orbits are rows of ``canon``, which is made
+    at a time.  The records' orbits are rows of ``orbits``, which is made
     read-only, so no record's orbit can be written.
     """
-    b, p, n = canon.shape
-    canon.setflags(write=False)
-    in_phase = (canon.max(axis=2) == canon.min(axis=2)).all(axis=1)
-    anti = n == 2 and p % 2 == 0 and _lag_match_rows(canon, p // 2, t)
-    ripple = _lag_match_rows(canon, 1, t)
+    b, p, n = orbits.shape
+    orbits.setflags(write=False)
+    in_phase = (orbits.max(axis=2) == orbits.min(axis=2)).all(axis=1)
+    anti = n == 2 and p % 2 == 0 and _lag_match_rows(orbits, p // 2, t)
+    ripple = _lag_match_rows(orbits, 1, t)
     kinds = np.select(
         [in_phase, anti, ripple], ["in_phase", "anti_phase", "ripple"], "other"
     ).tolist()
     return [
         AttractorRecord(
             period=p,
-            orbit=canon[j],
+            orbit=orbits[j],
             kind=kinds[j],
             window_fingerprint=excess_window_sum(
-                LatticeState(sites=canon[j, 0]), t, 0, FINGERPRINT_WINDOW
+                LatticeState(sites=orbits[j, 0]), t, 0, FINGERPRINT_WINDOW
             ),
         )
         for j in range(b)
@@ -425,17 +437,17 @@ def detect_periodic_orbit(
     """Find the periodic orbit reached from ``s0``, if any.
 
     After the transient, looks for the least ``p <= max_period`` with a
-    bit-exact return to the post-transient state, keeping no history; the
-    orbit is then rebuilt by stepping ``p - 1`` more times from that
-    state, put in canonical phase as the census's orbits are, and
-    classified by its synchronisation pattern.  Returns None if no
-    recurrence is found.  ``transient`` must be non-negative.
+    bit-exact return to the post-transient state, keeping no history but
+    the least state visited (:func:`_recurrences`), the census's attractor
+    identity; the orbit is rebuilt by stepping ``p - 1`` more times from
+    that state, so it starts in canonical phase, and is classified by its
+    synchronisation pattern.  Returns None if no recurrence is found.
+    ``transient`` must be non-negative.
     """
-    periods, x0 = _recurrences(t, s0.sites[None, :], transient, max_period)
+    periods, least = _recurrences(t, s0.sites[None, :], transient, max_period)
     if periods[0] == 0:
         return None
-    orbits = _orbit_states(t, x0, int(periods[0]))
-    return _attractor_records(t, _canonical_orbits(orbits))[0]
+    return _attractor_records(t, _orbit_states(t, least, int(periods[0])))[0]
 
 
 _MASK64 = (1 << 64) - 1
@@ -465,41 +477,6 @@ def _census_initial_states(seed: int, samples: int, n: int, first: int = 0) -> n
 #: neither ``samples`` nor ``max_period``.
 _CENSUS_CHUNK = 16384
 
-#: Cap on the orbit states (samples x period) that ``census`` rebuilds and
-#: groups at once.
-_GROUP_BLOCK_STATES = 4096
-
-
-def _group_orbits(
-    t: Threshold, periods: np.ndarray, x0: np.ndarray, groups: dict[int, dict[bytes, list]]
-) -> None:
-    """Add one chunk's resolved samples to ``groups``.
-
-    ``periods`` and ``x0`` are as returned by :func:`_recurrences`.
-    ``groups[p]`` maps the bytes of a (p, N) canonical orbit
-    (:func:`_canonical_orbits`) to ``[hits, orbit]``.
-
-    A sample's orbit is the cycle x, F(x), ..., F^(p-1)(x), with F the
-    lattice step and p the least bit-exact return period of x.  Samples
-    on one cycle give rotations of it, which share their least rotation,
-    so each group is one attractor.
-    """
-    for p in (np.flatnonzero(np.bincount(periods)[1:]) + 1).tolist():
-        idx = np.flatnonzero(periods == p)
-        # Bit-identical post-transient states have identical orbits: rebuild
-        # each distinct state once, weighted by its number of samples.
-        first, inv = _distinct_rows(x0[idx])
-        idx, counts = idx[first], np.bincount(inv).tolist()
-        size = max(1, _GROUP_BLOCK_STATES // p)
-        by_key = groups.setdefault(p, {})
-        for start in range(0, idx.size, size):
-            canon = _canonical_orbits(_orbit_states(t, x0[idx[start : start + size]], p))
-            for orbit, h in zip(canon, counts[start : start + size]):
-                if (key := orbit.tobytes()) in by_key:
-                    by_key[key][0] += h
-                else:
-                    by_key[key] = [h, orbit.copy()]
-
 
 def census(
     t: Threshold,
@@ -518,13 +495,14 @@ def census(
     post-transient state, a sample retires from the stepped batch once its
     period is found, and samples without one are left out of the counts.
     ``transient`` must be non-negative, ``n_sites`` at least 1 and ``seed``
-    in ``[0, 2**64)``, so that no two seeds give the same samples.  Orbits
-    are grouped by canonical phase, the attractor identity of
-    :func:`detect_periodic_orbit` too: each period's samples are rebuilt
-    from their distinct post-transient states in blocks of at most
-    ``_GROUP_BLOCK_STATES`` orbit states, and merge by canonical orbit
-    (:func:`_group_orbits`); each period's records are built in one batch.
-    Apart from the groups found, working memory is bounded by the chunk,
+    in ``[0, 2**64)``, so that no two seeds give the same samples.
+
+    A state determines its orbit, so an attractor is identified by the
+    least state its period search visits (:func:`_recurrences`), as in
+    :func:`detect_periodic_orbit`: resolved samples are grouped, and chunks
+    merged, by the bytes of that state.  Each period's orbits are rebuilt
+    from their least states and its records built in one batch.  Apart
+    from the groups found, working memory is bounded by the chunk,
     whatever ``samples`` and ``max_period``.  The result is sorted by
     decreasing hit count, then fingerprint, period and orbit (distinct
     groups cannot tie, as lattice states never hold ``-0.0``), and is a
@@ -534,23 +512,34 @@ def census(
         raise ParameterError("samples must be >= 1")
     if not 0 <= seed < 2**64:
         raise ParameterError(f"seed must lie in [0, 2**64), got {seed}")
-    groups: dict[int, dict[bytes, list]] = {}
+    groups: dict[bytes, list] = {}  # least state bytes -> [hits, period, state]
     for first in range(0, samples, _CENSUS_CHUNK):
         # The initial states go straight into the search, and each chunk's
         # arrays are freed before the next chunk is made, so that no more
         # than one chunk's states are alive at a time.
         m = min(_CENSUS_CHUNK, samples - first)
-        periods, x0 = _recurrences(
+        periods, least = _recurrences(
             t, _census_initial_states(seed, m, n_sites, first), transient, max_period
         )
-        _group_orbits(t, periods, x0, groups)
-        del periods, x0
+        ok = periods > 0
+        periods, least = periods[ok], least[ok]
+        del ok
+        rows, inv = _distinct_rows(least)
+        hits = np.bincount(inv).tolist()
+        del inv
+        for i, h in zip(rows.tolist(), hits):
+            if (key := least[i].tobytes()) in groups:
+                groups[key][0] += h
+            else:
+                groups[key] = [h, int(periods[i]), least[i].copy()]
+        del periods, least, rows
+    by_period: dict[int, list] = {}
+    for h, p, state in groups.values():
+        by_period.setdefault(p, []).append((h, state))
     entries = []
-    while groups:
-        # Each period's orbits are dropped once their records hold a copy.
-        hits, orbits = zip(*groups.popitem()[1].values())
-        entries += zip(_attractor_records(t, np.stack(orbits)), hits)
-        del orbits
+    for p, group in by_period.items():
+        hits, states = zip(*group)
+        entries += zip(_attractor_records(t, _orbit_states(t, np.stack(states), p)), hits)
     entries.sort(
         key=lambda e: (
             -e[1],

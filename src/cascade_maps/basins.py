@@ -75,10 +75,11 @@ _CORNERS = ("00", "01", "10", "11")
 _LABEL_BLOCK = 65536
 
 
-def _require_integer(name: str, value) -> None:
-    """Reject a count or index that is not an ``int`` or numpy integer."""
+def _require_integer(name: str, value) -> int:
+    """A count or index as an ``int``; reject one that is not an ``int`` or
+    numpy integer."""
     try:
-        operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
@@ -308,23 +309,23 @@ def render_basins(t: Threshold, spec: GridSpec) -> BasinGrid:
     unit square only the first ``(r*r + 1) // 2`` cells are simulated; the
     rest are their exact mirror images.  The output is allocated once the
     orbits are done, so the render peaks below labelling the grid.  The
-    classes are bucketed on the simulated cells alone and mirrored with the
-    fingerprints: the mirrored half holds bit-identical values, so the
-    classes and the class table are those of the whole grid.
+    per-row window sums hold every value the cells hold, so they are
+    bucketed alone and each cell takes its row's class; the mirrored half
+    holds bit-identical values, so the classes and the class table are
+    those of the whole grid.
     """
     r = spec.resolution
     cells = r * r
     mirrored = (*spec.x_range, *spec.y_range) == _UNIT + _UNIT
     n = (cells + 1) // 2 if mirrored else cells
     sums, owner = _window_sums(t, spec, 0, n)
+    row_classes, class_table = _bucket_fingerprints(sums)
     flat = np.empty(cells)
     flat[:n] = sums[owner]
-    del sums, owner
-    flat[n:] = flat[: cells - n][::-1]
-
-    # The mirrored half holds the same values, so it adds no class.
     classes = np.empty(cells, dtype=np.int32)
-    classes[:n], class_table = _bucket_fingerprints(flat[:n])
+    classes[:n] = row_classes[owner]
+    del sums, owner, row_classes
+    flat[n:] = flat[: cells - n][::-1]
     classes[n:] = classes[: cells - n][::-1]
     return BasinGrid(
         spec=spec,
@@ -466,7 +467,7 @@ def corner_accumulation(
     the distinct components with a cell in it.
     """
     eps_list = [float(e) for e in eps_list]
-    resolutions = [int(r) for r in resolutions]
+    resolutions = [_require_integer("resolution", r) for r in resolutions]
     if not eps_list or not resolutions:
         raise ParameterError("eps_list and resolutions must not be empty")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):

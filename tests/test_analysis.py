@@ -363,8 +363,9 @@ def test_detect_redetects_every_census_record():
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_census_orbits_have_distinct_states_and_least_rotation(c1, n):
     # A least bit-exact return period p puts p distinct states on the orbit,
-    # so its least state occurs once and starts the least rotation: every
-    # rotation of a record's orbit is put back in the record's phase.
+    # so its least state occurs once and starts the least rotation: the
+    # period search from every phase of a record's orbit finds period p and
+    # the record's first state.
     t = cm.make_threshold(c1)
     entries = cm.census(t, n, 1_000, seed=SEED)
     assert entries
@@ -372,9 +373,22 @@ def test_census_orbits_have_distinct_states_and_least_rotation(c1, n):
         p = rec.period
         assert len({state.tobytes() for state in rec.orbit}) == p
         assert rec.orbit.tobytes() == _canonical_rotation_oracle(rec.orbit).tobytes()
-        rotations = np.stack([np.roll(rec.orbit, k, axis=0) for k in range(p)])
-        canon = analysis._canonical_orbits(rotations)
-        assert canon.tobytes() == np.stack([rec.orbit] * p).tobytes()
+        periods, least = analysis._recurrences(t, rec.orbit, 0, p)
+        assert periods.tolist() == [p] * p
+        assert least.tobytes() == np.stack([rec.orbit[0]] * p).tobytes()
+
+
+def test_census_counts_every_phase_of_one_cycle_as_one_group():
+    # Samples started at each of a cycle's q phases are one attractor with
+    # q hits, whichever phase the search starts from.
+    t = cm.make_threshold(0.95)
+    rec = cm.census(t, 3, 300, seed=SEED)[0][0]
+    q = rec.period
+    assert q > 1
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(analysis, "_census_initial_states", lambda *args: rec.orbit[::-1].copy())
+        entries = cm.census(t, 3, q, seed=SEED, transient=0)
+    assert _record_bytes(entries) == _record_bytes([(rec, q)])
 
 
 # Oracle tolerances: 0.0 is the exact comparison (for finite doubles,
@@ -453,12 +467,12 @@ def _detect_oracle(t, s0, transient, max_period):
     return _attractor_record_oracle(history[: periods[0], 0], t)
 
 
-def _census_oracle(t, n_sites, samples, seed, tol=0.0):
+def _census_oracle(t, n_sites, samples, seed, tol=0.0, transient=100, max_period=64):
     # The per-sample grouping loop the census was first written with, over
     # the row-major history: one lexsort and one tobytes key per resolved
     # sample, first sample kept.
     x = analysis._census_initial_states(seed, samples, n_sites)
-    periods, history = _recurrences_oracle(t, x, 100, 64, tol)
+    periods, history = _recurrences_oracle(t, x, transient, max_period, tol)
     groups = {}
     for i in np.flatnonzero(periods):
         orbit = history[: periods[i], i]
@@ -478,24 +492,37 @@ def _census_oracle(t, n_sites, samples, seed, tol=0.0):
     return entries
 
 
-@pytest.mark.parametrize("c1", [0.84, 0.9, 0.95, 0.98])
-@pytest.mark.parametrize("n", [2, 3, 8])
-def test_census_matches_row_major_recurrence_oracle(c1, n):
-    # Periods and post-transient states equal the oracle's, and every
-    # resolved orbit rebuilt from its post-transient state equals the
-    # oracle's stored history, byte for byte.
+# (c1, n, transient, max_period): the census default budget on a grid, and
+# a long budget at many attractors, with orbits of period up to 512.
+_ORACLE_BUDGETS = [
+    pytest.param(c1, n, 100, 64, id=f"{n}-{c1}")
+    for n in (2, 3, 8)
+    for c1 in (0.84, 0.9, 0.95, 0.98)
+] + [pytest.param(0.95, 8, 1000, 512, id="8-0.95-1000-512")]
+
+
+@pytest.mark.parametrize("c1, n, transient, max_period", _ORACLE_BUDGETS)
+def test_census_matches_row_major_recurrence_oracle(c1, n, transient, max_period):
+    # Periods equal the oracle's, each resolved row's least state is the
+    # first state of the least rotation of the oracle's stored orbit, and
+    # the orbit rebuilt from it equals that rotation, byte for byte.  An
+    # unresolved row's least state is the least of all it visited.
     t = cm.make_threshold(c1)
     x = analysis._census_initial_states(SEED, 400, n)
-    periods, x0 = analysis._recurrences(t, x, 100, 64)
-    want_periods, want_history = _recurrences_oracle(t, x, 100, 64)
+    periods, least = analysis._recurrences(t, x, transient, max_period)
+    want_periods, want_history = _recurrences_oracle(t, x, transient, max_period)
     assert periods.tolist() == want_periods.tolist()
-    assert x0.shape == want_history[0].shape
-    assert x0.tobytes() == want_history[0].tobytes()
+    assert least.shape == x.shape
+    for i in np.flatnonzero(periods == 0).tolist():
+        visited = want_history[:, i]
+        assert least[i].tobytes() == visited[np.lexsort(visited.T[::-1])[0]].tobytes()
     for i in np.flatnonzero(periods).tolist():
         p = int(periods[i])
-        orbit = analysis._orbit_states(t, x0[i : i + 1], p)[0]
+        want = _canonical_rotation_oracle(want_history[:p, i])
+        assert least[i].tobytes() == want[0].tobytes()
+        orbit = analysis._orbit_states(t, least[i : i + 1], p)[0]
         assert orbit.shape == (p, n)
-        assert orbit.tobytes() == want_history[:p, i].tobytes()
+        assert orbit.tobytes() == want.tobytes()
 
     starts = [cm.LatticeState(sites=row) for row in x[:6]]
     starts.append(cm.LatticeState(sites=np.full(n, 0.5)))
@@ -510,8 +537,9 @@ def test_census_matches_row_major_recurrence_oracle(c1, n):
         return out
 
     assert records(cm.detect_periodic_orbit) == records(_detect_oracle)
-    got = _record_bytes(cm.census(t, n, 400, seed=SEED))
-    assert got and got == _record_bytes(_census_oracle(t, n, 400, SEED))
+    got = _record_bytes(cm.census(t, n, 400, SEED, transient, max_period))
+    want = _census_oracle(t, n, 400, SEED, transient=transient, max_period=max_period)
+    assert got and got == _record_bytes(want)
 
 
 @pytest.mark.parametrize("c1", [0.84, 0.9, 0.95, 0.98])
@@ -521,82 +549,39 @@ def test_census_grouping_matches_per_sample_oracle(c1, n, oracle_tol):
     t = cm.make_threshold(c1)
     want = _record_bytes(_census_oracle(t, n, 300, SEED, oracle_tol))
     assert want
-    # One sample per block, the default cap, and every sample of a period
-    # in one block; four sample chunks (the last one short) and one.
-    for block in (1, analysis._GROUP_BLOCK_STATES, 10**9):
-        for chunk in (97, analysis._CENSUS_CHUNK):
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(analysis, "_GROUP_BLOCK_STATES", block)
-                m.setattr(analysis, "_CENSUS_CHUNK", chunk)
-                assert _record_bytes(cm.census(t, n, 300, seed=SEED)) == want
+    # Four sample chunks (the last one short) and one.
+    for chunk in (97, analysis._CENSUS_CHUNK):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(analysis, "_CENSUS_CHUNK", chunk)
+            assert _record_bytes(cm.census(t, n, 300, seed=SEED)) == want
 
 
 @pytest.mark.parametrize("c1", [0.9, 0.95])
 def test_group_records_do_not_depend_on_sample_order(c1):
-    # Any sample of a group gives its record, so a chunk's samples grouped
-    # in reverse order give the same records and hits, at any block size.
+    # Any sample of a group gives its record, so a chunk's samples in
+    # reverse order give the same records and hits.
     t = cm.make_threshold(c1)
     x = analysis._census_initial_states(SEED, 300, 3)
-    periods, x0 = analysis._recurrences(t, x, 100, 64)
-
-    def records(periods, x0):
-        groups = {}
-        analysis._group_orbits(t, periods, x0, groups)
-        return sorted(
-            _record_bytes(
-                [
-                    (_attractor_record_oracle(orbit, t), h)
-                    for by_key in groups.values()
-                    for h, orbit in by_key.values()
-                ]
-            )
-        )
-
-    want = records(periods, x0)
+    periods, _ = analysis._recurrences(t, x, 100, 64)
+    want = _record_bytes(cm.census(t, 3, 300, seed=SEED))
     assert sum(r[-1] for r in want) == np.count_nonzero(periods) > len(want) > 1
-    for block in (1, analysis._GROUP_BLOCK_STATES):
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(analysis, "_GROUP_BLOCK_STATES", block)
-            assert records(periods[::-1], x0[::-1]) == want
-
-
-@pytest.mark.parametrize("block", [1, analysis._GROUP_BLOCK_STATES])
-def test_group_orbits_keeps_overlapping_windows_apart(block):
-    # Windows of p states along one unsettled orbit share all but one state,
-    # and often their least state, yet each is a group of its own.  An exact
-    # cycle started at each of its q phases is one group with q hits.
-    t = cm.make_threshold(0.95)
-    x = analysis._orbit_states(t, analysis._census_initial_states(SEED, 1, 3), 12)[0]
-    p = 4
-    windows = {}
-    for i in range(8):
-        key = _canonical_rotation_oracle(x[i : i + p]).tobytes()
-        windows[key] = windows.get(key, 0) + 1
-    assert len(windows) == 8
-    cycle = cm.census(t, 3, 300, seed=SEED)[0][0].orbit
-    q = len(cycle)
-    assert q > 1
-    want = {p: windows, q: {cycle.tobytes(): q}}
-    periods = np.concatenate((np.full(8, p), np.full(q, q)))
-    groups = {}
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(analysis, "_GROUP_BLOCK_STATES", block)
-        x0 = np.asfortranarray(np.vstack((x[:8], cycle)))
-        analysis._group_orbits(t, periods, x0, groups)
-    assert {p: {k: h for k, (h, _) in g.items()} for p, g in groups.items()} == want
-    for g in groups.values():
-        assert all(orbit.tobytes() == k for k, (_, orbit) in g.items())
+        m.setattr(analysis, "_census_initial_states", lambda *args: x[::-1].copy())
+        assert _record_bytes(cm.census(t, 3, 300, seed=SEED)) == want
 
 
 def _records_match_oracle(t, orbits, tol=0.0):
-    # Orbits of one (period, n_sites) shape share a batch, and each batch's
-    # records equal the per-orbit oracle's, byte for byte.
+    # Orbits of one (period, n_sites) shape share a batch, each put in
+    # canonical phase, and each batch's records equal the per-orbit
+    # oracle's, byte for byte.
     batches = {}
     for orbit in orbits:
         batches.setdefault(orbit.shape, []).append(orbit)
-    for batch in map(np.stack, batches.values()):
-        got = analysis._attractor_records(t, analysis._canonical_orbits(batch))
+    for batch in batches.values():
         want = [_attractor_record_oracle(orbit, t, tol) for orbit in batch]
+        got = analysis._attractor_records(
+            t, np.stack([_canonical_rotation_oracle(orbit) for orbit in batch])
+        )
         assert _record_bytes([(r, 0) for r in got]) == _record_bytes([(r, 0) for r in want])
 
 
@@ -604,14 +589,17 @@ def _records_match_oracle(t, orbits, tol=0.0):
 @pytest.mark.parametrize("n", [2, 3, 8])
 @pytest.mark.parametrize("oracle_tol", ORACLE_TOLS)
 def test_attractor_records_match_per_orbit_oracle_on_census_groups(c1, n, oracle_tol):
+    # One orbit per distinct least state, rebuilt as the census does.
     t = cm.make_threshold(c1)
-    periods, x0 = analysis._recurrences(
+    periods, least = analysis._recurrences(
         t, analysis._census_initial_states(SEED, 300, n), 100, 64
     )
-    groups = {}
-    analysis._group_orbits(t, periods, x0, groups)
-    assert groups
-    orbits = [o for g in groups.values() for _, o in g.values()]
+    starts = {least[i].tobytes(): i for i in np.flatnonzero(periods).tolist()}
+    assert starts
+    orbits = [
+        analysis._orbit_states(t, least[i : i + 1], int(periods[i]))[0]
+        for i in starts.values()
+    ]
     _records_match_oracle(t, orbits, oracle_tol)
 
 
@@ -641,7 +629,7 @@ def test_attractor_records_match_per_orbit_oracle_on_every_kind():
 
 def test_record_orbits_are_read_only():
     # Records of one period share one block: none of them can be written,
-    # and they do not change when the batch they were built from does.
+    # and neither can the batch they were built from.
     t = cm.make_threshold(0.95)
     entries = cm.census(t, 3, 500, seed=SEED)
     assert len(entries) > 1
@@ -649,11 +637,12 @@ def test_record_orbits_are_read_only():
     for rec in [r for r, _ in entries] + [detected]:
         with pytest.raises(ValueError):
             rec.orbit[0, 0] = 0.5
-    batch = np.stack([entries[0][0].orbit, entries[0][0].orbit[::-1]])
-    records = analysis._attractor_records(t, analysis._canonical_orbits(batch))
-    want = [r.orbit.copy() for r in records]
-    batch[:] = 0.5
-    assert [r.orbit.tobytes() for r in records] == [w.tobytes() for w in want]
+    rec = entries[0][0]
+    batch = analysis._orbit_states(t, np.stack([rec.orbit[0]] * 2), rec.period)
+    records = analysis._attractor_records(t, batch)
+    with pytest.raises(ValueError):
+        batch[:] = 0.5
+    assert [r.orbit.tobytes() for r in records] == [rec.orbit.tobytes()] * 2
 
 
 def _canonical_rotation_oracle(orbit):
@@ -709,11 +698,14 @@ def _dyadic_orbits(draw, t):
 
 @given(st.data())
 def test_canonical_rotation_matches_all_rotations_oracle(data):
+    # The least state kept over an orbit's states starts its least rotation.
     batch = data.draw(_dyadic_cycles(T84))
-    want = np.stack([_canonical_rotation_oracle(orbit.copy()) for orbit in batch])
-    got = analysis._canonical_orbits(batch)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    want = np.stack([_canonical_rotation_oracle(orbit.copy())[0] for orbit in batch])
+    low = batch[:, 0].copy()
+    for k in range(1, batch.shape[1]):
+        analysis._keep_least(low, batch[:, k])
+    assert low.shape == want.shape
+    assert low.tobytes() == want.tobytes()
 
 
 @settings(max_examples=300)

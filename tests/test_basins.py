@@ -65,6 +65,8 @@ def test_gridspec_and_cell_fingerprint_accept_numpy_integers():
     spec = cm.GridSpec(resolution=np.int64(9), transient=np.int32(5), window=np.int64(3))
     g = cm.render_basins(T84, spec)
     assert cm.cell_fingerprint(T84, spec, np.int64(2), np.int32(7)) == g.fingerprints[2, 7]
+    _, rows = cm.corner_accumulation(T84, spec, [0.1], [np.int64(9)])
+    assert {type(row[0]) for row in rows} == {int} and rows[0][0] == 9
 
 
 @pytest.mark.parametrize("i, j", [(2.0, 3), (2, 3.0), (2.5, 3)])
@@ -610,6 +612,8 @@ def test_corner_accumulation_validates_monotone_args():
         lambda spec: cm.corner_accumulation(T84, spec, [], [16]),
         lambda spec: cm.corner_accumulation(T84, spec, [0.1], []),
         lambda spec: cm.interior_accumulation(T84, spec, (0.5, 0.5), []),
+        lambda spec: cm.corner_accumulation(T84, spec, [0.1], [16.5]),
+        lambda spec: cm.corner_accumulation(T84, spec, [0.1], [16, 32.5]),
     ],
 )
 def test_accumulation_rejects_bad_regions_before_rendering(monkeypatch, call):
