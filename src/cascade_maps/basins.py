@@ -15,7 +15,8 @@ centres are stored as offsets ``u`` from 1/2 with ``u`` exactly
 antisymmetric across the grid, and the first logistic application is
 evaluated as ``1 - 4u**2``, which is bit-identical for ``+u`` and ``-u``.
 Reflected cells therefore run bit-identical orbits from step one, making
-the class map exactly symmetric under ``(x, y) -> (1-x, 1-y)``.
+the class map exactly symmetric under ``x -> 1-x`` and ``y -> 1-y``, each
+on its own.
 
 Cells are numbered ``k = i*r + j``.  On the unit square cell ``k`` mirrors
 cell ``r*r - 1 - k``, so only the first half of the cells is simulated and
@@ -25,29 +26,30 @@ sweep reads each site column as one contiguous run (the fast path of
 
 A clip sets a site to exactly ``c1``, so cells fall onto few exact float
 states: at c1=0.95, r=499 the 124,501 simulated cells hold 9,577 distinct
-states at step 8 and 40 from step 64 on.  The render therefore runs in two
-phases.  The head runs each chunk of ``_CHUNK_CELLS`` cells, small enough
-to stay in cache, through steps 1 to 8 and compacts it to its distinct
-rows; an ``int32`` owner map of 4 B per cell records each cell's row.  The
-tail gathers every chunk's rows into one batch, compacts it across chunks
-and runs the remaining steps once per grid, compacting again at steps 16,
-32, 64, ...  Each row carries its partial window sum, and rows merge inside
-the window only when state and partial sum agree bit for bit.  This is
-exact: the kernel is elementwise over rows and every cell's excesses are
-summed in the same order, so no fingerprint depends on it.  The working
-set is the owner map plus one chunk, or the merged batch if larger.
+states at step 8 and 40 from step 64 on.  Each step passes its logistic
+images ``y`` to the next, and rows whose ``y`` agree bit for bit merge.
+This is exact at any step: the kernel is elementwise over rows, and step
+k+1 and every step after it, excesses included, depend on ``y_{k+1}``
+alone.  The head runs each chunk of ``_CHUNK_CELLS`` cells, small enough
+to stay in cache, for ``min(8, transient)`` steps and compacts it to its
+distinct rows; an ``int32`` owner map of 4 B per cell records each cell's
+row.  The tail gathers every chunk's rows into one batch, compacts it
+across chunks and runs the rest of the transient once per grid, compacting
+again at steps 16, 32, 64, ... and at ``transient``.  The window then sums
+each row's excesses from zero, in step order, with no compaction in it.
+The working set is the owner map plus one chunk, or the merged batch if
+larger.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _require_integer
 from .lattice import _distinct_rows, cascade_batch
 from .scalar import Threshold
 
@@ -75,15 +77,6 @@ _CORNERS = ("00", "01", "10", "11")
 _LABEL_BLOCK = 65536
 
 
-def _require_integer(name: str, value) -> int:
-    """A count or index as an ``int``; reject one that is not an ``int`` or
-    numpy integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Sampling protocol for a two-axis basin slice.
@@ -100,19 +93,13 @@ class GridSpec:
     window: int = 12
 
     def __post_init__(self):
-        for name in ("resolution", "transient", "window"):
-            _require_integer(name, getattr(self, name))
-        if self.resolution < 2:
-            raise ParameterError("resolution must be >= 2")
+        for name, least in (("resolution", 2), ("transient", 0), ("window", 1)):
+            _require_integer(name, getattr(self, name), least)
         for lo, hi in (self.x_range, self.y_range):
             if not (0.0 <= lo < hi <= 1.0):
                 raise ParameterError("domain ranges must be sub-intervals of [0, 1]")
         if any(not 0.0 <= p <= 1.0 for p in self.pinned_sites):
             raise ParameterError("pinned site values must lie in [0, 1]")
-        if self.transient < 0:
-            raise ParameterError("transient must be >= 0")
-        if self.window < 1:
-            raise ParameterError("window must be >= 1")
 
     @property
     def n_sites(self) -> int:
@@ -171,8 +158,9 @@ def _axis_centers(axis_range: tuple[float, float], resolution: int) -> np.ndarra
 #: chunk stays in a core's L2 cache for all of its steps.
 _CHUNK_CELLS = 16384
 
-#: The first compaction step: each chunk is stepped this far on its own,
-#: and the grid's batch is compacted again at twice, four times, ... it.
+#: The first compaction step: each chunk is stepped this far on its own (or
+#: to the transient, if shorter), and the grid's batch is compacted again at
+#: twice, four times, ... it, and at the transient.
 _FIRST_COMPACTION = 8
 
 
@@ -190,129 +178,108 @@ def _cell_offsets(
     return u
 
 
-def _compact(
-    x: np.ndarray, sums: np.ndarray, in_window: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows of a batch, their partial sums and each row's group.
-
-    Inside the window, rows are grouped on their state and partial sum
-    together, so two rows merge only when both agree bit for bit.
-    """
-    first, inv = _distinct_rows(np.column_stack((x, sums)) if in_window else x)
-    return np.asfortranarray(x[first]), sums[first], inv
-
-
-def _logistic(x: np.ndarray, y: np.ndarray) -> None:
-    """Write ``(4x)(1 - x)`` into ``y``, taking ``1 - x`` in place of the
-    spent state ``x``."""
+def _step(y: np.ndarray, c1: float) -> np.ndarray:
+    """One step from the logistic images ``y``, in place: ``y`` becomes the
+    images ``(4x)(1 - x)`` of the step's state ``x``, with ``1 - x`` taken in
+    place of the spent ``x``.  Returns the step's excesses."""
+    x, e = cascade_batch(y, c1)
     np.multiply(4.0, x, out=y)
     np.subtract(1.0, x, out=x)
     np.multiply(y, x, out=y)
+    return e
 
 
-def _sweep(
-    y: np.ndarray, sums: np.ndarray, c1: float, k: int, stop: int, transient: int
-) -> np.ndarray:
-    """Run steps ``k + 1`` to ``stop``, given the logistic images ``y`` of step
-    ``k + 1``; return the state after step ``stop``.
-
-    ``y`` is reused as the product buffer of the later steps.  Each window
-    step's excesses are added to the rows' partial ``sums`` in place.
-    """
-    while True:
-        x, e = cascade_batch(y, c1)
-        k += 1
-        if k > transient:
-            sums += e
-        if k == stop:
-            return x
-        _logistic(x, y)
+def _distinct(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a batch, column-major, and each row's group."""
+    first, inv = _distinct_rows(y)
+    return np.asfortranarray(y[first]), inv
 
 
-def _chunk_head(
-    u: np.ndarray, c1: float, transient: int, steps: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A chunk's first steps, up to the first compaction, given offsets ``u``.
+def _chunk_head(u: np.ndarray, c1: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """A chunk's first ``steps`` steps, given offsets ``u``.
 
-    The first step maps each site through ``1 - 4u**2`` (the symmetric form
-    of the logistic map at ``1/2 + u``), computed in place: ``u`` is
-    overwritten and then serves as the product buffer of later steps.
-    Returns the chunk's distinct rows, their partial window sums and each
-    cell's row.
+    The images of step 1 are ``1 - 4u**2`` (the symmetric form of the
+    logistic map at ``1/2 + u``), computed in place: ``u`` is overwritten
+    and then carries the images of each later step.  Returns the distinct
+    images of step ``steps + 1`` and each cell's row.
     """
     y = u
     np.multiply(y, y, out=y)
     np.multiply(4.0, y, out=y)
     np.subtract(1.0, y, out=y)
-    sums = np.zeros(u.shape[0])
-    stop = min(_FIRST_COMPACTION, steps)
-    x = _sweep(y, sums, c1, 0, stop, transient)
-    return _compact(x, sums, stop > transient)
+    for _ in range(steps):
+        _step(y, c1)
+    return _distinct(y)
 
 
 def _window_sums(t: Threshold, spec: GridSpec, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
     """Window sums of cells ``k0 <= k < k1``: per-row sums and each cell's row.
 
-    The fingerprint of cell ``k`` is ``sums[owner[k - k0]]``.  Each chunk of
-    ``_CHUNK_CELLS`` cells runs its head (:func:`_chunk_head`) on its own;
-    the chunks' distinct rows are then gathered into one column-major batch,
-    which runs the tail once: it is compacted across chunks and stepped to
-    the end, compacted again at steps 16, 32, ...  Every row keeps the
-    partial sum its cells share, so each cell's excesses are still summed
-    in step order (see the module docstring).
+    The fingerprint of cell ``k`` is ``sums[owner[k - k0]]``.  A batch
+    row holds the logistic images ``y`` that the next step starts from.
+    That step and every later one, excesses included, are functions of
+    ``y`` alone, so rows whose images agree bit for bit can merge at any
+    step without changing a bit.  Each chunk of ``_CHUNK_CELLS`` cells runs
+    its head (:func:`_chunk_head`) on its own, to step
+    ``min(_FIRST_COMPACTION, transient)``; the chunks' distinct rows are
+    then gathered into one column-major batch, which runs the rest of the
+    transient once, compacted across chunks at the end of the head, at
+    steps 16, 32, ... and at ``transient``.  The window then runs on that
+    batch from zero sums, with no compaction in it, so each cell's
+    excesses are summed in step order.
 
     ``owner`` is ``int32``, 4 B per cell.  A chunk's head peaks at about
-    1.18 MB traced (c1 = 0.95, while compacting at step 8), less than half
+    0.68 MB traced (c1 = 0.95, while compacting at step 8), less than half
     of what labelling the r = 499 grid needs next to it.
     """
     r = spec.resolution
     ux = _axis_offsets(spec.x_range, r)
     uy = _axis_offsets(spec.y_range, r)
-    transient, steps = spec.transient, spec.transient + spec.window
+    transient = spec.transient
+    k = min(_FIRST_COMPACTION, transient)
     owner = np.empty(k1 - k0, dtype=np.int32)
-    xs, partials = [], []
+    ys = []
     rows = 0
     for c0 in range(k0, k1, _CHUNK_CELLS):
         c_end = min(c0 + _CHUNK_CELLS, k1)
-        u = _cell_offsets(ux, uy, spec, c0, c_end)
-        x, sums, inv = _chunk_head(u, t.c1, transient, steps)
+        y, inv = _chunk_head(_cell_offsets(ux, uy, spec, c0, c_end), t.c1, k)
         inv += rows
         owner[c0 - k0 : c_end - k0] = inv
-        del u, inv
-        rows += x.shape[0]
-        xs.append(x)
-        partials.append(sums)
-    x, sums = np.concatenate(xs), np.concatenate(partials)
-    del xs, partials
+        del inv
+        rows += y.shape[0]
+        ys.append(y)
+    y = np.concatenate(ys)
+    del ys
 
     # The tail: the whole range's rows as one batch, and ``row`` mapping
-    # each gathered row to the batch row that now carries its state.
-    row = None
-    k = _FIRST_COMPACTION
-    while k < steps:
-        x, sums, inv = _compact(x, sums, k > transient)
-        row = inv if row is None else inv[row]
-        y = np.empty_like(x)
-        _logistic(x, y)
-        del x
-        stop = min(2 * k, steps)
-        x = _sweep(y, sums, t.c1, k, stop, transient)
+    # each gathered row to the batch row that now carries its images.
+    y, row = _distinct(y)
+    while k < transient:
+        stop = min(2 * k, transient)
+        for _ in range(k, stop):
+            _step(y, t.c1)
         k = stop
-    return (sums if row is None else sums[row]), owner
+        y, inv = _distinct(y)
+        row = inv[row]
+    sums = np.zeros(y.shape[0])
+    for _ in range(spec.window):
+        sums += _step(y, t.c1)
+    return sums[row], owner
 
 
 def render_basins(t: Threshold, spec: GridSpec) -> BasinGrid:
     """Render the fingerprint grid and bucket it into classes.
 
-    Deterministic: cells are pure functions of their centre, and merging
-    bit-identical cells changes no bit (see :func:`_window_sums`).  On the
-    unit square only the first ``(r*r + 1) // 2`` cells are simulated; the
-    rest are their exact mirror images.  The output is allocated once the
-    orbits are done, so the render peaks below labelling the grid.  The
-    per-row window sums hold every value the cells hold, so they are
-    bucketed alone and each cell takes its row's class; the mirrored half
-    holds bit-identical values, so the classes and the class table are
-    those of the whole grid.
+    Deterministic: cells are pure functions of their centre.  Each step
+    passes its logistic images to the next, and merging cells whose images
+    agree bit for bit changes no bit, since a step's images alone fix every
+    later step (see :func:`_window_sums`).  On the unit square only the
+    first ``(r*r + 1) // 2`` cells are simulated; the rest are their exact
+    mirror images.  The output is allocated once the orbits are done, so
+    the render peaks below labelling the grid.  The per-row window sums
+    hold every value the cells hold, so they are bucketed alone and each
+    cell takes its row's class; the mirrored half holds bit-identical
+    values, so the classes and the class table are those of the whole grid.
     """
     r = spec.resolution
     cells = r * r
@@ -338,10 +305,10 @@ def render_basins(t: Threshold, spec: GridSpec) -> BasinGrid:
 def cell_fingerprint(t: Threshold, spec: GridSpec, i: int, j: int) -> float:
     """Re-simulate a single cell through the renderer's exact code path,
     as a grid of one chunk of one cell."""
-    _require_integer("i", i)
-    _require_integer("j", j)
+    _require_integer("i", i, 0)
+    _require_integer("j", j, 0)
     r = spec.resolution
-    if not (0 <= i < r and 0 <= j < r):
+    if i >= r or j >= r:
         raise ParameterError("cell index out of range")
     k = i * r + j
     sums, owner = _window_sums(t, spec, k, k + 1)
@@ -467,7 +434,7 @@ def corner_accumulation(
     the distinct components with a cell in it.
     """
     eps_list = [float(e) for e in eps_list]
-    resolutions = [_require_integer("resolution", r) for r in resolutions]
+    resolutions = [_require_integer("resolution", r, 2) for r in resolutions]
     if not eps_list or not resolutions:
         raise ParameterError("eps_list and resolutions must not be empty")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):

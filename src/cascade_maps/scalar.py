@@ -29,7 +29,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, _require_integer
 
 __all__ = [
     "Threshold",
@@ -228,9 +228,7 @@ def tent_map(u):
 
 def avoidance_measure_tent(t: Threshold, j: int) -> float:
     """Tent measure ``d1**(j+1)`` of points avoiding C for ``j`` steps."""
-    if j < 0:
-        raise ParameterError("j must be >= 0")
-    return t.d1 ** (j + 1)
+    return t.d1 ** (_require_integer("j", j, 0) + 1)
 
 
 #: Points per chunk of :func:`estimate_avoidance`, about 2 MB of working memory.
@@ -247,11 +245,12 @@ def estimate_avoidance(
     Returns ``(fraction, stderr)`` with the binomial standard error.
     Deterministic for a fixed seed.  The points are drawn and iterated in
     chunks from one generator, which draws the same doubles as one draw.
+    ``j``, ``samples`` and ``seed`` are integers (numpy integers too), with
+    ``j >= 0``, ``samples >= 1`` and ``seed >= 0``.
     """
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
-    if j < 0:
-        raise ParameterError("j must be >= 0")
+    j = _require_integer("j", j, 0)
+    samples = _require_integer("samples", samples, 1)
+    seed = _require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     lo, hi = t.c_interval
     hits = 0

@@ -136,6 +136,27 @@ def test_class_map_mirror_symmetric(t):
     assert np.array_equal(g.fingerprints, g.fingerprints[::-1, ::-1])
 
 
+@pytest.mark.parametrize("pinned", [(), (0.3,)], ids=["plane", "pinned"])
+@pytest.mark.parametrize("r", [64, 125])
+@pytest.mark.parametrize("t", [T84, T95, T98])
+def test_fingerprints_mirror_symmetric_along_each_axis(t, r, pinned):
+    # The images of step 1 are 1 - 4u**2, a function of u**2 alone, so
+    # flipping one axis alone maps each cell onto a bit-identical orbit.
+    f = cm.render_basins(t, cm.GridSpec(resolution=r, pinned_sites=pinned)).fingerprints
+    assert f[::-1, :].tobytes() == f.tobytes()
+    assert f[:, ::-1].tobytes() == f.tobytes()
+
+
+@pytest.mark.parametrize("t", [T84, T95, T98])
+def test_slice_fingerprints_mirror_symmetric_along_the_unit_axis(t):
+    # A slice that spans the unit x axis is simulated cell by cell, with no
+    # reflection, and still flips bit for bit along x.
+    spec = cm.GridSpec(resolution=125, x_range=_UNIT, y_range=(0.2, 0.7), pinned_sites=(0.6,))
+    f = cm.render_basins(t, spec).fingerprints
+    assert f[::-1, :].tobytes() == f.tobytes()
+    assert f[:, ::-1].tobytes() != f.tobytes()
+
+
 def _direct_fingerprints(t, spec):
     # Oracle: every cell of the grid stepped as one block, none reflected
     # and none merged, with the window's excesses summed in step order.
@@ -161,8 +182,9 @@ def test_render_matches_direct_simulation_of_every_cell(monkeypatch, r, chunk):
     # Transients 7, 8, 9 and 16 put the window's first step on either side
     # of the batch compactions at steps 8 and 16; the default spec runs
     # through the compactions at 32 and 64 as well.  Windows of 40 from
-    # steps 1 and 10 hold the compactions at 16 and 32 (and at 8 from
-    # step 1), where rows merge only on equal partial sums.
+    # steps 1 and 10 span steps 16 and 32 (and 8 from step 1), where a
+    # longer transient would compact, and check a window with no
+    # compaction in it.
     monkeypatch.setattr(basins, "_CHUNK_CELLS", chunk)
     grid = [(tr, w) for tr in (0, 7, 8, 9, 16) for w in (1, 12)] + [(100, 12), (0, 40), (9, 40)]
     for transient, window in grid:
@@ -195,6 +217,17 @@ def test_render_steps_each_distinct_state_once(monkeypatch):
     assert rows[0] == (r * r + 1) // 2
     assert 1 < rows[-1] < rows[0]
     assert all(f_contiguous for _, f_contiguous in batches)
+
+
+@pytest.mark.parametrize("transient, window", [(100, 12), (9, 40), (0, 40), (3, 12)])
+@pytest.mark.parametrize("t", [T95, T98])
+def test_render_window_steps_one_batch_without_compaction(monkeypatch, t, transient, window):
+    # The window runs on the rows distinct at the end of the transient, so
+    # each of its steps passes the kernel the same number of rows.
+    batches = _spy_batches(monkeypatch)
+    cm.render_basins(t, cm.GridSpec(resolution=64, transient=transient, window=window))
+    assert len(batches) == transient + window
+    assert len({m for m, _ in batches[-window:]}) == 1
 
 
 def _spy_batches(monkeypatch):
@@ -279,7 +312,7 @@ def test_two_render_chunks_at_their_peaks_stay_below_labelling():
 
     def chunk(k0, k1):
         u = basins._cell_offsets(ux, uy, spec, k0, k1)
-        basins._chunk_head(u, T95.c1, spec.transient, spec.transient + spec.window)
+        basins._chunk_head(u, T95.c1, min(basins._FIRST_COMPACTION, spec.transient))
 
     chunk(0, 100)
     chunk_peak = _traced_peak(chunk, 0, basins._CHUNK_CELLS)

@@ -315,6 +315,31 @@ def test_estimate_avoidance_validates_arguments():
         cm.estimate_avoidance(t, 1, 0, seed=0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: cm.avoidance_measure_tent(t, 1.5),
+        lambda t: cm.avoidance_measure_tent(t, -1),
+        lambda t: cm.estimate_avoidance(t, 1.5, 10, seed=0),
+        lambda t: cm.estimate_avoidance(t, 1, 10.0, seed=0),
+        lambda t: cm.estimate_avoidance(t, 1, 10, seed=0.5),
+        lambda t: cm.estimate_avoidance(t, 1, 10, seed=-1),
+    ],
+    ids=["tent-j-1.5", "tent-j-neg", "j-1.5", "samples-10.0", "seed-0.5", "seed-neg"],
+)
+def test_avoidance_rejects_non_integral_and_negative_counts(call):
+    # A fractional j used to give the tent measure d1**2.5.
+    with pytest.raises(ParameterError):
+        call(cm.make_threshold(0.9))
+
+
+def test_avoidance_accepts_numpy_integers():
+    t = cm.make_threshold(0.9)
+    assert cm.avoidance_measure_tent(t, np.int64(3)) == cm.avoidance_measure_tent(t, 3)
+    got = cm.estimate_avoidance(t, np.int32(3), np.int64(1000), seed=np.uint64(5))
+    assert got == cm.estimate_avoidance(t, 3, 1000, seed=5)
+
+
 def _estimate_avoidance_oracle(t, j, samples, seed):
     # The unchunked loop: every sample drawn at once and iterated together.
     x = np.random.default_rng(seed).random(samples)
