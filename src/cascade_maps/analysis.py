@@ -19,7 +19,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .errors import BracketError, ParameterError
+from .errors import BracketError, ParameterError, _require_integer
 from .lattice import LatticeState, _distinct_rows, step, step_batch
 from .scalar import (
     MAX_ITER_DEFAULT,
@@ -296,10 +296,8 @@ def excess_window_sum(
     super-stable attractor whose period divides the window the sum is an
     exact invariant of the attractor, independent of phase.
     """
-    if transient < 0:
-        raise ParameterError("transient must be >= 0")
-    if window < 1:
-        raise ParameterError("window must be >= 1")
+    transient = _require_integer("transient", transient, 0)
+    window = _require_integer("window", window, 1)
     cur = s
     for _ in range(transient):
         cur = step(cur, t)
@@ -340,12 +338,8 @@ def _recurrences(
     retires from the stepped batch at once; rows are independent, so the
     survivors' bits do not change.
     """
-    if max_period < 1:
-        raise ParameterError("max_period must be >= 1")
-    if transient < 0:
-        raise ParameterError("transient must be >= 0")
-    if x.shape[1] < 1:
-        raise ParameterError("n_sites must be >= 1")
+    max_period = _require_integer("max_period", max_period, 1)
+    transient = _require_integer("transient", transient, 0)
     x = np.asfortranarray(x)
     for _ in range(transient):
         x, _ = step_batch(x, t)
@@ -508,8 +502,10 @@ def census(
     groups cannot tie, as lattice states never hold ``-0.0``), and is a
     pure function of the arguments.
     """
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
+    samples = _require_integer("samples", samples, 1)
+    n_sites = _require_integer("n_sites", n_sites, 1)
+    # Any integer passes here, so that a negative seed fails the range check.
+    seed = _require_integer("seed", seed, -math.inf)
     if not 0 <= seed < 2**64:
         raise ParameterError(f"seed must lie in [0, 2**64), got {seed}")
     groups: dict[bytes, list] = {}  # least state bytes -> [hits, period, state]

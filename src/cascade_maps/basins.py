@@ -18,14 +18,17 @@ Reflected cells therefore run bit-identical orbits from step one, making
 the class map exactly symmetric under ``x -> 1-x`` and ``y -> 1-y``, each
 on its own.
 
-Cells are numbered ``k = i*r + j``.  On the unit square cell ``k`` mirrors
-cell ``r*r - 1 - k``, so only the first half of the cells is simulated and
-the rest is reflected.  Batches are (m, N) and column-major, so the cascade
-sweep reads each site column as one contiguous run (the fast path of
+So each axis is folded on its own: on an axis that spans the unit interval
+only its first ``(r + 1) // 2`` cells are simulated, any other axis is
+simulated whole, and the grid is rebuilt by reflecting along each folded
+axis.  The unit square simulates one quadrant.  Simulated cells are
+numbered ``k = i*hy + j``, with ``hy`` the simulated cells of the y axis.
+Batches are (m, N) and column-major, so the cascade sweep reads each site
+column as one contiguous run (the fast path of
 :func:`cascade_maps.lattice.cascade_batch`).
 
 A clip sets a site to exactly ``c1``, so cells fall onto few exact float
-states: at c1=0.95, r=499 the 124,501 simulated cells hold 9,577 distinct
+states: at c1=0.95, r=499 the 62,500 simulated cells hold 9,577 distinct
 states at step 8 and 40 from step 64 on.  Each step passes its logistic
 images ``y`` to the next, and rows whose ``y`` agree bit for bit merge.
 This is exact at any step: the kernel is elementwise over rows, and step
@@ -167,8 +170,8 @@ _FIRST_COMPACTION = 8
 def _cell_offsets(
     ux: np.ndarray, uy: np.ndarray, spec: GridSpec, k0: int, k1: int
 ) -> np.ndarray:
-    """Column-major offsets array (m, N) for cells ``k0 <= k < k1``,
-    ``k = i*len(uy) + j``."""
+    """Column-major offsets array (m, N) for cells ``k0 <= k < k1`` of the
+    axes ``ux`` by ``uy``, ``k = i*len(uy) + j``."""
     i, j = np.divmod(np.arange(k0, k1), uy.size)
     u = np.empty((k1 - k0, spec.n_sites), order="F")
     u[:, 0] = ux[i]
@@ -212,48 +215,54 @@ def _chunk_head(u: np.ndarray, c1: float, steps: int) -> tuple[np.ndarray, np.nd
     return _distinct(y)
 
 
-def _window_sums(t: Threshold, spec: GridSpec, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Window sums of cells ``k0 <= k < k1``: per-row sums and each cell's row.
+def _window_sums(
+    t: Threshold, spec: GridSpec, ux: np.ndarray, uy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Window sums of the cells on axis offsets ``ux`` by ``uy``: per-row
+    sums and each cell's row.
 
-    The fingerprint of cell ``k`` is ``sums[owner[k - k0]]``.  A batch
-    row holds the logistic images ``y`` that the next step starts from.
-    That step and every later one, excesses included, are functions of
-    ``y`` alone, so rows whose images agree bit for bit can merge at any
+    The render passes each unit axis folded to its first ``(r + 1) // 2``
+    offsets: they are exactly antisymmetric, and step 1 is ``1 - 4u**2``,
+    so the other half of the axis runs the same orbits bit for bit.  The
+    fingerprint of cell ``(i, j)`` is ``sums[owner[i*len(uy) + j]]``.
+    A batch row holds the logistic images ``y`` that the next step starts
+    from.  That step and every later one, excesses included, are functions
+    of ``y`` alone, so rows whose images agree bit for bit can merge at any
     step without changing a bit.  Each chunk of ``_CHUNK_CELLS`` cells runs
     its head (:func:`_chunk_head`) on its own, to step
     ``min(_FIRST_COMPACTION, transient)``; the chunks' distinct rows are
     then gathered into one column-major batch, which runs the rest of the
-    transient once, compacted across chunks at the end of the head, at
-    steps 16, 32, ... and at ``transient``.  The window then runs on that
-    batch from zero sums, with no compaction in it, so each cell's
-    excesses are summed in step order.
+    transient once, compacted across chunks at the end of the head (unless
+    there was one chunk, which its head has just compacted), at steps 16,
+    32, ... and at ``transient``.  The window then runs on that batch from
+    zero sums, with no compaction in it, so each cell's excesses are summed
+    in step order.
 
     ``owner`` is ``int32``, 4 B per cell.  A chunk's head peaks at about
     0.68 MB traced (c1 = 0.95, while compacting at step 8), less than half
     of what labelling the r = 499 grid needs next to it.
     """
-    r = spec.resolution
-    ux = _axis_offsets(spec.x_range, r)
-    uy = _axis_offsets(spec.y_range, r)
+    n = ux.size * uy.size
     transient = spec.transient
     k = min(_FIRST_COMPACTION, transient)
-    owner = np.empty(k1 - k0, dtype=np.int32)
+    owner = np.empty(n, dtype=np.int32)
     ys = []
     rows = 0
-    for c0 in range(k0, k1, _CHUNK_CELLS):
-        c_end = min(c0 + _CHUNK_CELLS, k1)
+    for c0 in range(0, n, _CHUNK_CELLS):
+        c_end = min(c0 + _CHUNK_CELLS, n)
         y, inv = _chunk_head(_cell_offsets(ux, uy, spec, c0, c_end), t.c1, k)
         inv += rows
-        owner[c0 - k0 : c_end - k0] = inv
+        owner[c0:c_end] = inv
         del inv
         rows += y.shape[0]
         ys.append(y)
-    y = np.concatenate(ys)
-    del ys
 
-    # The tail: the whole range's rows as one batch, and ``row`` mapping
+    # The tail: every chunk's rows as one batch, and ``row`` mapping
     # each gathered row to the batch row that now carries its images.
-    y, row = _distinct(y)
+    y, row = ys[0], np.arange(rows)
+    if len(ys) > 1:
+        y, row = _distinct(np.concatenate(ys))
+    del ys
     while k < transient:
         stop = min(2 * k, transient)
         for _ in range(k, stop):
@@ -273,32 +282,35 @@ def render_basins(t: Threshold, spec: GridSpec) -> BasinGrid:
     Deterministic: cells are pure functions of their centre.  Each step
     passes its logistic images to the next, and merging cells whose images
     agree bit for bit changes no bit, since a step's images alone fix every
-    later step (see :func:`_window_sums`).  On the unit square only the
-    first ``(r*r + 1) // 2`` cells are simulated; the rest are their exact
-    mirror images.  The output is allocated once the orbits are done, so
-    the render peaks below labelling the grid.  The per-row window sums
-    hold every value the cells hold, so they are bucketed alone and each
-    cell takes its row's class; the mirrored half holds bit-identical
+    later step (see :func:`_window_sums`).  Each axis is folded on its own:
+    on an axis that spans the unit interval only the first ``(r + 1) // 2``
+    cells are simulated, and the rest are the mirror images of the first
+    ``r // 2``; any other axis is simulated whole.  The fold is exact,
+    because the unit axis offsets are exactly antisymmetric and step 1
+    depends on ``u**2`` alone.  The output is allocated once the orbits are
+    done, so the render peaks below labelling the grid.  The per-row window
+    sums hold every value the cells hold, so they are bucketed alone and
+    each cell takes its row's class; the reflected cells hold bit-identical
     values, so the classes and the class table are those of the whole grid.
     """
     r = spec.resolution
-    cells = r * r
-    mirrored = (*spec.x_range, *spec.y_range) == _UNIT + _UNIT
-    n = (cells + 1) // 2 if mirrored else cells
-    sums, owner = _window_sums(t, spec, 0, n)
+    ux, uy = (
+        _axis_offsets(a, r)[: (r + 1) // 2 if tuple(a) == _UNIT else r]
+        for a in (spec.x_range, spec.y_range)
+    )
+    hx, hy = ux.size, uy.size
+    sums, owner = _window_sums(t, spec, ux, uy)
     row_classes, class_table = _bucket_fingerprints(sums)
-    flat = np.empty(cells)
-    flat[:n] = sums[owner]
-    classes = np.empty(cells, dtype=np.int32)
-    classes[:n] = row_classes[owner]
-    del sums, owner, row_classes
-    flat[n:] = flat[: cells - n][::-1]
-    classes[n:] = classes[: cells - n][::-1]
+    grids = np.empty((r, r)), np.empty((r, r), dtype=np.int32)
+    for grid, per_row in zip(grids, (sums, row_classes)):
+        simulated = per_row[owner].reshape(hx, hy)
+        grid[:hx, :hy] = simulated
+        grid[:hx, hy:] = simulated[:, : r - hy][:, ::-1]
+        grid[hx:] = grid[: r - hx][::-1]
+        # Free the fingerprints' gather before the classes' is made.
+        del simulated
     return BasinGrid(
-        spec=spec,
-        fingerprints=flat.reshape(r, r),
-        classes=classes.reshape(r, r),
-        class_table=class_table,
+        spec=spec, fingerprints=grids[0], classes=grids[1], class_table=class_table
     )
 
 
@@ -310,8 +322,9 @@ def cell_fingerprint(t: Threshold, spec: GridSpec, i: int, j: int) -> float:
     r = spec.resolution
     if i >= r or j >= r:
         raise ParameterError("cell index out of range")
-    k = i * r + j
-    sums, owner = _window_sums(t, spec, k, k + 1)
+    ux = _axis_offsets(spec.x_range, r)
+    uy = _axis_offsets(spec.y_range, r)
+    sums, owner = _window_sums(t, spec, ux[i : i + 1], uy[j : j + 1])
     return float(sums[owner[0]])
 
 

@@ -337,6 +337,35 @@ def test_recurrence_search_validates_max_period(max_period):
         )
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("n_sites", 2.5), ("samples", 50.0), ("seed", 1.5), ("transient", 2.5), ("max_period", 8.0)],
+)
+def test_census_rejects_non_integral_counts(name, value):
+    kwargs = dict(n_sites=3, samples=50, seed=1, transient=100, max_period=64) | {name: value}
+    with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+        cm.census(T84, **kwargs)
+
+
+@pytest.mark.parametrize("name, value", [("transient", 2.5), ("max_period", 8.0)])
+def test_detect_periodic_orbit_rejects_non_integral_counts(name, value):
+    kwargs = dict(transient=10, max_period=16) | {name: value}
+    with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+        cm.detect_periodic_orbit(T84, cm.LatticeState(sites=[0.3, 0.6]), **kwargs)
+
+
+def test_census_and_detection_accept_numpy_integers():
+    counts = dict(transient=np.int16(100), max_period=np.uint8(64))
+    want = cm.census(T84, 3, 50, seed=1)
+    got = cm.census(T84, np.int64(3), np.int32(50), seed=np.int64(1), **counts)
+    assert [(rec.orbit.tobytes(), hits) for rec, hits in got] == [
+        (rec.orbit.tobytes(), hits) for rec, hits in want
+    ]
+    s = cm.LatticeState(sites=[0.3, 0.6])
+    rec = cm.detect_periodic_orbit(T84, s, **counts)
+    assert rec.orbit.tobytes() == cm.detect_periodic_orbit(T84, s, 100, 64).orbit.tobytes()
+
+
 def test_census_orbits_return_exactly_at_many_attractors():
     # The period search is a bit-exact return test: stepping a record's
     # first state ``period`` times gives that state back bit for bit.

@@ -149,8 +149,8 @@ def test_fingerprints_mirror_symmetric_along_each_axis(t, r, pinned):
 
 @pytest.mark.parametrize("t", [T84, T95, T98])
 def test_slice_fingerprints_mirror_symmetric_along_the_unit_axis(t):
-    # A slice that spans the unit x axis is simulated cell by cell, with no
-    # reflection, and still flips bit for bit along x.
+    # A slice that spans the unit x axis is folded along x alone: it flips
+    # bit for bit along x, and its y axis is simulated whole.
     spec = cm.GridSpec(resolution=125, x_range=_UNIT, y_range=(0.2, 0.7), pinned_sites=(0.6,))
     f = cm.render_basins(t, spec).fingerprints
     assert f[::-1, :].tobytes() == f.tobytes()
@@ -204,8 +204,8 @@ def test_render_matches_direct_simulation_of_every_cell(monkeypatch, r, chunk):
 def test_render_steps_each_distinct_state_once(monkeypatch):
     # Cells fall onto few exact states after their clips, and the render
     # steps each distinct state of a chunk once: at c1=0.95, r=64 the kernel
-    # steps about a tenth of the nominal rows.  Every batch stays
-    # column-major after the compactions.
+    # steps about a seventh of the simulated quadrant's rows.  Every batch
+    # stays column-major after the compactions.
     batches = _spy_batches(monkeypatch)
     r = 64
     spec = cm.GridSpec(resolution=r)
@@ -213,8 +213,8 @@ def test_render_steps_each_distinct_state_once(monkeypatch):
     steps = spec.transient + spec.window
     assert len(batches) == steps == 112
     rows = [m for m, _ in batches]
-    assert sum(rows) <= 0.2 * ((r * r + 1) // 2) * steps
-    assert rows[0] == (r * r + 1) // 2
+    assert sum(rows) <= 0.2 * ((r + 1) // 2) ** 2 * steps
+    assert rows[0] == ((r + 1) // 2) ** 2
     assert 1 < rows[-1] < rows[0]
     assert all(f_contiguous for _, f_contiguous in batches)
 
@@ -230,6 +230,48 @@ def test_render_window_steps_one_batch_without_compaction(monkeypatch, t, transi
     assert len({m for m, _ in batches[-window:]}) == 1
 
 
+@pytest.mark.parametrize("r", [2, 3, 64, 65])
+@pytest.mark.parametrize(
+    "x_range, y_range",
+    [(_UNIT, _UNIT), (_UNIT, (0.2, 0.7)), ((0.1, 0.6), _UNIT), ((0.1, 0.6), (0.2, 0.7))],
+    ids=["square", "unit-x", "unit-y", "sub-range"],
+)
+def test_render_simulates_the_first_half_of_each_unit_axis(monkeypatch, r, x_range, y_range):
+    # Each axis that spans the unit interval is folded on its own, to its
+    # first (r + 1) // 2 cells; any other axis is simulated whole.
+    batches = _spy_batches(monkeypatch)
+    cm.render_basins(T95, cm.GridSpec(resolution=r, x_range=x_range, y_range=y_range))
+    hx, hy = ((r + 1) // 2 if a == _UNIT else r for a in (x_range, y_range))
+    assert batches[0][0] == hx * hy
+
+
+@pytest.mark.parametrize("r", [2, 3, 8, 9])
+@pytest.mark.parametrize("t", [T84, T94, T98])
+def test_unit_axis_slice_matches_direct_simulation_of_every_cell(t, r):
+    # A slice folded along x alone rebuilds every cell bit for bit.
+    spec = cm.GridSpec(resolution=r, y_range=(0.2, 0.7), pinned_sites=(0.6,))
+    want = _direct_fingerprints(t, spec).tobytes()
+    assert cm.render_basins(t, spec).fingerprints.tobytes() == want
+
+
+@pytest.mark.parametrize("chunk, calls", [(16384, 1 + 4), (512, 2 + 1 + 4)])
+def test_render_compacts_across_chunks_only_when_there_are_several(monkeypatch, chunk, calls):
+    # At r=64 the quadrant is one chunk of 1024 cells, which its head has
+    # just compacted, so the tail compacts only at steps 16, 32, 64 and 100.
+    # Two chunks add one compaction across them.
+    monkeypatch.setattr(basins, "_CHUNK_CELLS", chunk)
+    compactions = []
+    inner = basins._distinct
+
+    def spy(y):
+        compactions.append(y.shape[0])
+        return inner(y)
+
+    monkeypatch.setattr(basins, "_distinct", spy)
+    cm.render_basins(T95, cm.GridSpec(resolution=64))
+    assert len(compactions) == calls
+
+
 def _spy_batches(monkeypatch):
     batches = []
     inner = basins.cascade_batch
@@ -243,7 +285,7 @@ def _spy_batches(monkeypatch):
 
 
 def test_render_merges_the_chunks_after_the_first_compaction(monkeypatch):
-    # At r=64 chunks of 512 cells make 4 chunks of the 2048 simulated
+    # At r=64 chunks of 512 cells make 2 chunks of the 1024 simulated
     # cells.  Each chunk runs steps 1-8 on its own; the merged batch then
     # runs steps 9-112 once for the whole grid.
     spec = cm.GridSpec(resolution=64)
@@ -251,24 +293,27 @@ def test_render_merges_the_chunks_after_the_first_compaction(monkeypatch):
     monkeypatch.setattr(basins, "_CHUNK_CELLS", 512)
     batches = _spy_batches(monkeypatch)
     got = cm.render_basins(T95, spec).fingerprints.tobytes()
-    assert len(batches) == 4 * 8 + (112 - 8) == 136
-    assert [m for m, _ in batches[:32:8]] == [512] * 4
+    assert len(batches) == 2 * 8 + (112 - 8) == 120
+    assert [m for m, _ in batches[:16:8]] == [512] * 2
     assert all(f_contiguous for _, f_contiguous in batches)
     assert got == want
 
 
-#: sha256 of ``render_basins(T, GridSpec(resolution=r)).fingerprints.tobytes()``
-#: as rendered one chunk at a time, before the chunks were merged.
+#: sha256 of ``render_basins(T, GridSpec(resolution=r)).fingerprints.tobytes()``.
+#: The odd resolutions were rendered one chunk at a time, before the chunks
+#: were merged; the even one, which folds with no middle row, by reflecting
+#: half of the cells through the centre, before each axis was folded.
 _FINGERPRINT_DIGESTS = {
     (0.84, 601): "ea58d49efa7d78b43090351802cef4027af4164dbdb66a536f4d9d2d0952058c",
     (0.95, 999): "09874ff39bb7dc4d7653b1e33e4c1718dd6170ca39256754ace4378678f75d3b",
+    (0.95, 1000): "8e6cf0c99ba577f30b7fc2d9651cc10848c2a1a0c86d3f8b003dfbb6a00795f5",
     (0.98, 999): "d7d8acef6d018780f774bd8bb2726522562ab39a13eec6abcf82c921217d42d2",
 }
 
 
 @pytest.mark.parametrize("c1, r", sorted(_FINGERPRINT_DIGESTS))
 def test_many_chunk_render_keeps_its_fingerprints_bit_for_bit(c1, r):
-    # 12 to 31 chunks of the default size, merged into one batch.
+    # 6 to 16 chunks of the default size, merged into one batch.
     g = cm.render_basins(cm.make_threshold(c1), cm.GridSpec(resolution=r))
     digest = hashlib.sha256(g.fingerprints.tobytes()).hexdigest()
     assert digest == _FINGERPRINT_DIGESTS[c1, r]

@@ -317,6 +317,10 @@ def test_window_sum_validation():
         cm.excess_window_sum(s, T84, -1, 12)
     with pytest.raises(ParameterError):
         cm.excess_window_sum(s, T84, 0, 0)
+    with pytest.raises(ParameterError, match="transient must be an integer"):
+        cm.excess_window_sum(s, T84, 2.5, 12)
+    with pytest.raises(ParameterError, match="window must be an integer"):
+        cm.excess_window_sum(s, T84, 0, 12.0)
 
 
 # ------------------------------------------------- vectorised cascade kernel
