@@ -188,6 +188,8 @@ _LAST_STAR = 15
 def star_values(max_s: int) -> list[StarValue]:
     """Stars for ``s = 2..max_s`` (at most ``_LAST_STAR``) to 1e-13, each the only
     sign change of the constrained ``f^s`` gap between its predecessor and 1."""
+    # Any integer passes here, so that one out of range fails the range check.
+    max_s = _require_integer("max_s", max_s, -math.inf)
     if not 2 <= max_s <= _LAST_STAR:
         msg = f"max_s must lie in 2..{_LAST_STAR}, the stars resolved in doubles"
         raise ParameterError(f"{msg}, got {max_s}")
@@ -222,6 +224,9 @@ def build_markov(t: Threshold, n: int) -> MarkovModel:
     c0 = (1 - sqrt(1 - c1)) / 2 rises with c1, and at XI2 already
     c2 = 1/4 < c0.
     """
+    # Any integer passes here; the coverage and depth checks below reject
+    # one that is too small.
+    n = _require_integer("n", n, -math.inf)
     if t.c1 <= XI2:
         raise ParameterError(
             f"Markov partition needs c1 > {XI2:.12f}, got {t.c1!r}"
@@ -498,7 +503,7 @@ def census(
     from their least states and its records built in one batch.  Apart
     from the groups found, working memory is bounded by the chunk,
     whatever ``samples`` and ``max_period``.  The result is sorted by
-    decreasing hit count, then fingerprint, period and orbit (distinct
+    decreasing hit count, then fingerprint, period and least state (distinct
     groups cannot tie, as lattice states never hold ``-0.0``), and is a
     pure function of the arguments.
     """
@@ -541,7 +546,7 @@ def census(
             -e[1],
             e[0].window_fingerprint,
             e[0].period,
-            e[0].orbit.ravel().tolist(),
+            e[0].orbit[0].tolist(),
         )
     )
     return entries
@@ -556,8 +561,7 @@ def bifurcation_scan(
     """Classify the scalar orbit on an even grid of thresholds."""
     if not 0.75 < c1_lo < c1_hi < 1.0:
         raise ParameterError("scan range must satisfy 3/4 < lo < hi < 1")
-    if steps < 2:
-        raise ParameterError("steps must be >= 2")
+    steps = _require_integer("steps", steps, 2)
     out = []
     for c1 in np.linspace(c1_lo, c1_hi, steps):
         t = make_threshold(float(c1))
@@ -571,8 +575,8 @@ def central_component_reaches_boundary(t: Threshold, n_sites: int) -> bool:
     """Whether accumulated carries can push the in-phase core to the boundary.
 
     True iff some ``j < n_sites`` has ``j * (1 - c1) > 1``: enough upstream
-    sites clipping at once to lift a downstream site past 1.
+    sites clipping at once to lift a downstream site past 1.  The product is
+    monotone in ``j``, also when rounded, so the largest ``j`` decides.
     """
-    if n_sites < 2:
-        raise ParameterError("n_sites must be >= 2")
-    return any(j * (1.0 - t.c1) > 1.0 for j in range(1, n_sites))
+    n_sites = _require_integer("n_sites", n_sites, 2)
+    return (n_sites - 1) * (1.0 - t.c1) > 1.0

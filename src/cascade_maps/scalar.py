@@ -144,8 +144,7 @@ def forward_orbit(t: Threshold, k: int) -> tuple[np.ndarray, np.ndarray]:
     ``excesses[i]`` is the excess emitted by the step that produced
     ``states[i]`` (zero for the starting point).
     """
-    if k < 1:
-        raise ParameterError("orbit length k must be >= 1")
+    k = _require_integer("k", k, 1)
     states = np.empty(k)
     excesses = np.zeros(k)
     states[0] = t.c1
@@ -157,41 +156,27 @@ def forward_orbit(t: Threshold, k: int) -> tuple[np.ndarray, np.ndarray]:
     return states, excesses
 
 
-def classify_orbit(
-    t: Threshold,
-    max_iter: int = MAX_ITER_DEFAULT,
-    boundary_tol: float = BOUNDARY_TOL,
-) -> OrbitClass:
+def classify_orbit(t: Threshold, max_iter: int = MAX_ITER_DEFAULT) -> OrbitClass:
     """Classify the forward orbit of ``c1``.
 
-    SuperStable(p, k): the k-th iterate lies in the interior of C at
-    distance > ``boundary_tol`` from its edge; the orbit then repeats with
-    exact minimal period ``p`` (clipping makes the return to ``c1`` exact).
-    Boundary(k): the k-th iterate lies within ``boundary_tol`` of the edge
-    of C.  Repeller: no iterate met C within ``max_iter`` steps.
+    SuperStable(k + 1, k): the k-th iterate lies in the interior of C at
+    distance > ``BOUNDARY_TOL`` from its edge, so the next step clips it to
+    exactly ``c1`` and the orbit repeats with period ``k + 1``.  That period
+    is minimal: ``c1`` lies outside C, so no earlier iterate was clipped, and
+    an unclipped image equals ``c1`` only from the edge of C, which is
+    reported as Boundary.  Boundary(k): the k-th iterate lies within
+    ``BOUNDARY_TOL`` of the edge of C.  Repeller: no iterate met C within
+    ``max_iter`` steps.
     """
-    if max_iter < 1:
-        raise ParameterError("max_iter must be >= 1")
-    if not boundary_tol > 0.0:
-        raise ParameterError("boundary_tol must be positive")
+    max_iter = _require_integer("max_iter", max_iter, 1)
     lo, hi = t.c_interval
-    points = [t.c1]
     x = t.c1
     for k in range(1, max_iter + 1):
         x, _ = threshold_map(x, t)
-        points.append(x)
-        if abs(x - lo) <= boundary_tol or abs(x - hi) <= boundary_tol:
+        if abs(x - lo) <= BOUNDARY_TOL or abs(x - hi) <= BOUNDARY_TOL:
             return Boundary(step=k)
-        if lo + boundary_tol < x < hi - boundary_tol:
-            # Entry into int(C): the next step clips to exactly c1, so the
-            # cycle is {c1, ..., points[k]}.  An exact earlier return to c1
-            # (without a clip) would mean a shorter true period.
-            period = k + 1
-            for j in range(1, k + 1):
-                if points[j] == t.c1:
-                    period = j
-                    break
-            return SuperStable(period=period, steps_to_c=k)
+        if lo + BOUNDARY_TOL < x < hi - BOUNDARY_TOL:
+            return SuperStable(period=k + 1, steps_to_c=k)
     return Repeller(iterations_checked=max_iter)
 
 

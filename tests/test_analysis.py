@@ -903,6 +903,38 @@ def test_central_component_reaches_boundary(c1, n, expected):
     assert cm.central_component_reaches_boundary(cm.make_threshold(c1), n) is expected
 
 
+def test_central_component_matches_every_upstream_count():
+    # The last product decides, also at thresholds 1 - 1/j where the
+    # rounded product lands next to 1.
+    grid = np.linspace(0.7501, 0.9999, 300).tolist() + [1.0 - 1.0 / j for j in range(5, 40)]
+    for c1 in grid:
+        t = cm.make_threshold(c1)
+        for n in range(2, 50):
+            want = any(j * (1.0 - t.c1) > 1.0 for j in range(1, n))
+            assert cm.central_component_reaches_boundary(t, n) is want, (c1, n)
+
+
 def test_central_component_needs_two_sites():
     with pytest.raises(ParameterError):
         cm.central_component_reaches_boundary(cm.make_threshold(0.9), 1)
+
+
+# ------------------------------------------------- integer counts everywhere
+
+T95 = cm.make_threshold(0.95)
+_COUNT_CALLS = {
+    "max_iter": (lambda v: cm.classify_orbit(T95, max_iter=v), 50),
+    "k": (lambda v: cm.forward_orbit(T95, v), 5),
+    "steps": (lambda v: cm.bifurcation_scan(0.8, 0.9, v), 3),
+    "max_s": (cm.star_values, 3),
+    "n": (lambda v: cm.build_markov(T95, v), 12),
+    "n_sites": (lambda v: cm.central_component_reaches_boundary(T95, v), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_COUNT_CALLS))
+def test_scalar_map_counts_are_integers(name):
+    call, valid = _COUNT_CALLS[name]
+    with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+        call(2.5)
+    assert repr(call(np.int64(valid))) == repr(call(valid))

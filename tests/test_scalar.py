@@ -175,10 +175,24 @@ def test_classify_orbit_validates_arguments():
     t = cm.make_threshold(0.9)
     with pytest.raises(ParameterError):
         cm.classify_orbit(t, max_iter=0)
-    # NaN fails every comparison, so it needs a "not > 0" check.
-    for tol in (0.0, math.nan):
-        with pytest.raises(ParameterError):
-            cm.classify_orbit(t, boundary_tol=tol)
+
+
+def test_classify_orbit_period_is_the_first_return_to_c1():
+    # The period is read off the clip, without a search: the orbit of c1
+    # meets c1 again exactly at step ``period`` and at no step before.
+    grid = np.linspace(0.75, 1.0, 2002)[1:-1].tolist() + [cm.XI2]
+    found = 0
+    for c1 in grid:
+        t = cm.make_threshold(c1)
+        oc = cm.classify_orbit(t)
+        if not isinstance(oc, cm.SuperStable):
+            continue
+        found += 1
+        assert oc.period == oc.steps_to_c + 1, c1
+        states, _ = cm.forward_orbit(t, oc.period + 1)
+        assert states[oc.period] == t.c1, c1
+        assert not np.any(states[1 : oc.period] == t.c1), c1
+    assert found > len(grid) // 2
 
 
 # ------------------------------------------------------------ tent conjugacy
