@@ -224,9 +224,7 @@ def build_markov(t: Threshold, n: int) -> MarkovModel:
     c0 = (1 - sqrt(1 - c1)) / 2 rises with c1, and at XI2 already
     c2 = 1/4 < c0.
     """
-    # Any integer passes here; the coverage and depth checks below reject
-    # one that is too small.
-    n = _require_integer("n", n, -math.inf)
+    n = _require_integer("n", n, 1)
     if t.c1 <= XI2:
         raise ParameterError(
             f"Markov partition needs c1 > {XI2:.12f}, got {t.c1!r}"

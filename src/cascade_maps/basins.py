@@ -379,6 +379,11 @@ def _label_cells(classes: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.nd
     Union-find over the row runs of :func:`_run_graph` hooks each edge's
     larger root onto its smaller one and pointer-jumps, until no edge joins
     two roots; each root is then its component's first run in raster order.
+    The roots are numbered by one sort of ``class << shift | run`` words,
+    ``shift`` being the bit length of the largest run id, so that ids
+    ascend by class, then by first cell.  Classes are ``int32``, and a map
+    of fewer than 2**31 cells (r <= 46,340, as the ``int32`` run ids need)
+    has ``shift <= 31``, so the words fit in 62 of ``int64``'s 63 bits.
     """
     run, run_class, a, b = _run_graph(classes)
     parent = np.arange(run_class.size, dtype=np.int32)
@@ -399,10 +404,15 @@ def _label_cells(classes: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.nd
     # order within a class, one class after another.
     roots = np.flatnonzero(parent == np.arange(parent.size, dtype=np.int32))
     root_class = run_class[roots]
+    shift = (parent.size - 1).bit_length()
+    word = root_class.astype(np.int64)
+    word <<= shift
+    word |= roots
+    del roots
+    word.sort()
+    word &= (1 << shift) - 1
     comp = np.empty(parent.size, dtype=np.int32)
-    comp[roots[np.argsort(root_class, kind="stable")]] = np.arange(
-        1, roots.size + 1, dtype=np.int32
-    )
+    comp[word] = np.arange(1, word.size + 1, dtype=np.int32)
     # Indexing, not np.take, below: np.take copies int32 indices to intp.
     comp = comp[parent]
     for k0 in range(0, run.size, _LABEL_BLOCK):

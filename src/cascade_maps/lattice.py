@@ -124,8 +124,8 @@ def cascade_batch(y: np.ndarray, c1: float) -> tuple[np.ndarray, np.ndarray]:
     return out, carry
 
 
-#: Odd multiplier of the polynomial row hash of :func:`_distinct_rows`
-#: (the 64-bit golden-ratio constant).
+#: Odd multiplier of the row hash of :func:`_distinct_rows` (the 64-bit
+#: golden-ratio constant).
 _ROW_HASH = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -133,29 +133,40 @@ def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group the bit-identical rows of an (M, N) batch of 8-byte values.
 
     Returns ``(first, inv)`` with ``x[first][inv]`` equal to ``x`` bit for
-    bit: ``first`` holds one row index per group and ``inv`` maps each row
-    to its group.  The rows' ``uint64`` bit patterns are hashed into one
-    key per row and sorted by key; a group starts wherever any column's
-    bits differ from those of the previous sorted row.  Equal rows have
-    equal keys, so a hash collision can only split a group, never merge two
-    states: the result is exact, and ``-0.0`` stays apart from ``+0.0``.
+    bit: ``first`` holds each group's lowest row index and ``inv`` maps each
+    row to its group.  Each column's ``uint64`` bits are mixed into a row
+    hash (xor, multiply by ``_ROW_HASH``, xor the value shifted down 29), so
+    every bit of every column reaches the hash's high bits.  The row index
+    fills the low ``(M - 1).bit_length()`` bits of one word per row, and one
+    sort of those words orders the rows by truncated hash, then by index.
+    A group starts wherever any column's bits differ from those of the
+    previous sorted row.  Equal rows have equal words up to the index, so a
+    hash collision can only split a group, never merge two states: the
+    result is exact, and ``-0.0`` stays apart from ``+0.0``.
     Column-major ``x`` is the fast path, as for the kernels.
     """
     bits = x.view(np.uint64)
-    key = bits[:, 0].copy()
-    for i in range(1, bits.shape[1]):
+    m = bits.shape[0]
+    key = np.zeros(m, dtype=np.uint64)
+    for i in range(bits.shape[1]):
+        key ^= bits[:, i]
         key *= _ROW_HASH
-        key += bits[:, i]
-    order = np.argsort(key)
-    del key  # spent temporaries go at once: a render chunk peaks in here
-    new = np.zeros(order.size, dtype=bool)
+        key ^= key >> 29
+    shift = (m - 1).bit_length()
+    key >>= shift
+    key <<= shift
+    key |= np.arange(m, dtype=np.uint64)
+    key.sort()
+    key &= np.uint64((1 << shift) - 1)
+    order = key.view(np.intp)
+    new = np.zeros(m, dtype=bool)
     new[:1] = True
     for i in range(bits.shape[1]):
-        col = bits[:, i][order]
+        col = np.take(bits[:, i], order)
         new[1:] |= col[1:] != col[:-1]
     del col
     group = np.cumsum(new)
     group -= 1
-    inv = np.empty(order.size, dtype=np.intp)
+    inv = np.empty(m, dtype=np.intp)
     inv[order] = group
     return order[new], inv

@@ -167,6 +167,12 @@ def test_markov_rejects_low_threshold_and_small_depth():
         cm.build_markov(cm.make_threshold(0.94), 3)  # needs n >= n0 + 1
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_markov_rejects_a_depth_below_one(n):
+    with pytest.raises(ParameterError, match="n must be >= 1"):
+        cm.build_markov(cm.make_threshold(0.95), n)
+
+
 # ------------------------------------------------------------ orbit detection
 
 

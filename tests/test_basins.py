@@ -519,6 +519,19 @@ def test_label_matches_ndimage_on_small_maps(data):
     _assert_matches_ndimage(_grid_from_classes(np.reshape(cells, (r, r))))
 
 
+def test_label_matches_ndimage_when_every_cell_is_its_own_class():
+    # 4,096 classes of one cell each: the widest class << shift | run words.
+    rng = np.random.default_rng(64)
+    _assert_matches_ndimage(_grid_from_classes(rng.permutation(64 * 64).reshape(64, 64)))
+
+
+def test_label_matches_ndimage_with_a_few_hundred_classes():
+    # 4x4 blocks of 300 classes, so that most classes have several components.
+    rng = np.random.default_rng(300)
+    blocks = rng.integers(0, 300, (25, 25))
+    _assert_matches_ndimage(_grid_from_classes(np.kron(blocks, np.ones((4, 4), dtype=int))))
+
+
 def _spiral(n: int) -> np.ndarray:
     """A clockwise wall of class 1 with a one-cell corridor of class 0."""
     wall = np.zeros((n, n), dtype=np.int32)

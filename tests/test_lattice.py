@@ -433,13 +433,20 @@ def _check_groups(x, first, inv):
     assert np.array_equal(inv[first], np.arange(first.size))
 
 
+def _mix(z: int) -> int:
+    """One column's step of the row hash, on Python ints modulo 2**64."""
+    z = z * int(lattice._ROW_HASH) % 2**64
+    return z ^ (z >> 29)
+
+
 def test_distinct_rows_keeps_rows_with_equal_hash_keys_apart():
-    # The key of a two-site row is b0 * K + b1 modulo 2**64, so adding one
-    # to b0 and subtracting K from b1 gives a different row with equal key.
-    k = int(lattice._ROW_HASH)
+    # The hash of a two-site row is _mix(_mix(b0) ^ b1), so any b0 with
+    # b1 = _mix(b0) ^ _mix(a0) ^ a1 gives a different row with equal hash.
     a = [int(v) for v in np.array([0.25, 0.5]).view(np.uint64)]
-    b = [a[0] + 1, (a[1] - k) % 2**64]
-    assert (a[0] * k + a[1]) % 2**64 == (b[0] * k + b[1]) % 2**64
+    b0 = a[0] + 1
+    b = [b0, _mix(b0) ^ _mix(a[0]) ^ a[1]]
+    assert b != a
+    assert _mix(_mix(a[0]) ^ a[1]) == _mix(_mix(b[0]) ^ b[1])
     x = np.asfortranarray(np.array([a, b, a, b], dtype=np.uint64).view(float))
     first, inv = _distinct_rows(x)
     _check_groups(x, first, inv)
@@ -468,7 +475,8 @@ def test_distinct_rows_of_one_state(x):
 
 
 #: Site values of lattice states (no -0.0).  All 8 + 64 + 512 rows of
-#: width 1 to 3 over this pool have distinct hash keys.
+#: width 1 to 3 over this pool differ in the top 58 bits of their hash, so
+#: their words sort apart at any batch size up to 2**6 rows.
 _ROW_POOL = [0.0, 5e-324, 0.1, 0.25, 0.5, 0.75, 0.95, 1.0]
 
 
@@ -482,11 +490,60 @@ _ROW_POOL = [0.0, 5e-324, 0.1, 0.25, 0.5, 0.75, 0.95, 1.0]
     st.booleans(),
 )
 def test_distinct_rows_groups_exactly_the_equal_rows(width, picks, fortran):
-    # No two rows over the pool share a hash key, so the groups are exactly
-    # the distinct rows.
+    # No two rows over the pool share the high bits of their hash, so the
+    # groups are exactly the distinct rows.
     x = np.array(_ROW_POOL)[np.array(picks)[:, :width]]
     if fortran:
         x = np.asfortranarray(x)
     first, inv = _distinct_rows(x)
     _check_groups(x, first, inv)
     assert first.size == len({row.tobytes() for row in x})
+
+
+def _lowest_rows(inv: np.ndarray, n_groups: int) -> np.ndarray:
+    """The lowest row index in each group of ``inv``."""
+    lowest = np.full(n_groups, inv.size)
+    np.minimum.at(lowest, inv, np.arange(inv.size))
+    return lowest
+
+
+@pytest.mark.parametrize("m", [1000, 4096, 4097])
+@pytest.mark.parametrize("width", [2, 3, 4])
+@pytest.mark.parametrize(
+    "pool", [[0.0, 1.0, 2.0, 3.0], [0.0, 0.25, 0.5, 1.0]], ids=["ints", "quarters"]
+)
+def test_distinct_rows_groups_rows_with_few_significant_bits(pool, width, m):
+    # These values differ only in their top 16 bits, which every column's
+    # step carries into the high bits of the hash.
+    rng = np.random.default_rng(100 * m + width)
+    x = np.asfortranarray(np.array(pool)[rng.integers(0, len(pool), (m, width))])
+    first, inv = _distinct_rows(x)
+    _check_groups(x, first, inv)
+    assert first.size == len({row.tobytes() for row in x})
+
+
+@pytest.mark.parametrize("fortran", [True, False])
+def test_distinct_rows_first_is_each_groups_lowest_row(fortran):
+    rng = np.random.default_rng(29)
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 0.5, 1.0])
+    x = pool[rng.integers(0, pool.size, (3000, 3))]
+    if fortran:
+        x = np.asfortranarray(x)
+    first, inv = _distinct_rows(x)
+    _check_groups(x, first, inv)
+    assert first.size == len({row.tobytes() for row in x})
+    assert np.array_equal(first, _lowest_rows(inv, first.size))
+
+
+@pytest.mark.parametrize(
+    "m", sorted({1, 2} | {m for k in range(1, 16) for m in (2**k, 2**k + 1)})
+)
+def test_distinct_rows_at_the_index_width_edges(m):
+    # The row index fills the low (m - 1).bit_length() bits of each word.
+    i = np.arange(m)
+    x = np.asfortranarray(np.column_stack([(i % 97) * 0.125, i % 3]))
+    x[i % 5 == 0, 1] = -0.0
+    first, inv = _distinct_rows(x)
+    _check_groups(x, first, inv)
+    assert first.size == len({row.tobytes() for row in x})
+    assert np.array_equal(first, _lowest_rows(inv, first.size))
