@@ -47,6 +47,7 @@ larger.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -80,6 +81,20 @@ _CORNERS = ("00", "01", "10", "11")
 _LABEL_BLOCK = 65536
 
 
+def _reals(name: str, value, pair: bool = False) -> tuple:
+    """The items of ``value``, which must be a sequence of reals, and a pair
+    if ``pair``."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        items = None
+    reals = items is not None and all(isinstance(v, numbers.Real) for v in items)
+    if not reals or pair and len(items) != 2:
+        kind = "pair" if pair else "sequence"
+        raise ParameterError(f"{name} must be a {kind} of reals, got {value!r}")
+    return items
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Sampling protocol for a two-axis basin slice.
@@ -98,10 +113,11 @@ class GridSpec:
     def __post_init__(self):
         for name, least in (("resolution", 2), ("transient", 0), ("window", 1)):
             _require_integer(name, getattr(self, name), least)
-        for lo, hi in (self.x_range, self.y_range):
+        for name in ("x_range", "y_range"):
+            lo, hi = _reals(name, getattr(self, name), pair=True)
             if not (0.0 <= lo < hi <= 1.0):
                 raise ParameterError("domain ranges must be sub-intervals of [0, 1]")
-        if any(not 0.0 <= p <= 1.0 for p in self.pinned_sites):
+        if any(not 0.0 <= p <= 1.0 for p in _reals("pinned_sites", self.pinned_sites)):
             raise ParameterError("pinned site values must lie in [0, 1]")
 
     @property
@@ -498,7 +514,7 @@ def interior_accumulation(
     radii = [float(x) for x in radii]
     if not radii:
         raise ParameterError("radii must not be empty")
-    px, py = point
+    px, py = _reals("point", point, pair=True)
     if not (0.0 < px < 1.0 and 0.0 < py < 1.0):
         raise ParameterError("accumulation point must lie in the open square")
     if not all(radius > 0.0 for radius in radii):

@@ -7,6 +7,8 @@ file > defaults; environment variables use the ``CASCADE_`` prefix
 (``--max-iter`` becomes ``CASCADE_MAX_ITER``), and a config file passed
 via ``--config`` is line-oriented ``key=value`` with unknown keys
 rejected.  Exit codes: 0 success, 2 usage error, 3 runtime failure.
+Each option is declared once, as a :class:`RunConfig` field that holds its
+default, the parser of its raw text and, for a count, its least value.
 ``basin`` and ``accumulation`` accept and validate ``--workers`` (>= 1) but
 ignore it, since the render runs on one thread; the flag stays only because
 the benchmark's commands still pass it.
@@ -15,7 +17,7 @@ the benchmark's commands still pass it.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 from . import analysis, basins, io
@@ -42,36 +44,6 @@ class UsageError(Exception):
     """Bad command line, environment value or config entry."""
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved options for one subcommand run."""
-
-    subcommand: str
-    c1: Optional[float] = None
-    sites: int = 2
-    resolution: int = basins.GridSpec.resolution
-    transient: int = basins.GridSpec.transient
-    window: int = basins.GridSpec.window
-    samples: int = 10_000
-    seed: int = DEFAULT_SEED
-    max_period: int = 64
-    max_iter: int = MAX_ITER_DEFAULT
-    max_s: int = 8
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-    steps: int = 200
-    n: int = 12
-    j: int = 10
-    corner: bool = False
-    point: Optional[tuple[float, float]] = None
-    eps: tuple[float, ...] = (0.1, 0.05, 0.02)
-    resolutions: tuple[int, ...] = (125, 249, 499)
-    radii: tuple[float, ...] = (0.05, 0.1, 0.2)
-    workers: int = 1
-    output_path: Optional[str] = None
-    format: str = "csv"
-
-
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -96,32 +68,44 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 
-#: key -> parser for every recognised option.
-_PARSERS = {
-    "c1": float,
-    "sites": int,
-    "resolution": int,
-    "transient": int,
-    "window": int,
-    "samples": int,
-    "seed": lambda s: int(s, 0),
-    "max_period": int,
-    "max_iter": int,
-    "max_s": int,
-    "lo": float,
-    "hi": float,
-    "steps": int,
-    "n": int,
-    "j": int,
-    "corner": _parse_bool,
-    "point": _parse_point,
-    "eps": _parse_floats,
-    "resolutions": _parse_ints,
-    "radii": _parse_floats,
-    "workers": int,
-    "output_path": str,
-    "format": str,
-}
+def _option(default, parse, least=None):
+    """A :class:`RunConfig` option: its default, raw-text parser and least value."""
+    return field(default=default, metadata={"parse": parse, "least": least})
+
+
+@dataclass
+class RunConfig:
+    """Fully resolved options for one subcommand run; every other field is an
+    option, declared once with its default, parser and least value."""
+
+    subcommand: str
+    c1: Optional[float] = _option(None, float)
+    sites: int = _option(2, int, 1)
+    resolution: int = _option(basins.GridSpec.resolution, int, 2)
+    transient: int = _option(basins.GridSpec.transient, int, 0)
+    window: int = _option(basins.GridSpec.window, int, 1)
+    samples: int = _option(10_000, int, 1)
+    seed: int = _option(DEFAULT_SEED, lambda s: int(s, 0), 0)
+    max_period: int = _option(64, int, 1)
+    max_iter: int = _option(MAX_ITER_DEFAULT, int, 1)
+    max_s: int = _option(8, int)
+    lo: Optional[float] = _option(None, float)
+    hi: Optional[float] = _option(None, float)
+    steps: int = _option(200, int, 2)
+    n: int = _option(12, int, 1)
+    j: int = _option(10, int, 0)
+    corner: bool = _option(False, _parse_bool)
+    point: Optional[tuple[float, float]] = _option(None, _parse_point)
+    eps: tuple[float, ...] = _option((0.1, 0.05, 0.02), _parse_floats)
+    resolutions: tuple[int, ...] = _option((125, 249, 499), _parse_ints)
+    radii: tuple[float, ...] = _option((0.05, 0.1, 0.2), _parse_floats)
+    workers: int = _option(1, int, 1)
+    output_path: Optional[str] = _option(None, str)
+    format: str = _option("csv", str)
+
+
+#: key -> {"parse", "least"} of every recognised option
+_OPTIONS = {f.name: f.metadata for f in fields(RunConfig) if f.metadata}
 
 #: flag aliases on top of the canonical --key spellings
 _ALIASES = {"out": "output_path", "res": "resolution"}
@@ -137,7 +121,7 @@ def _flag_to_key(flag: str, allowed: set[str]) -> str:
 
 def _coerce(key: str, raw: str, origin: str):
     try:
-        return _PARSERS[key](raw)
+        return _OPTIONS[key]["parse"](raw)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad value for {key} ({origin}): {exc}") from exc
 
@@ -213,9 +197,7 @@ def parse_config(argv: Sequence[str], env: Optional[dict] = None) -> RunConfig:
     if missing:
         raise UsageError(f"{sub}: missing required option(s): {', '.join(sorted(missing))}")
 
-    cfg = RunConfig(subcommand=sub)
-    for key, value in merged.items():
-        setattr(cfg, key, value)
+    cfg = RunConfig(subcommand=sub, **merged)
     _validate(cfg)
     return cfg
 
@@ -225,13 +207,10 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError(f"c1 must lie in (3/4, 1), got {cfg.c1}")
     if cfg.subcommand == "scan" and not 0.75 < cfg.lo < cfg.hi < 1.0:
         raise UsageError("scan needs 3/4 < lo < hi < 1")
-    for key in ("sites", "resolution", "window", "samples", "steps", "n", "workers"):
-        if getattr(cfg, key) < 1:
-            raise UsageError(f"{key} must be >= 1")
-    if cfg.transient < 0 or cfg.j < 0 or cfg.max_iter < 1 or cfg.max_period < 1:
-        raise UsageError("negative iteration counts are not allowed")
-    if cfg.seed < 0:
-        raise UsageError(f"seed must be >= 0, got {cfg.seed}")
+    for key, option in _OPTIONS.items():
+        least, value = option["least"], getattr(cfg, key)
+        if least is not None and value < least:
+            raise UsageError(f"{key} must be >= {least}, got {value}")
     if cfg.format not in ("csv", "pgm", "ppm"):
         raise UsageError(f"format must be csv, pgm or ppm, got {cfg.format!r}")
     if cfg.subcommand == "accumulation" and cfg.corner == (cfg.point is not None):

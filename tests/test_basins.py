@@ -43,6 +43,13 @@ def test_gridspec_defaults_match_protocol():
         dict(transient=-1),
         dict(window=0),
         dict(pinned_sites=(1.5,)),
+        # misshapen: these used to escape as a bare ValueError or TypeError
+        dict(x_range=(0.1, 0.5, 0.9)),
+        dict(y_range=(0.5,)),
+        dict(x_range=0.5),
+        dict(y_range=("0.1", "0.5")),
+        dict(pinned_sites=0.3),
+        dict(pinned_sites="0.3"),
     ],
 )
 def test_gridspec_validation(kwargs):
@@ -59,6 +66,11 @@ def test_gridspec_rejects_non_integral_counts(kwargs):
     # 2.5 with window 12 summed the 13 excesses of steps 3 to 15.
     with pytest.raises(ParameterError):
         cm.GridSpec(**kwargs)
+
+
+def test_gridspec_accepts_numpy_ranges_and_pinned_sites():
+    spec = cm.GridSpec(resolution=9, x_range=np.array([0.2, 0.6]), pinned_sites=np.array([0.3]))
+    assert spec.n_sites == 3
 
 
 def test_gridspec_and_cell_fingerprint_accept_numpy_integers():
@@ -703,6 +715,9 @@ def test_corner_accumulation_validates_monotone_args():
         lambda spec: cm.corner_accumulation(T84, spec, [], [16]),
         lambda spec: cm.corner_accumulation(T84, spec, [0.1], []),
         lambda spec: cm.interior_accumulation(T84, spec, (0.5, 0.5), []),
+        lambda spec: cm.interior_accumulation(T84, spec, (0.5,), [0.1]),
+        lambda spec: cm.interior_accumulation(T84, spec, (0.5, 0.5, 0.5), [0.1]),
+        lambda spec: cm.interior_accumulation(T84, spec, 0.5, [0.1]),
         lambda spec: cm.corner_accumulation(T84, spec, [0.1], [16.5]),
         lambda spec: cm.corner_accumulation(T84, spec, [0.1], [16, 32.5]),
     ],

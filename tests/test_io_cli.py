@@ -349,7 +349,7 @@ def test_main_negative_seed_is_usage_error(capsys, sub):
 @pytest.mark.parametrize("argv", [["basin"], ["accumulation", "--corner"]])
 def test_main_zero_workers_is_usage_error(capsys, argv):
     assert main(argv + ["--c1", "0.9", "--workers", "0"]) == 2
-    assert capsys.readouterr().err == "usage error: workers must be >= 1\n"
+    assert capsys.readouterr().err == "usage error: workers must be >= 1, got 0\n"
 
 
 def test_main_runtime_error_exit_code(capsys):

@@ -1,5 +1,6 @@
-"""Guards on the package's public names, the CLI's subcommand table, the
-module attributes the CLI names and what importing the CLI loads."""
+"""Guards on the package's public names, the CLI's subcommand and option
+declarations, the module attributes the CLI names and what importing the
+CLI loads."""
 
 import ast
 import dataclasses
@@ -11,6 +12,7 @@ import pytest
 
 import cascade_maps as cm
 from cascade_maps import analysis, basins, cli, errors, lattice, scalar
+from cascade_maps.errors import ParameterError
 from cascade_maps import io as cio
 
 PUBLIC_NAMES = [
@@ -51,8 +53,92 @@ def test_every_accepted_key_parses_into_a_config_field(sub):
     _, required, optional = cli._SUBCOMMANDS[sub]
     assert not required & optional
     for key in required | optional:
-        assert key in cli._PARSERS
+        assert key in cli._OPTIONS
         assert key in RUN_FIELDS
+
+
+def test_run_config_defaults_are_unchanged():
+    assert dataclasses.asdict(cli.RunConfig("basin")) == {
+        "subcommand": "basin", "c1": None, "sites": 2, "resolution": 499,
+        "transient": 100, "window": 12, "samples": 10_000,
+        "seed": 0x5EED_CA5CADE, "max_period": 64, "max_iter": 10_000,
+        "max_s": 8, "lo": None, "hi": None, "steps": 200, "n": 12, "j": 10,
+        "corner": False, "point": None, "eps": (0.1, 0.05, 0.02),
+        "resolutions": (125, 249, 499), "radii": (0.05, 0.1, 0.2),
+        "workers": 1, "output_path": None, "format": "csv",
+    }  # fmt: skip
+
+
+#: a raw text for every option, each parsing to a value other than its default
+RAW_VALUES = {
+    "c1": "0.95", "sites": "3", "resolution": "9", "transient": "7",
+    "window": "5", "samples": "50", "seed": "0x10", "max_period": "32",
+    "max_iter": "300", "max_s": "4", "lo": "0.77", "hi": "0.79",
+    "steps": "3", "n": "6", "j": "2", "corner": "true", "point": "0.5,0.25",
+    "eps": "0.2,0.1", "resolutions": "9,17", "radii": "0.3", "workers": "2",
+    "output_path": "out.csv", "format": "pgm",
+}  # fmt: skip
+
+
+def _argv_without(key):
+    """A subcommand that accepts ``key``, with every other option it needs."""
+    sub = next(s for s, (_, req, opt) in cli._SUBCOMMANDS.items() if key in req | opt)
+    _, required, _ = cli._SUBCOMMANDS[sub]
+    argv = [sub]
+    for other in sorted(required - {key}):
+        argv += [f"--{other}", REQUIRED_VALUES[other]]
+    if sub == "accumulation" and key not in ("corner", "point"):
+        argv.append("--corner")
+    return argv
+
+
+@pytest.mark.parametrize("key", sorted(cli._OPTIONS))
+def test_every_option_parses_the_same_from_every_source(key, tmp_path):
+    argv = _argv_without(key)
+    flag = ["--" + key.replace("_", "-")]
+    from_flag = cli.parse_config(argv + flag + ([] if key == "corner" else [RAW_VALUES[key]]))
+    env = {cli.ENV_PREFIX + key.upper(): RAW_VALUES[key]}
+    from_env = cli.parse_config(argv, env)
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key}={RAW_VALUES[key]}\n")
+    from_file = cli.parse_config(argv + ["--config", str(conf)])
+    assert from_flag == from_env == from_file
+    assert getattr(from_flag, key) != getattr(cli.RunConfig(argv[0]), key)
+
+
+T95 = scalar.make_threshold(0.95)
+
+#: each option with a least value -> the library call that bounds it
+LIBRARY_BOUNDS = {
+    "sites": lambda v: analysis.census(T95, v, 10, 0),
+    "resolution": lambda v: basins.GridSpec(resolution=v),
+    "transient": lambda v: basins.GridSpec(transient=v),
+    "window": lambda v: basins.GridSpec(window=v),
+    "samples": lambda v: analysis.census(T95, 2, v, 0),
+    "seed": lambda v: scalar.estimate_avoidance(T95, 2, 10, v),
+    "max_period": lambda v: analysis.detect_periodic_orbit(
+        T95, lattice.LatticeState([0.5, 0.5]), 0, v
+    ),
+    "max_iter": lambda v: scalar.classify_orbit(T95, max_iter=v),
+    "steps": lambda v: analysis.bifurcation_scan(0.76, 0.8, v),
+    "n": lambda v: analysis.build_markov(T95, v),
+    "j": lambda v: scalar.avoidance_measure_tent(T95, v),
+}
+
+
+def test_every_bounded_option_but_workers_has_a_library_bound():
+    bounded = {key for key, option in cli._OPTIONS.items() if option["least"] is not None}
+    assert bounded - {"workers"} == set(LIBRARY_BOUNDS)
+
+
+@pytest.mark.parametrize("key", sorted(LIBRARY_BOUNDS))
+def test_cli_bounds_equal_the_library_bounds(key):
+    least = cli._OPTIONS[key]["least"]
+    with pytest.raises(ParameterError, match=f"must be >= {least}"):
+        LIBRARY_BOUNDS[key](least - 1)
+    argv = _argv_without(key) + ["--" + key.replace("_", "-"), str(least - 1)]
+    with pytest.raises(cli.UsageError, match=f"^{key} must be >= {least}, got {least - 1}$"):
+        cli.parse_config(argv)
 
 
 def test_every_config_field_is_accepted_by_some_subcommand():
