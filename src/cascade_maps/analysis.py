@@ -20,14 +20,13 @@ from typing import Literal, Optional
 import numpy as np
 
 from .errors import BracketError, ParameterError, _require_integer
-from .lattice import LatticeState, _distinct_rows, step, step_batch
+from .lattice import LatticeState, _distinct, _distinct_rows, step, step_batch
 from .scalar import (
     MAX_ITER_DEFAULT,
     OrbitClass,
     SuperStable,
     Threshold,
     classify_orbit,
-    make_threshold,
 )
 
 __all__ = [
@@ -115,22 +114,19 @@ class BifurcationSample:
     period: Optional[int]
 
 
+def _antiphase_overshoot(t: Threshold) -> float:
+    """``c2 + e(c2) - (1 - c0)``, at most 0 exactly when ``c2 + e(c2) <= 1 - c0``."""
+    e_c2 = 4.0 * t.c2 * (1.0 - t.c2) - t.c1
+    return (t.c2 + e_c2) - (1.0 - t.c0)
+
+
 def antiphase_condition(t: Threshold) -> bool:
     """Whether the kicked partner site stays inside C: ``c2 + e(c2) <= 1 - c0``.
 
     Exactly this inequality decides existence of the two-site anti-phase
     orbit in the period-2 window.
     """
-    e_c2 = 4.0 * t.c2 * (1.0 - t.c2) - t.c1
-    return t.c2 + e_c2 <= 1.0 - t.c0
-
-
-def _antiphase_gap(c: float) -> float:
-    # 19c - 84c^2 + 128c^3 - 64c^4 is c2 + e(c2) written out as a polynomial;
-    # the right-hand side is 1 - c0.
-    lhs = (((-64.0 * c + 128.0) * c - 84.0) * c + 19.0) * c
-    rhs = 0.5 * (1.0 + math.sqrt(1.0 - c))
-    return lhs - rhs
+    return _antiphase_overshoot(t) <= 0.0
 
 
 def _bisect(fn, lo: float, hi: float, width: float) -> float:
@@ -159,10 +155,10 @@ def _bisect(fn, lo: float, hi: float, width: float) -> float:
 def antiphase_root() -> float:
     """The threshold where the anti-phase existence condition turns on.
 
-    Bisection on the polynomial form of the condition inside the period-2
-    window; below the root the condition fails, above it holds.
+    Bisection on the condition's own overshoot, of ``Threshold(c)``, inside
+    the period-2 window; below the root the condition fails, above it holds.
     """
-    return _bisect(_antiphase_gap, 0.76, 0.9, 1e-13)
+    return _bisect(lambda c: _antiphase_overshoot(Threshold(c)), 0.76, 0.9, 1e-13)
 
 
 def _star_gap(c: float, s: int) -> float:
@@ -346,10 +342,8 @@ def _recurrences(
     x = np.asfortranarray(x)
     for _ in range(transient):
         x, _ = step_batch(x, t)
-    first, inv = _distinct_rows(x)
-    ref = x = np.asfortranarray(x[first])
-    del first
-    low = x.copy(order="F")
+    x, inv = _distinct(x)
+    ref, low = x, x.copy(order="F")
     least = np.empty_like(low)
     periods = np.zeros(x.shape[0], dtype=int)
     live = np.arange(x.shape[0])
@@ -496,14 +490,15 @@ def census(
 
     A state determines its orbit, so an attractor is identified by the
     least state its period search visits (:func:`_recurrences`), as in
-    :func:`detect_periodic_orbit`: resolved samples are grouped, and chunks
-    merged, by the bytes of that state.  Each period's orbits are rebuilt
-    from their least states and its records built in one batch.  Apart
-    from the groups found, working memory is bounded by the chunk,
-    whatever ``samples`` and ``max_period``.  The result is sorted by
-    decreasing hit count, then fingerprint, period and least state (distinct
-    groups cannot tie, as lattice states never hold ``-0.0``), and is a
-    pure function of the arguments.
+    :func:`detect_periodic_orbit`: each chunk groups its resolved samples
+    by that state (``_distinct_rows``), and the chunks' groups are
+    concatenated and grouped the same way, their hits summed.  Each
+    period's orbits are rebuilt from their least states and its records
+    built in one batch.  Apart from the groups found, working memory is
+    bounded by the chunk, whatever ``samples`` and ``max_period``.  The
+    result is sorted by decreasing hit count, then fingerprint, period and
+    least state (distinct groups cannot tie, as lattice states never hold
+    ``-0.0``), and is a pure function of the arguments.
     """
     samples = _require_integer("samples", samples, 1)
     n_sites = _require_integer("n_sites", n_sites, 1)
@@ -511,7 +506,7 @@ def census(
     seed = _require_integer("seed", seed, -math.inf)
     if not 0 <= seed < 2**64:
         raise ParameterError(f"seed must lie in [0, 2**64), got {seed}")
-    groups: dict[bytes, list] = {}  # least state bytes -> [hits, period, state]
+    parts = []  # per chunk: its groups' least states, periods and hits
     for first in range(0, samples, _CENSUS_CHUNK):
         # The initial states go straight into the search, and each chunk's
         # arrays are freed before the next chunk is made, so that no more
@@ -520,25 +515,20 @@ def census(
         periods, least = _recurrences(
             t, _census_initial_states(seed, m, n_sites, first), transient, max_period
         )
-        ok = periods > 0
-        periods, least = periods[ok], least[ok]
-        del ok
+        least, periods = least[periods > 0], periods[periods > 0]
         rows, inv = _distinct_rows(least)
-        hits = np.bincount(inv).tolist()
-        del inv
-        for i, h in zip(rows.tolist(), hits):
-            if (key := least[i].tobytes()) in groups:
-                groups[key][0] += h
-            else:
-                groups[key] = [h, int(periods[i]), least[i].copy()]
-        del periods, least, rows
-    by_period: dict[int, list] = {}
-    for h, p, state in groups.values():
-        by_period.setdefault(p, []).append((h, state))
+        parts.append((least[rows], periods[rows], np.bincount(inv)))
+        del periods, least, rows, inv
+    least, periods, hits = (np.concatenate(a) for a in zip(*parts))
+    rows, inv = _distinct_rows(least)
+    # Float sums of integer hits are exact below 2**53 samples.
+    hits = np.bincount(inv, weights=hits).astype(np.int64)
+    least, periods = least[rows], periods[rows]
     entries = []
-    for p, group in by_period.items():
-        hits, states = zip(*group)
-        entries += zip(_attractor_records(t, _orbit_states(t, np.stack(states), p)), hits)
+    for p in set(periods.tolist()):
+        at = periods == p
+        records = _attractor_records(t, _orbit_states(t, least[at], p))
+        entries += zip(records, hits[at].tolist())
     entries.sort(
         key=lambda e: (
             -e[1],
@@ -562,7 +552,7 @@ def bifurcation_scan(
     steps = _require_integer("steps", steps, 2)
     out = []
     for c1 in np.linspace(c1_lo, c1_hi, steps):
-        t = make_threshold(float(c1))
+        t = Threshold(c1)
         oc = classify_orbit(t, max_iter=max_iter)
         period = oc.period if isinstance(oc, SuperStable) else None
         out.append(BifurcationSample(c1=float(c1), orbit_class=oc, period=period))

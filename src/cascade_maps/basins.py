@@ -54,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, _require_integer
-from .lattice import _distinct_rows, cascade_batch
+from .lattice import _distinct, cascade_batch
 from .scalar import Threshold
 
 __all__ = [
@@ -92,6 +92,14 @@ def _reals(name: str, value, pair: bool = False) -> tuple:
     if not reals or pair and len(items) != 2:
         kind = "pair" if pair else "sequence"
         raise ParameterError(f"{name} must be a {kind} of reals, got {value!r}")
+    return items
+
+
+def _positive_reals(name: str, value, item: str) -> list[float]:
+    """The items of a sequence of reals as floats, each (an ``item``) > 0, so not NaN."""
+    items = [float(v) for v in _reals(name, value)]
+    if not all(v > 0.0 for v in items):
+        raise ParameterError(f"{item} must be positive")
     return items
 
 
@@ -206,12 +214,6 @@ def _step(y: np.ndarray, c1: float) -> np.ndarray:
     np.subtract(1.0, x, out=x)
     np.multiply(y, x, out=y)
     return e
-
-
-def _distinct(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a batch, column-major, and each row's group."""
-    first, inv = _distinct_rows(y)
-    return np.asfortranarray(y[first]), inv
 
 
 def _chunk_head(u: np.ndarray, c1: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -472,7 +474,8 @@ def corner_accumulation(
     ``cx >= 1 - eps`` (``a`` = 1), and likewise ``cy`` for ``b``; it counts
     the distinct components with a cell in it.
     """
-    eps_list = [float(e) for e in eps_list]
+    eps_list = _positive_reals("eps_list", eps_list, "corner box size")
+    resolutions = _reals("resolutions", resolutions)
     resolutions = [_require_integer("resolution", r, 2) for r in resolutions]
     if not eps_list or not resolutions:
         raise ParameterError("eps_list and resolutions must not be empty")
@@ -480,8 +483,6 @@ def corner_accumulation(
         raise ParameterError("eps_list must be strictly decreasing")
     if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise ParameterError("resolutions must be strictly increasing")
-    if not all(eps > 0.0 for eps in eps_list):
-        raise ParameterError("corner box size must be positive")
     header = ["resolution", "eps", "corner", "components"]
     rows: list[tuple] = []
     for r in resolutions:
@@ -511,14 +512,12 @@ def interior_accumulation(
     The disk of a radius holds the cells whose centre lies within it, and
     it counts the distinct components with a cell in it.
     """
-    radii = [float(x) for x in radii]
+    radii = _positive_reals("radii", radii, "disk radius")
     if not radii:
         raise ParameterError("radii must not be empty")
     px, py = _reals("point", point, pair=True)
     if not (0.0 < px < 1.0 and 0.0 < py < 1.0):
         raise ParameterError("accumulation point must lie in the open square")
-    if not all(radius > 0.0 for radius in radii):
-        raise ParameterError("disk radius must be positive")
     ids = label_components(render_basins(t, spec)).component_ids
     cx = _axis_centers(spec.x_range, spec.resolution)
     cy = _axis_centers(spec.y_range, spec.resolution)

@@ -25,11 +25,12 @@ from .errors import DomainError, ParameterError
 from .scalar import (
     MAX_ITER_DEFAULT,
     Boundary,
+    OrbitClass,
     SuperStable,
+    Threshold,
     avoidance_measure_tent,
     classify_orbit,
     estimate_avoidance,
-    make_threshold,
 )
 
 __all__ = ["RunConfig", "parse_config", "main", "DEFAULT_SEED", "UsageError"]
@@ -225,19 +226,24 @@ def _emit_table(header, rows, out: Optional[str]) -> None:
         io.write_rows(sys.stdout, header, rows)
 
 
-def _run_orbit(cfg: RunConfig) -> None:
-    t = make_threshold(cfg.c1)
-    oc = classify_orbit(t, max_iter=cfg.max_iter)
-    base = (
-        f"c1={io.format_real(t.c1)} c0={io.format_real(t.c0)} "
-        f"c2={io.format_real(t.c2)} d1={io.format_real(t.d1)}"
-    )
+def _describe(oc: OrbitClass) -> tuple[str, object, int, str]:
+    """An orbit class's name, period ("" unless super-stable), detail and detail key."""
     if isinstance(oc, SuperStable):
-        print(f"{base} class=super-stable period={oc.period} steps_to_c={oc.steps_to_c}")
-    elif isinstance(oc, Boundary):
-        print(f"{base} class=boundary step={oc.step}")
-    else:
-        print(f"{base} class=repeller iterations={oc.iterations_checked}")
+        return "super-stable", oc.period, oc.steps_to_c, "steps_to_c"
+    if isinstance(oc, Boundary):
+        return "boundary", "", oc.step, "step"
+    return "repeller", "", oc.iterations_checked, "iterations"
+
+
+def _run_orbit(cfg: RunConfig) -> None:
+    t = Threshold(cfg.c1)
+    name, period, detail, key = _describe(classify_orbit(t, max_iter=cfg.max_iter))
+    period = f" period={period}" if period else ""
+    print(
+        f"c1={io.format_real(t.c1)} c0={io.format_real(t.c0)} "
+        f"c2={io.format_real(t.c2)} d1={io.format_real(t.d1)} "
+        f"class={name}{period} {key}={detail}"
+    )
 
 
 def _run_stars(cfg: RunConfig) -> None:
@@ -259,15 +265,7 @@ def _run_stars(cfg: RunConfig) -> None:
 def _run_scan(cfg: RunConfig) -> None:
     samples = analysis.bifurcation_scan(cfg.lo, cfg.hi, cfg.steps, cfg.max_iter)
     header = ["c1", "class", "period", "detail"]
-    rows = []
-    for s in samples:
-        oc = s.orbit_class
-        if isinstance(oc, SuperStable):
-            rows.append((s.c1, "super-stable", oc.period, oc.steps_to_c))
-        elif isinstance(oc, Boundary):
-            rows.append((s.c1, "boundary", "", oc.step))
-        else:
-            rows.append((s.c1, "repeller", "", oc.iterations_checked))
+    rows = [(s.c1, *_describe(s.orbit_class)[:3]) for s in samples]
     _emit_table(header, rows, cfg.output_path)
 
 
@@ -278,7 +276,7 @@ def _basin_spec(cfg: RunConfig) -> basins.GridSpec:
 
 
 def _run_basin(cfg: RunConfig) -> None:
-    t = make_threshold(cfg.c1)
+    t = Threshold(cfg.c1)
     grid = basins.render_basins(t, _basin_spec(cfg))
     components = basins.label_components(grid).total_components
     print(
@@ -294,7 +292,7 @@ def _run_basin(cfg: RunConfig) -> None:
 
 
 def _run_census(cfg: RunConfig) -> None:
-    t = make_threshold(cfg.c1)
+    t = Threshold(cfg.c1)
     entries = analysis.census(
         t,
         cfg.sites,
@@ -313,7 +311,7 @@ def _run_census(cfg: RunConfig) -> None:
 
 
 def _run_markov(cfg: RunConfig) -> None:
-    t = make_threshold(cfg.c1)
+    t = Threshold(cfg.c1)
     model = analysis.build_markov(t, cfg.n)
     print(
         f"c1={io.format_real(t.c1)} n={cfg.n} n0={model.n0} "
@@ -328,7 +326,7 @@ def _run_markov(cfg: RunConfig) -> None:
 
 
 def _run_measure(cfg: RunConfig) -> None:
-    t = make_threshold(cfg.c1)
+    t = Threshold(cfg.c1)
     fraction, stderr = estimate_avoidance(t, cfg.j, cfg.samples, cfg.seed)
     tent = avoidance_measure_tent(t, cfg.j)
     ratio = fraction / tent if tent > 0 else float("nan")
@@ -340,7 +338,7 @@ def _run_measure(cfg: RunConfig) -> None:
 
 
 def _run_accumulation(cfg: RunConfig) -> None:
-    t = make_threshold(cfg.c1)
+    t = Threshold(cfg.c1)
     spec = _basin_spec(cfg)
     if cfg.corner:
         header, rows = basins.corner_accumulation(t, spec, cfg.eps, cfg.resolutions)

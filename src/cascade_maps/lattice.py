@@ -170,3 +170,9 @@ def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inv = np.empty(m, dtype=np.intp)
     inv[order] = group
     return order[new], inv
+
+
+def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a batch, column-major, and each row's group."""
+    first, inv = _distinct_rows(x)
+    return np.asfortranarray(x[first]), inv

@@ -2,8 +2,8 @@
 
 The threshold map iterates ``f(x) = 4x(1-x)`` and clips any image that
 reaches the threshold ``c1``, emitting the overflow as the *excess*.
-All constants derived from a threshold value live on the immutable
-:class:`Threshold` record:
+A :class:`Threshold` is built from ``c1`` alone, and the constants derived
+from it live on that immutable record:
 
 * ``c0``  left endpoint of the critical interval ``C = [c0, 1-c0]``,
   the preimage of ``[c1, 1]`` under ``f``;
@@ -24,7 +24,7 @@ the repelling invariant set and come back as :class:`Repeller`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -39,7 +39,6 @@ __all__ = [
     "OrbitClass",
     "logistic",
     "threshold_map",
-    "make_threshold",
     "forward_orbit",
     "classify_orbit",
     "tent_conjugacy",
@@ -59,12 +58,25 @@ MAX_ITER_DEFAULT = 10_000
 
 @dataclass(frozen=True)
 class Threshold:
-    """A clipping threshold ``c1`` in (3/4, 1) with its derived constants."""
+    """A clipping threshold ``c1`` in (3/4, 1), the one field given, with the
+    constants ``c0``, ``c2`` and ``d1`` derived from it.  Below 3/4 the map
+    has a single attracting point and none of that structure, so any other
+    ``c1`` raises :class:`ParameterError`."""
 
     c1: float
-    c0: float
-    c2: float
-    d1: float
+    c0: float = field(init=False)
+    c2: float = field(init=False)
+    d1: float = field(init=False)
+
+    def __post_init__(self):
+        c1 = float(self.c1)
+        if not 0.75 < c1 < 1.0:
+            raise ParameterError(f"threshold c1 must lie in (3/4, 1), got {c1!r}")
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c0", 0.5 - 0.5 * math.sqrt(1.0 - c1))
+        # For c1 > 3/4 the image of c1 is below c1, so no clip is involved.
+        object.__setattr__(self, "c2", 4.0 * c1 * (1.0 - c1))
+        object.__setattr__(self, "d1", math.acos(1.0 - 2.0 * c1) / math.pi)
 
     @property
     def c_interval(self) -> tuple[float, float]:
@@ -107,22 +119,6 @@ def logistic(x: float) -> float:
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"logistic map is defined on [0, 1], got {x!r}")
     return 4.0 * x * (1.0 - x)
-
-
-def make_threshold(c1: float) -> Threshold:
-    """Build a :class:`Threshold` from ``c1``, rejecting values outside (3/4, 1).
-
-    Below 3/4 the clipped map has a single attracting point and none of the
-    derived structure exists, so such values are treated as parameter errors.
-    """
-    c1 = float(c1)
-    if not 0.75 < c1 < 1.0:
-        raise ParameterError(f"threshold c1 must lie in (3/4, 1), got {c1!r}")
-    c0 = 0.5 - 0.5 * math.sqrt(1.0 - c1)
-    # For c1 > 3/4 the image of c1 is below c1, so no clip is involved.
-    c2 = 4.0 * c1 * (1.0 - c1)
-    d1 = math.acos(1.0 - 2.0 * c1) / math.pi
-    return Threshold(c1=c1, c0=c0, c2=c2, d1=d1)
 
 
 def threshold_map(x: float, t: Threshold) -> tuple[float, float]:
@@ -180,35 +176,36 @@ def classify_orbit(t: Threshold, max_iter: int = MAX_ITER_DEFAULT) -> OrbitClass
     return Repeller(iterations_checked=max_iter)
 
 
-def tent_conjugacy(x):
-    """Conjugacy ``h(x) = (2/pi) asin(sqrt(x))`` taking ``f`` to the tent map.
-
-    Accepts scalars or arrays; satisfies ``h(f(x)) == tent_map(h(x))``.
-    """
+def _on_unit_interval(x, name: str, fn):
+    """``fn`` of ``x`` in [0, 1] (else :class:`DomainError`), a float for scalar ``x``."""
     x = np.asarray(x, dtype=float)
     if not np.all((x >= 0.0) & (x <= 1.0)):
-        raise DomainError("tent conjugacy is defined on [0, 1]")
-    out = (2.0 / np.pi) * np.arcsin(np.sqrt(x))
+        raise DomainError(f"{name} is defined on [0, 1]")
+    out = fn(x)
     return out.item() if out.ndim == 0 else out
+
+
+def tent_conjugacy(x):
+    """Conjugacy ``h(x) = (2/pi) asin(sqrt(x))`` taking ``f`` to the tent map, on
+    scalars or arrays; satisfies ``h(f(x)) == tent_map(h(x))``."""
+    return _on_unit_interval(
+        x, "tent conjugacy", lambda x: (2.0 / np.pi) * np.arcsin(np.sqrt(x))
+    )
 
 
 def tent_conjugacy_inverse(u):
     """Inverse conjugacy ``sin^2(pi u / 2)``."""
-    u = np.asarray(u, dtype=float)
-    if not np.all((u >= 0.0) & (u <= 1.0)):
-        raise DomainError("inverse tent conjugacy is defined on [0, 1]")
-    s = np.sin(np.pi * u / 2.0)
-    out = s * s
-    return out.item() if out.ndim == 0 else out
+
+    def sin_squared(u):
+        s = np.sin(np.pi * u / 2.0)
+        return s * s
+
+    return _on_unit_interval(u, "inverse tent conjugacy", sin_squared)
 
 
 def tent_map(u):
     """Slope-2 tent map ``1 - |1 - 2u|`` on [0, 1]."""
-    u = np.asarray(u, dtype=float)
-    if not np.all((u >= 0.0) & (u <= 1.0)):
-        raise DomainError("tent map is defined on [0, 1]")
-    out = 1.0 - np.abs(1.0 - 2.0 * u)
-    return out.item() if out.ndim == 0 else out
+    return _on_unit_interval(u, "tent map", lambda u: 1.0 - np.abs(1.0 - 2.0 * u))
 
 
 def avoidance_measure_tent(t: Threshold, j: int) -> float:

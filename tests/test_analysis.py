@@ -20,7 +20,7 @@ ANTIPHASE_ROOT = 0.83627234814318
 
 @pytest.mark.parametrize("c1,expected", [(0.84, True), (0.80, False), (0.9, True)])
 def test_antiphase_condition_examples(c1, expected):
-    assert cm.antiphase_condition(cm.make_threshold(c1)) is expected
+    assert cm.antiphase_condition(cm.Threshold(c1)) is expected
 
 
 def test_antiphase_condition_flips_once_across_the_window():
@@ -29,7 +29,7 @@ def test_antiphase_condition_flips_once_across_the_window():
     for c1 in map(float, grid):
         # a Python bool, so that ``is`` also checks the ``-> bool`` promise
         expected = c1 > root
-        assert cm.antiphase_condition(cm.make_threshold(c1)) is expected
+        assert cm.antiphase_condition(cm.Threshold(c1)) is expected
 
 
 def test_antiphase_root_value():
@@ -37,11 +37,36 @@ def test_antiphase_root_value():
     assert abs(root - ANTIPHASE_ROOT) <= 1e-10
 
 
+def test_antiphase_root_is_pinned():
+    assert cm.antiphase_root() == 0.836272348143198
+
+
+def test_antiphase_condition_flips_within_the_bisection_width():
+    root = cm.antiphase_root()
+    assert cm.antiphase_condition(cm.Threshold(root - 1e-13)) is False
+    assert cm.antiphase_condition(cm.Threshold(root + 1e-13)) is True
+
+
+def test_antiphase_condition_is_the_written_out_comparison():
+    # A dense grid of the window and the 200 doubles on each side of the root.
+    near = [cm.antiphase_root()]
+    for toward in (0.0, 1.0):
+        c = near[0]
+        for _ in range(200):
+            c = float(np.nextafter(c, toward))
+            near.append(c)
+    grid = np.linspace(0.7501, cm.PERIOD2_WINDOW_END, 20_001).tolist() + near
+    for c1 in grid:
+        t = cm.Threshold(c1)
+        e_c2 = 4.0 * t.c2 * (1.0 - t.c2) - t.c1
+        assert cm.antiphase_condition(t) is (t.c2 + e_c2 <= 1.0 - t.c0)
+
+
 def test_antiphase_root_against_direct_condition_oracle():
-    # Independent route: solve the condition written with the derived
-    # constants themselves (no polynomial form), via Brent's method.
+    # Another route to the root: Brent's method on the condition written
+    # with the derived constants themselves.
     def gap(c):
-        t = cm.make_threshold(c)
+        t = cm.Threshold(c)
         return (t.c2 + (4.0 * t.c2 * (1.0 - t.c2) - t.c1)) - (1.0 - t.c0)
 
     oracle = brentq(gap, 0.76, 0.9, xtol=1e-14)
@@ -50,8 +75,8 @@ def test_antiphase_root_against_direct_condition_oracle():
 
 def test_antiphase_straddle():
     root = cm.antiphase_root()
-    assert cm.antiphase_condition(cm.make_threshold(root - 1e-6)) is False
-    assert cm.antiphase_condition(cm.make_threshold(root + 1e-6)) is True
+    assert cm.antiphase_condition(cm.Threshold(root - 1e-6)) is False
+    assert cm.antiphase_condition(cm.Threshold(root + 1e-6)) is True
 
 
 # ------------------------------------------------------------------ star values
@@ -116,7 +141,7 @@ def test_find_star_with_explicit_bracket_and_errors():
 @pytest.mark.parametrize("c1,n0", [(0.94, 3), (0.95, 3), (0.97, 1), (0.99, 1)])
 def test_markov_depth_and_pattern(c1, n0):
     n = 12
-    m = cm.build_markov(cm.make_threshold(c1), n)
+    m = cm.build_markov(cm.Threshold(c1), n)
     assert m.n0 == n0
     mat = m.matrix
     assert mat.shape == (n + 1, n + 1)
@@ -130,20 +155,20 @@ def test_markov_depth_and_pattern(c1, n0):
 
 @pytest.mark.parametrize("c1", [0.94, 0.95, 0.97, 0.99])
 def test_markov_spectral_radius_grows_with_depth(c1):
-    t = cm.make_threshold(c1)
+    t = cm.Threshold(c1)
     rhos = [cm.build_markov(t, n).spectral_radius for n in (12, 13, 14)]
     assert rhos[0] <= rhos[1] + 1e-12 and rhos[1] <= rhos[2] + 1e-12
     assert all(r > 1.0 for r in rhos)
 
 
 def test_markov_spectral_radius_fixture():
-    m = cm.build_markov(cm.make_threshold(0.95), 12)
+    m = cm.build_markov(cm.Threshold(0.95), 12)
     # Largest root of the characteristic polynomial, from 40-digit mpmath.
     assert m.spectral_radius == pytest.approx(1.3713018658733899, abs=1e-13)
 
 
 def test_markov_preimages_contract_onto_three_quarters():
-    m = cm.build_markov(cm.make_threshold(0.95), 14)
+    m = cm.build_markov(cm.Threshold(0.95), 14)
     widths = [hi - lo for lo, hi in m.branch_preimages]
     mids = [(hi + lo) / 2 for lo, hi in m.branch_preimages]
     assert abs(mids[-1] - 0.75) < 1e-4
@@ -154,29 +179,29 @@ def test_markov_preimages_contract_onto_three_quarters():
 
 
 def test_markov_gap_is_open_interval_below_c0():
-    m = cm.build_markov(cm.make_threshold(0.95), 8)
+    m = cm.build_markov(cm.Threshold(0.95), 8)
     lo, hi = m.j0
-    t = cm.make_threshold(0.95)
+    t = cm.Threshold(0.95)
     assert lo == t.c2 and hi == t.c0 and lo < hi
 
 
 def test_markov_rejects_low_threshold_and_small_depth():
     with pytest.raises(ParameterError):
-        cm.build_markov(cm.make_threshold(0.9), 12)  # below the star value
+        cm.build_markov(cm.Threshold(0.9), 12)  # below the star value
     with pytest.raises(ParameterError):
-        cm.build_markov(cm.make_threshold(0.94), 3)  # needs n >= n0 + 1
+        cm.build_markov(cm.Threshold(0.94), 3)  # needs n >= n0 + 1
 
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_markov_rejects_a_depth_below_one(n):
     with pytest.raises(ParameterError, match="n must be >= 1"):
-        cm.build_markov(cm.make_threshold(0.95), n)
+        cm.build_markov(cm.Threshold(0.95), n)
 
 
 # ------------------------------------------------------------ orbit detection
 
 
-T84 = cm.make_threshold(0.84)
+T84 = cm.Threshold(0.84)
 
 
 def test_detect_in_phase_orbit():
@@ -220,7 +245,7 @@ def test_detect_canonical_phase_is_rotation_invariant():
 
 
 def test_detect_ripple_at_high_threshold():
-    t = cm.make_threshold(0.95)
+    t = cm.Threshold(0.95)
     cyc, _ = cm.forward_orbit(t, 10)
     n = 4
     s0 = cm.LatticeState(sites=[cyc[(10 - 1 - i) % 10] for i in range(n)])
@@ -239,7 +264,7 @@ def test_detect_ripple_at_high_threshold():
 
 
 def test_ripple_basin_has_interior():
-    t = cm.make_threshold(0.95)
+    t = cm.Threshold(0.95)
     cyc, _ = cm.forward_orbit(t, 10)
     base = np.array([cyc[(10 - 1 - i) % 10] for i in range(4)])
     rng = np.random.default_rng(7)
@@ -270,7 +295,7 @@ def test_census_is_reproducible():
 
 
 def test_census_single_attractor_below_antiphase_root():
-    entries = cm.census(cm.make_threshold(0.80), 2, 10_000, seed=SEED)
+    entries = cm.census(cm.Threshold(0.80), 2, 10_000, seed=SEED)
     assert len(entries) == 1
     rec, hits = entries[0]
     assert rec.kind == "in_phase" and rec.period == 2 and hits == 10_000
@@ -279,7 +304,7 @@ def test_census_single_attractor_below_antiphase_root():
 def test_census_three_sites_where_carry_condition_holds():
     # With c2 + 2 e(c2) <= 1 - c0 (true at 0.9, false at 0.84) every
     # in-phase/lagged combination of adjacent sites survives: 2^(N-1).
-    t = cm.make_threshold(0.9)
+    t = cm.Threshold(0.9)
     entries = cm.census(t, 3, 10_000, seed=SEED)
     assert len(entries) == 4
     assert sum(h for _, h in entries) == 10_000
@@ -295,7 +320,7 @@ def test_census_records_match_direct_detection():
     )
     assert np.array_equal(by_kind["anti_phase"].orbit, direct.orbit)
     # many attractors: each record is reproduced from its own first state
-    t = cm.make_threshold(0.95)
+    t = cm.Threshold(0.95)
     entries = cm.census(t, 4, 2_000, seed=SEED)
     assert len(entries) == 22
     for rec, _ in entries:
@@ -375,7 +400,7 @@ def test_census_and_detection_accept_numpy_integers():
 def test_census_orbits_return_exactly_at_many_attractors():
     # The period search is a bit-exact return test: stepping a record's
     # first state ``period`` times gives that state back bit for bit.
-    t = cm.make_threshold(0.95)
+    t = cm.Threshold(0.95)
     for rec, _ in cm.census(t, 8, 2_000, seed=SEED):
         s = cm.LatticeState(sites=rec.orbit[0])
         for _ in range(rec.period):
@@ -386,7 +411,7 @@ def test_census_orbits_return_exactly_at_many_attractors():
 def test_detect_redetects_every_census_record():
     # Census and detection share one attractor identity, the bit-exact
     # cycle: detection from a record's first state gives that record back.
-    t = cm.make_threshold(0.95)
+    t = cm.Threshold(0.95)
     entries = cm.census(t, 4, 500, seed=SEED)
     assert len(entries) > 1
     for rec, _ in entries:
@@ -401,7 +426,7 @@ def test_census_orbits_have_distinct_states_and_least_rotation(c1, n):
     # so its least state occurs once and starts the least rotation: the
     # period search from every phase of a record's orbit finds period p and
     # the record's first state.
-    t = cm.make_threshold(c1)
+    t = cm.Threshold(c1)
     entries = cm.census(t, n, 1_000, seed=SEED)
     assert entries
     for rec, _ in entries:
@@ -416,7 +441,7 @@ def test_census_orbits_have_distinct_states_and_least_rotation(c1, n):
 def test_census_counts_every_phase_of_one_cycle_as_one_group():
     # Samples started at each of a cycle's q phases are one attractor with
     # q hits, whichever phase the search starts from.
-    t = cm.make_threshold(0.95)
+    t = cm.Threshold(0.95)
     rec = cm.census(t, 3, 300, seed=SEED)[0][0]
     q = rec.period
     assert q > 1
@@ -542,7 +567,7 @@ def test_census_matches_row_major_recurrence_oracle(c1, n, transient, max_period
     # first state of the least rotation of the oracle's stored orbit, and
     # the orbit rebuilt from it equals that rotation, byte for byte.  An
     # unresolved row's least state is the least of all it visited.
-    t = cm.make_threshold(c1)
+    t = cm.Threshold(c1)
     x = analysis._census_initial_states(SEED, 400, n)
     periods, least = analysis._recurrences(t, x, transient, max_period)
     want_periods, want_history = _recurrences_oracle(t, x, transient, max_period)
@@ -581,7 +606,7 @@ def test_census_matches_row_major_recurrence_oracle(c1, n, transient, max_period
 @pytest.mark.parametrize("n", [2, 3, 8])
 @pytest.mark.parametrize("oracle_tol", ORACLE_TOLS)
 def test_census_grouping_matches_per_sample_oracle(c1, n, oracle_tol):
-    t = cm.make_threshold(c1)
+    t = cm.Threshold(c1)
     want = _record_bytes(_census_oracle(t, n, 300, SEED, oracle_tol))
     assert want
     # Four sample chunks (the last one short) and one.
@@ -595,7 +620,7 @@ def test_census_grouping_matches_per_sample_oracle(c1, n, oracle_tol):
 def test_group_records_do_not_depend_on_sample_order(c1):
     # Any sample of a group gives its record, so a chunk's samples in
     # reverse order give the same records and hits.
-    t = cm.make_threshold(c1)
+    t = cm.Threshold(c1)
     x = analysis._census_initial_states(SEED, 300, 3)
     periods, _ = analysis._recurrences(t, x, 100, 64)
     want = _record_bytes(cm.census(t, 3, 300, seed=SEED))
@@ -625,7 +650,7 @@ def _records_match_oracle(t, orbits, tol=0.0):
 @pytest.mark.parametrize("oracle_tol", ORACLE_TOLS)
 def test_attractor_records_match_per_orbit_oracle_on_census_groups(c1, n, oracle_tol):
     # One orbit per distinct least state, rebuilt as the census does.
-    t = cm.make_threshold(c1)
+    t = cm.Threshold(c1)
     periods, least = analysis._recurrences(
         t, analysis._census_initial_states(SEED, 300, n), 100, 64
     )
@@ -665,7 +690,7 @@ def test_attractor_records_match_per_orbit_oracle_on_every_kind():
 def test_record_orbits_are_read_only():
     # Records of one period share one block: none of them can be written,
     # and neither can the batch they were built from.
-    t = cm.make_threshold(0.95)
+    t = cm.Threshold(0.95)
     entries = cm.census(t, 3, 500, seed=SEED)
     assert len(entries) > 1
     detected = cm.detect_periodic_orbit(T84, cm.LatticeState(sites=[0.5, 0.5]), 10, 16)
@@ -749,7 +774,7 @@ def test_lag_matches_agrees_with_slot_loop(data, c1, lag):
     # Each site is the previous one ``lag`` steps later, except in up to two
     # slots set to an end or the middle of C (or 0 or 1), so matches, misses
     # and exempt slots on the edge of C are all common.
-    t = cm.make_threshold(c1)
+    t = cm.Threshold(c1)
     lo, hi = t.c_interval
     orbit = data.draw(_dyadic_orbits(t))
     p = len(orbit)
@@ -782,7 +807,7 @@ def test_census_memory_is_bounded_by_the_recurrence_search():
     # to the peak of the search itself (the initial and post-transient
     # states and the stepped batch): a grouping that rebuilt every resolved
     # orbit at once would add periods x samples x N doubles, over 10 MB here.
-    t = cm.make_threshold(0.95)
+    t = cm.Threshold(0.95)
     samples, n = 3000, 8
     cm.census(t, n, 100, seed=SEED)  # warm imports and caches outside the trace
 
@@ -799,7 +824,7 @@ def test_census_memory_does_not_grow_with_max_period():
     # No history is kept, so a budget of 512 steps needs no more working
     # memory than one of 64; only the longer orbits it resolves are kept.
     # A (max_period + 1) x samples x N history would add 86 MB here.
-    t = cm.make_threshold(0.95)
+    t = cm.Threshold(0.95)
     cm.census(t, 8, 100, seed=SEED)  # warm imports and caches outside the trace
     short = _traced_peak(lambda: cm.census(t, 8, 3000, seed=SEED, max_period=64))
     long = _traced_peak(lambda: cm.census(t, 8, 3000, seed=SEED, max_period=512))
@@ -906,7 +931,7 @@ def test_scan_validates_range():
     ],
 )
 def test_central_component_reaches_boundary(c1, n, expected):
-    assert cm.central_component_reaches_boundary(cm.make_threshold(c1), n) is expected
+    assert cm.central_component_reaches_boundary(cm.Threshold(c1), n) is expected
 
 
 def test_central_component_matches_every_upstream_count():
@@ -914,7 +939,7 @@ def test_central_component_matches_every_upstream_count():
     # rounded product lands next to 1.
     grid = np.linspace(0.7501, 0.9999, 300).tolist() + [1.0 - 1.0 / j for j in range(5, 40)]
     for c1 in grid:
-        t = cm.make_threshold(c1)
+        t = cm.Threshold(c1)
         for n in range(2, 50):
             want = any(j * (1.0 - t.c1) > 1.0 for j in range(1, n))
             assert cm.central_component_reaches_boundary(t, n) is want, (c1, n)
@@ -922,12 +947,12 @@ def test_central_component_matches_every_upstream_count():
 
 def test_central_component_needs_two_sites():
     with pytest.raises(ParameterError):
-        cm.central_component_reaches_boundary(cm.make_threshold(0.9), 1)
+        cm.central_component_reaches_boundary(cm.Threshold(0.9), 1)
 
 
 # ------------------------------------------------- integer counts everywhere
 
-T95 = cm.make_threshold(0.95)
+T95 = cm.Threshold(0.95)
 _COUNT_CALLS = {
     "max_iter": (lambda v: cm.classify_orbit(T95, max_iter=v), 50),
     "k": (lambda v: cm.forward_orbit(T95, v), 5),

@@ -14,11 +14,11 @@ from cascade_maps.basins import _bucket_fingerprints
 from cascade_maps.errors import ParameterError
 from cascade_maps.lattice import cascade_batch
 
-T84 = cm.make_threshold(0.84)
-T80 = cm.make_threshold(0.80)
-T94 = cm.make_threshold(0.94)
-T95 = cm.make_threshold(0.95)
-T98 = cm.make_threshold(0.98)
+T84 = cm.Threshold(0.84)
+T80 = cm.Threshold(0.80)
+T94 = cm.Threshold(0.94)
+T95 = cm.Threshold(0.95)
+T98 = cm.Threshold(0.98)
 _UNIT = (0.0, 1.0)
 
 
@@ -326,7 +326,7 @@ _FINGERPRINT_DIGESTS = {
 @pytest.mark.parametrize("c1, r", sorted(_FINGERPRINT_DIGESTS))
 def test_many_chunk_render_keeps_its_fingerprints_bit_for_bit(c1, r):
     # 6 to 16 chunks of the default size, merged into one batch.
-    g = cm.render_basins(cm.make_threshold(c1), cm.GridSpec(resolution=r))
+    g = cm.render_basins(cm.Threshold(c1), cm.GridSpec(resolution=r))
     digest = hashlib.sha256(g.fingerprints.tobytes()).hexdigest()
     assert digest == _FINGERPRINT_DIGESTS[c1, r]
 
@@ -720,6 +720,11 @@ def test_corner_accumulation_validates_monotone_args():
         lambda spec: cm.interior_accumulation(T84, spec, 0.5, [0.1]),
         lambda spec: cm.corner_accumulation(T84, spec, [0.1], [16.5]),
         lambda spec: cm.corner_accumulation(T84, spec, [0.1], [16, 32.5]),
+        lambda spec: cm.corner_accumulation(T84, spec, 0.1, [16]),
+        lambda spec: cm.corner_accumulation(T84, spec, [0.1], 16),
+        lambda spec: cm.corner_accumulation(T84, spec, ["x"], [16]),
+        lambda spec: cm.interior_accumulation(T84, spec, (0.5, 0.5), 0.1),
+        lambda spec: cm.interior_accumulation(T84, spec, (0.5, 0.5), ["x"]),
     ],
 )
 def test_accumulation_rejects_bad_regions_before_rendering(monkeypatch, call):

@@ -194,7 +194,7 @@ def test_grid_to_image_orientation():
 
 
 def test_golden_image_fixture_is_stable(tmp_path):
-    grid = cm.render_basins(cm.make_threshold(0.84), cm.GridSpec(resolution=63))
+    grid = cm.render_basins(cm.Threshold(0.84), cm.GridSpec(resolution=63))
     img = cio.grid_to_image(grid.classes)
     pgm = cio.pgm_bytes(img, grid.n_classes)
     ppm = cio.ppm_bytes(img, grid.n_classes)
@@ -208,7 +208,7 @@ def test_golden_image_fixture_is_stable(tmp_path):
 
 
 def test_write_image_rejects_unknown_format(tmp_path):
-    grid = cm.render_basins(cm.make_threshold(0.8), cm.GridSpec(resolution=8))
+    grid = cm.render_basins(cm.Threshold(0.8), cm.GridSpec(resolution=8))
     with pytest.raises(ValueError):
         cio.write_image(grid, str(tmp_path / "x.bmp"), "bmp")
 
@@ -335,6 +335,45 @@ def test_main_scan_writes_repeller_rows_without_a_period(capsys):
     assert all(r[2:] == ["", "3"] for r in repellers)
 
 
+#: (c1, max_iter) of a super-stable, a boundary and a repeller orbit, with the
+#: ``orbit`` line and the ``scan --lo c1 --hi 0.999 --steps 2`` table printed
+ORBIT_CLASS_OUTPUTS = [
+    (
+        "0.95", "10000",
+        "c1=0.95 c0=0.3881966011250105 c2=0.19000000000000017 d1=0.8564337068712937"
+        " class=super-stable period=10 steps_to_c=9\n",
+        "c1,class,period,detail\r\n0.95,super-stable,10,9\r\n"
+        "0.999,super-stable,135,134\r\n",
+    ),
+    (
+        repr(cm.PERIOD2_WINDOW_END), "10000",
+        "c1=0.9045084971874737 c0=0.3454915028125263 c2=0.3454915028125262 d1=0.8"
+        " class=boundary step=1\n",
+        "c1,class,period,detail\r\n0.9045084971874737,boundary,,1\r\n"
+        "0.999,super-stable,135,134\r\n",
+    ),
+    (
+        "0.99", "1",
+        "c1=0.99 c0=0.44999999999999996 c2=0.03960000000000004 d1=0.9362314391414802"
+        " class=repeller iterations=1\n",
+        "c1,class,period,detail\r\n0.99,repeller,,1\r\n0.999,repeller,,1\r\n",
+    ),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("c1, max_iter, line, table", ORBIT_CLASS_OUTPUTS)
+def test_orbit_line_and_scan_row_describe_a_class_alike(capsys, c1, max_iter, line, table):
+    assert main(["orbit", "--c1", c1, "--max-iter", max_iter]) == 0
+    assert capsys.readouterr().out == line
+    argv = ["scan", "--lo", c1, "--hi", "0.999", "--steps", "2", "--max-iter", max_iter]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == table
+    shown = dict(item.split("=") for item in line.split()[4:])
+    detail = line.split()[-1].split("=")[1]
+    _, name, period, row_detail = table.split("\r\n")[1].split(",")
+    assert (shown["class"], shown.get("period", ""), detail) == (name, period, row_detail)
+
+
 def test_main_usage_error_exit_code(capsys):
     assert main(["orbit", "--c1", "0.5"]) == 2
     assert "usage error" in capsys.readouterr().err
@@ -435,7 +474,7 @@ def test_main_basin_csv_round_trip(tmp_path):
     header, rows = cio.read_csv(out)
     assert header == ["i", "j", "x", "y", "fingerprint", "class"]
     assert len(rows) == 64
-    grid = cm.render_basins(cm.make_threshold(0.8), cm.GridSpec(resolution=8))
+    grid = cm.render_basins(cm.Threshold(0.8), cm.GridSpec(resolution=8))
     for row in rows[:10]:
         i, j = int(row[0]), int(row[1])
         assert float(row[4]) == grid.fingerprints[i, j]
@@ -483,7 +522,7 @@ def test_basin_csv_writer_peak_stays_below_one_chunk_bound(tmp_path):
     # the sort of the fingerprints' bit patterns (2.0 MB) or one chunk of
     # 15,968 rows (codes, their gather, its text and the encoded bytes):
     # 2.63 MB traced; the bound is 3.3 MB.
-    grid = cm.render_basins(cm.make_threshold(0.95), cm.GridSpec(resolution=499))
+    grid = cm.render_basins(cm.Threshold(0.95), cm.GridSpec(resolution=499))
     path = str(tmp_path / "grid.csv")
     tracemalloc.start()
     try:
@@ -526,7 +565,7 @@ def test_basin_table_writes_signed_zero_and_nan_payloads_apart():
 # with one left over, and 30 make chunks of one grid row.
 @pytest.mark.parametrize("chunk_rows", [30, 98], ids=["row-per-chunk", "partial-last-chunk"])
 def test_basin_table_chunks_match_row_writer(monkeypatch, chunk_rows):
-    grid = cm.render_basins(cm.make_threshold(0.95), cm.GridSpec(resolution=31))
+    grid = cm.render_basins(cm.Threshold(0.95), cm.GridSpec(resolution=31))
     monkeypatch.setattr(cio, "_CHUNK_ROWS", chunk_rows)
     got, expect = _basin_texts(grid)
     assert got == expect
@@ -534,12 +573,12 @@ def test_basin_table_chunks_match_row_writer(monkeypatch, chunk_rows):
 
 def test_basin_table_of_a_sub_range_grid_matches_row_writer():
     spec = cm.GridSpec(resolution=37, x_range=(0.2, 0.7), y_range=(0.1, 0.9))
-    got, expect = _basin_texts(cm.render_basins(cm.make_threshold(0.95), spec))
+    got, expect = _basin_texts(cm.render_basins(cm.Threshold(0.95), spec))
     assert got == expect
 
 
 def test_basin_table_iterates_as_zip_of_its_columns():
-    grid = cm.render_basins(cm.make_threshold(0.84), cm.GridSpec(resolution=7))
+    grid = cm.render_basins(cm.Threshold(0.84), cm.GridSpec(resolution=7))
     rows = list(cio._BasinTable(grid))
     expect = list(zip(*_basin_columns(grid)))
     assert rows == expect
@@ -548,7 +587,7 @@ def test_basin_table_iterates_as_zip_of_its_columns():
 
 @pytest.mark.parametrize("width", [5, 7])
 def test_write_rows_rejects_a_basin_table_that_misses_the_header_before_writing(width):
-    grid = cm.render_basins(cm.make_threshold(0.84), cm.GridSpec(resolution=4))
+    grid = cm.render_basins(cm.Threshold(0.84), cm.GridSpec(resolution=4))
     buf = io.StringIO()
     with pytest.raises(ValueError):
         cio.write_rows(buf, (cio._BASIN_HEADER * 2)[:width], cio._BasinTable(grid))

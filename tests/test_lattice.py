@@ -7,8 +7,8 @@ from cascade_maps import analysis, basins, lattice
 from cascade_maps.errors import DomainError, ParameterError
 from cascade_maps.lattice import _distinct_rows, cascade_batch, step_batch
 
-T84 = cm.make_threshold(0.84)
-T90 = cm.make_threshold(0.9)
+T84 = cm.Threshold(0.84)
+T90 = cm.Threshold(0.9)
 
 IN_PHASE_SUM = 1.8521395199999993     # 12-step window on the in-phase orbit
 ANTI_PHASE_SUM = 0.07577117593436133  # 12-step window on the anti-phase orbit
@@ -142,7 +142,7 @@ def test_cascade_tie_keeps_value_with_zero_carry():
     st.floats(min_value=0.7501, max_value=0.9999),
 )
 def test_cascade_conserves_total(y, c1):
-    t = cm.make_threshold(c1)
+    t = cm.Threshold(c1)
     x, e = _cascade_oracle(y, t)
     n = len(y)
     assert abs(float(np.sum(x)) + e - float(np.sum(np.asarray(y)))) <= 1e-12 * n
@@ -184,7 +184,7 @@ def test_step_clips_at_threshold():
 
 
 def test_single_site_step_matches_threshold_map_bitwise():
-    t = cm.make_threshold(0.87)
+    t = cm.Threshold(0.87)
     rng = np.random.default_rng(11)
     for x in rng.random(10_000):
         s = cm.step(cm.LatticeState(sites=[x]), t)
@@ -195,7 +195,7 @@ def test_single_site_step_matches_threshold_map_bitwise():
 
 #: c1 = 4x(1 - x) at x = 19/64.  Sites on the grid k/64 have exact images
 #: k(64 - k)/1024 and exact carries, so ties yh == c1 are common.
-T_GRID = cm.make_threshold(855 / 1024)
+T_GRID = cm.Threshold(855 / 1024)
 
 
 @given(
@@ -246,7 +246,7 @@ def test_batch_result_independent_of_block_split():
 def test_decoupled_sites_follow_independent_scalar_orbits():
     # Starts whose scalar orbits avoid C for 13 steps: no site ever clips,
     # so the lattice advances each site exactly like the scalar map.
-    t = cm.make_threshold(0.95)
+    t = cm.Threshold(0.95)
     lo, hi = t.c_interval
     rng = np.random.default_rng(12)
     found = []
@@ -345,7 +345,7 @@ def test_cascade_batch_is_bitwise_scalar_cascade_at_exact_ties(grid):
     # On a dyadic grid every carry and sum is exact, so many sites land on
     # yh == c1 exactly, where the batch kernel's max/min form must still give
     # the scalar branch's clip and its +0.0 carry.
-    t = cm.make_threshold(0.875)
+    t = cm.Threshold(0.875)
     y = np.array(grid, dtype=float) / 64.0
     y[0] = [1.0, 0.75, t.c1]  # ties with and without an incoming carry
     before = y.copy()
@@ -379,7 +379,7 @@ def _layouts(y):
 def test_batch_kernels_do_not_depend_on_memory_order(grid, kernel):
     # Dyadic values make ties yh == c1 common (see the test above), so the
     # sign of every zero carry is compared too.
-    t = cm.make_threshold(0.875)
+    t = cm.Threshold(0.875)
     y = np.array(grid, dtype=float) / 64.0
     y[0] = [1.0, 0.75, t.c1]
     run = {

@@ -26,7 +26,7 @@ PUBLIC_NAMES = [
     "corner_accumulation", "detect_periodic_orbit", "estimate_avoidance",
     "excess_window_sum", "forward_orbit",
     "interior_accumulation", "label_components", "logistic",
-    "make_threshold", "render_basins", "star_values", "step", "step_batch",
+    "render_basins", "star_values", "step", "step_batch",
     "tent_conjugacy", "tent_conjugacy_inverse", "tent_map", "threshold_map",
 ]  # fmt: skip
 
@@ -106,7 +106,7 @@ def test_every_option_parses_the_same_from_every_source(key, tmp_path):
     assert getattr(from_flag, key) != getattr(cli.RunConfig(argv[0]), key)
 
 
-T95 = scalar.make_threshold(0.95)
+T95 = scalar.Threshold(0.95)
 
 #: each option with a least value -> the library call that bounds it
 LIBRARY_BOUNDS = {

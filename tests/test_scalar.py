@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -38,7 +39,7 @@ def test_logistic_domain_error(x):
     ],
 )
 def test_threshold_map_examples(x, c1, state, excess):
-    t = cm.make_threshold(c1)
+    t = cm.Threshold(c1)
     s, e = cm.threshold_map(x, t)
     assert s == pytest.approx(state, abs=1e-15)
     assert e == pytest.approx(excess, abs=1e-15)
@@ -46,7 +47,7 @@ def test_threshold_map_examples(x, c1, state, excess):
 
 @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.7501, max_value=0.9999))
 def test_threshold_map_conserves_logistic_image(x, c1):
-    t = cm.make_threshold(c1)
+    t = cm.Threshold(c1)
     s, e = cm.threshold_map(x, t)
     assert s + e == cm.logistic(x)  # exact: clipped difference is Sterbenz-exact
     assert e >= 0.0
@@ -54,7 +55,7 @@ def test_threshold_map_conserves_logistic_image(x, c1):
 
 
 def test_threshold_map_clips_exactly_on_critical_interval():
-    t = cm.make_threshold(0.87)
+    t = cm.Threshold(0.87)
     lo, hi = t.c_interval
     for x in np.linspace(lo + 1e-9, hi - 1e-9, 101):
         s, e = cm.threshold_map(float(x), t)
@@ -64,36 +65,69 @@ def test_threshold_map_clips_exactly_on_critical_interval():
         assert e == 0.0
 
 
-# ------------------------------------------------------------ make_threshold
+# ----------------------------------------------------------------- Threshold
 
 
 def test_derived_constants_at_0_9():
-    t = cm.make_threshold(0.9)
+    t = cm.Threshold(0.9)
     assert t.c0 == pytest.approx(0.34188611699158106, abs=1e-15)
     assert t.c2 == pytest.approx(0.36, abs=1e-15)
     assert t.d1 == pytest.approx(0.7951672353008665, abs=1e-15)
 
 
 def test_derived_constants_at_0_84():
-    t = cm.make_threshold(0.84)
+    t = cm.Threshold(0.84)
     assert t.c2 == pytest.approx(0.5376, abs=1e-15)
     assert t.c_interval[1] == pytest.approx(0.7, abs=1e-15)
 
 
 def test_image_of_c1_hits_c0_at_window_end():
-    t = cm.make_threshold(WINDOW_END)
+    t = cm.Threshold(WINDOW_END)
     assert t.c2 == pytest.approx(t.c0, abs=1e-15)
 
 
 @pytest.mark.parametrize("c1", [0.5, 0.75, 1.0, 1.2, -3.0])
 def test_make_threshold_rejects_out_of_range(c1):
+    with pytest.raises(ParameterError, match=r"^threshold c1 must lie in \(3/4, 1\), got "):
+        cm.Threshold(c1)
+
+
+def _derived_constants(c1: float) -> tuple[float, float, float]:
+    """``(c0, c2, d1)`` of ``c1`` from their defining expressions, written out."""
+    c0 = 0.5 - 0.5 * math.sqrt(1.0 - c1)
+    c2 = 4.0 * c1 * (1.0 - c1)
+    d1 = math.acos(1.0 - 2.0 * c1) / math.pi
+    return c0, c2, d1
+
+
+def test_threshold_derives_its_constants_bit_for_bit():
+    edges = [np.nextafter(0.75, 1.0), np.nextafter(1.0, 0.0), cm.XI2, WINDOW_END]
+    values = np.concatenate((np.linspace(edges[0], edges[1], 10_000), edges))
+    for c1 in values.tolist():
+        t = cm.Threshold(c1)
+        assert type(t.c1) is float and t.c1 == c1
+        assert (t.c0, t.c2, t.d1) == _derived_constants(c1)
+
+
+def test_threshold_takes_c1_alone():
+    with pytest.raises(TypeError):
+        cm.Threshold(0.9, 0.0, 0.0, 0.0)
+    with pytest.raises(TypeError):
+        cm.Threshold(c1=0.9, c0=0.0)
+    assert cm.Threshold(np.float64(0.9)) == cm.Threshold("0.9") == cm.Threshold(0.9)
+
+
+def test_replacing_c1_recomputes_the_derived_constants():
+    t = dataclasses.replace(cm.Threshold(0.95), c1=0.9)
+    assert t == cm.Threshold(0.9)
+    assert cm.classify_orbit(t) == cm.SuperStable(period=2, steps_to_c=1)
     with pytest.raises(ParameterError):
-        cm.make_threshold(c1)
+        dataclasses.replace(t, c1=0.7)
 
 
 @pytest.mark.parametrize("c1", np.linspace(0.7501, 0.9999, 25).tolist())
 def test_threshold_invariants(c1):
-    t = cm.make_threshold(c1)
+    t = cm.Threshold(c1)
     assert t.c0 == pytest.approx(0.5 - 0.5 * math.sqrt(1.0 - c1), abs=0)
     assert 0.0 < t.c0 < 0.5
     lo, hi = t.c_interval
@@ -109,7 +143,7 @@ def test_threshold_invariants(c1):
 
 
 def test_forward_orbit_period_two_example():
-    t = cm.make_threshold(0.84)
+    t = cm.Threshold(0.84)
     states, excesses = cm.forward_orbit(t, 3)
     assert states == pytest.approx([0.84, 0.5376, 0.84], abs=1e-15)
     assert excesses[0] == 0.0 and excesses[1] == 0.0
@@ -117,7 +151,7 @@ def test_forward_orbit_period_two_example():
 
 
 def test_forward_orbit_xi2_reaches_the_repelling_point():
-    t = cm.make_threshold(cm.XI2)
+    t = cm.Threshold(cm.XI2)
     states, _ = cm.forward_orbit(t, 3)
     assert states[0] == t.c1
     assert states[1] == pytest.approx(0.25, abs=1e-15)
@@ -125,7 +159,7 @@ def test_forward_orbit_xi2_reaches_the_repelling_point():
 
 
 def test_forward_orbit_length_one():
-    t = cm.make_threshold(0.8)
+    t = cm.Threshold(0.8)
     states, excesses = cm.forward_orbit(t, 1)
     assert states.tolist() == [0.8] and excesses.tolist() == [0.0]
     with pytest.raises(ParameterError):
@@ -140,7 +174,7 @@ def test_forward_orbit_length_one():
     [(0.84, 2, 1), (0.9, 2, 1), (0.95, 10, 9), (0.99, 4, 3)],
 )
 def test_classify_superstable_fixtures(c1, period, steps):
-    oc = cm.classify_orbit(cm.make_threshold(c1))
+    oc = cm.classify_orbit(cm.Threshold(c1))
     assert oc == cm.SuperStable(period=period, steps_to_c=steps)
 
 
@@ -148,31 +182,31 @@ def test_classify_orbit_at_xi2_escapes_in_floating_point():
     # In exact arithmetic the orbit of XI2 lands on the repelling point 3/4
     # and stays there forever.  In doubles f^2(XI2) is one ulp off, the gap
     # doubles each step, and the orbit enters C after 51 steps.
-    oc = cm.classify_orbit(cm.make_threshold(cm.XI2))
+    oc = cm.classify_orbit(cm.Threshold(cm.XI2))
     assert oc == cm.SuperStable(period=52, steps_to_c=51)
 
 
 def test_classify_orbit_boundary_at_window_end():
     # At the right end of the period-2 window the image of c1 sits on the
     # edge of C (one ulp away): must be flagged Boundary, not classified.
-    oc = cm.classify_orbit(cm.make_threshold(WINDOW_END))
+    oc = cm.classify_orbit(cm.Threshold(WINDOW_END))
     assert oc == cm.Boundary(step=1)
 
 
 def test_classify_orbit_period_two_across_the_window():
     for c1 in np.linspace(0.7505, 0.9040, 61):
-        oc = cm.classify_orbit(cm.make_threshold(float(c1)))
+        oc = cm.classify_orbit(cm.Threshold(float(c1)))
         assert isinstance(oc, cm.SuperStable) and oc.period == 2, c1
 
 
 def test_classify_orbit_repeller_with_tiny_budget():
     # With a one-step budget the 0.99 orbit has not reached C yet.
-    oc = cm.classify_orbit(cm.make_threshold(0.99), max_iter=1)
+    oc = cm.classify_orbit(cm.Threshold(0.99), max_iter=1)
     assert oc == cm.Repeller(iterations_checked=1)
 
 
 def test_classify_orbit_validates_arguments():
-    t = cm.make_threshold(0.9)
+    t = cm.Threshold(0.9)
     with pytest.raises(ParameterError):
         cm.classify_orbit(t, max_iter=0)
 
@@ -183,7 +217,7 @@ def test_classify_orbit_period_is_the_first_return_to_c1():
     grid = np.linspace(0.75, 1.0, 2002)[1:-1].tolist() + [cm.XI2]
     found = 0
     for c1 in grid:
-        t = cm.make_threshold(c1)
+        t = cm.Threshold(c1)
         oc = cm.classify_orbit(t)
         if not isinstance(oc, cm.SuperStable):
             continue
@@ -244,15 +278,15 @@ def test_tent_conjugacy_domain_errors():
 
 
 def test_avoidance_measure_tent_values():
-    t = cm.make_threshold(0.9)
+    t = cm.Threshold(0.9)
     assert cm.avoidance_measure_tent(t, 0) == pytest.approx(0.79517, abs=5e-5)
-    t99 = cm.make_threshold(0.99)
+    t99 = cm.Threshold(0.99)
     assert t99.d1 == pytest.approx(0.9362314391414802, abs=1e-15)
     assert cm.avoidance_measure_tent(t99, 35) == pytest.approx(t99.d1**36, rel=1e-14)
 
 
 def test_avoidance_measure_tent_monotone_decay():
-    t = cm.make_threshold(0.87)
+    t = cm.Threshold(0.87)
     for j in range(0, 20):
         assert cm.avoidance_measure_tent(t, j + 1) == pytest.approx(
             t.d1 * cm.avoidance_measure_tent(t, j), rel=1e-14
@@ -286,7 +320,7 @@ def exact_avoiding_measure(t: cm.Threshold, jmax: int) -> list[float]:
 
 
 def test_estimate_avoidance_matches_exact_pullback():
-    t = cm.make_threshold(0.9)
+    t = cm.Threshold(0.9)
     exact = exact_avoiding_measure(t, 10)
     for j in (0, 3, 5, 10):
         frac, se = cm.estimate_avoidance(t, j, 200_000, seed=99 + j)
@@ -294,19 +328,19 @@ def test_estimate_avoidance_matches_exact_pullback():
 
 
 def test_estimate_avoidance_j0_complement_of_c():
-    t = cm.make_threshold(0.9)
+    t = cm.Threshold(0.9)
     frac, se = cm.estimate_avoidance(t, 0, 400_000, seed=1)
     assert abs(frac - 2.0 * t.c0) <= 4.0 * se
 
 
 def test_estimate_avoidance_decays_to_zero():
-    t = cm.make_threshold(0.9)
+    t = cm.Threshold(0.9)
     frac, _ = cm.estimate_avoidance(t, 40, 100_000, seed=2)
     assert frac < 1e-3
 
 
 def test_estimate_avoidance_deterministic():
-    t = cm.make_threshold(0.9)
+    t = cm.Threshold(0.9)
     assert cm.estimate_avoidance(t, 5, 50_000, seed=7) == cm.estimate_avoidance(
         t, 5, 50_000, seed=7
     )
@@ -316,13 +350,13 @@ def test_estimate_avoidance_true_decay_rate_is_one_half():
     # The avoiding set escapes past the repelling point 3/4 where the
     # conjugated slope is 2, so the measure halves per step; the tent-value
     # d1 does not govern the decay.  (See the exact oracle above.)
-    t = cm.make_threshold(0.9)
+    t = cm.Threshold(0.9)
     exact = exact_avoiding_measure(t, 16)
     assert exact[16] / exact[15] == pytest.approx(0.5, abs=1e-4)
 
 
 def test_estimate_avoidance_validates_arguments():
-    t = cm.make_threshold(0.9)
+    t = cm.Threshold(0.9)
     with pytest.raises(ParameterError):
         cm.estimate_avoidance(t, -1, 10, seed=0)
     with pytest.raises(ParameterError):
@@ -344,11 +378,11 @@ def test_estimate_avoidance_validates_arguments():
 def test_avoidance_rejects_non_integral_and_negative_counts(call):
     # A fractional j used to give the tent measure d1**2.5.
     with pytest.raises(ParameterError):
-        call(cm.make_threshold(0.9))
+        call(cm.Threshold(0.9))
 
 
 def test_avoidance_accepts_numpy_integers():
-    t = cm.make_threshold(0.9)
+    t = cm.Threshold(0.9)
     assert cm.avoidance_measure_tent(t, np.int64(3)) == cm.avoidance_measure_tent(t, 3)
     got = cm.estimate_avoidance(t, np.int32(3), np.int64(1000), seed=np.uint64(5))
     assert got == cm.estimate_avoidance(t, 3, 1000, seed=5)
@@ -374,7 +408,7 @@ CHUNK = scalar._AVOIDANCE_CHUNK
 @pytest.mark.parametrize("samples", [1, 7, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
 @pytest.mark.parametrize("j", [0, 4])
 def test_estimate_avoidance_chunks_match_one_draw(samples, j):
-    t = cm.make_threshold(0.9)
+    t = cm.Threshold(0.9)
     got = cm.estimate_avoidance(t, j, samples, seed=11)
     want = _estimate_avoidance_oracle(t, j, samples, seed=11)
     assert [v.hex() for v in got] == [v.hex() for v in want]
@@ -392,7 +426,7 @@ def _traced_peak(fn):
 def test_estimate_avoidance_memory_does_not_grow_with_samples():
     # One chunk's points are alive at a time; holding all eight chunks'
     # points at once, as one draw does, would add about 15 MB here.
-    t = cm.make_threshold(0.9)
+    t = cm.Threshold(0.9)
     cm.estimate_avoidance(t, 3, 100, seed=1)  # warm imports outside the trace
     one = _traced_peak(lambda: cm.estimate_avoidance(t, 3, CHUNK, seed=1))
     eight = _traced_peak(lambda: cm.estimate_avoidance(t, 3, 8 * CHUNK, seed=1))
@@ -403,7 +437,7 @@ def test_estimate_avoidance_memory_does_not_grow_with_samples():
 
 
 def test_orbits_absorbed_into_a_and_never_leave():
-    t = cm.make_threshold(0.9)
+    t = cm.Threshold(0.9)
     rng = np.random.default_rng(5)
     x = rng.uniform(1e-9, 1.0 - 1e-9, 10_000)
     lo_a, hi_a = t.absorbing
