@@ -309,12 +309,25 @@ def excess_window_sum(
 
 def _keep_least(low: np.ndarray, x: np.ndarray) -> None:
     """Overwrite each row of ``low`` whose row of ``x`` is lexicographically
-    less, comparing site 0 first: one ``np.where`` per site column, from the
-    last to the first, decides which rows are below."""
-    below = x[:, -1] < low[:, -1]
-    for i in range(x.shape[1] - 2, -1, -1):
-        below = np.where(x[:, i] == low[:, i], below, x[:, i] < low[:, i])
+    less.  Site 0 decides the rows where it differs; the rows that tie there
+    are gathered and decided at their first differing site (a row equal
+    throughout is not less), as one ``np.where`` per column would decide."""
+    below = x[:, 0] < low[:, 0]
+    tie = np.flatnonzero(x[:, 0] == low[:, 0])
+    if tie.size:
+        xt, lt = x[tie], low[tie]
+        at = (np.arange(tie.size), (xt != lt).argmax(axis=1))
+        below[tie] = xt[at] < lt[at]
     np.copyto(low, x, where=below[:, None])
+
+
+def _returned(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """``(x == ref).all(axis=1)``, comparing whole rows only on a step where
+    some row's site 0 has returned; gathering just those rows costs more."""
+    hit = x[:, 0] == ref[:, 0]
+    if hit.any():  # over contiguous site rows
+        hit = (x.T == ref.T).all(axis=0)
+    return hit
 
 
 def _recurrences(
@@ -331,25 +344,28 @@ def _recurrences(
     least state of its orbit, shared by every row on that cycle.  No
     history is kept.
 
-    Only the distinct post-transient rows are searched (``_distinct_rows``),
-    as bit-identical rows have identical orbits.  The batch is stepped
-    column-major, the kernel's fast path.  A row whose period is found
-    retires from the stepped batch at once; rows are independent, so the
-    survivors' bits do not change.
+    A private column-major copy of ``x`` is stepped in place, the kernel's
+    fast path, so ``x`` may be read-only.  Only the distinct post-transient
+    rows are searched (``_distinct``), as bit-identical rows have identical
+    orbits, and a copy of them is stepped against them.  The return test
+    (:func:`_returned`) looks at site 0 first: at c1 = 0.95 it has period
+    10, so 9 steps in 10 end there.  A row whose period is found retires
+    from the stepped batch at once; rows are independent, so the survivors'
+    bits do not change.
     """
     max_period = _require_integer("max_period", max_period, 1)
     transient = _require_integer("transient", transient, 0)
-    x = np.asfortranarray(x)
+    x = np.array(x, dtype=float, order="F")
     for _ in range(transient):
-        x, _ = step_batch(x, t)
-    x, inv = _distinct(x)
-    ref, low = x, x.copy(order="F")
+        step_batch(x, t, x)
+    ref, inv = _distinct(x)
+    x, low = ref.copy(order="F"), ref.copy(order="F")
     least = np.empty_like(low)
     periods = np.zeros(x.shape[0], dtype=int)
     live = np.arange(x.shape[0])
     for p in range(1, max_period + 1):
-        x, _ = step_batch(x, t)
-        hit = (x.T == ref.T).all(axis=0)  # over contiguous site rows
+        step_batch(x, t, x)
+        hit = _returned(x, ref)
         _keep_least(low, x)
         if hit.any():
             periods[live[hit]] = p
@@ -367,14 +383,15 @@ def _orbit_states(t: Threshold, x0: np.ndarray, p: int) -> np.ndarray:
     """States 0 .. p-1 of the orbits from the (B, N) states ``x0``, as (B, p, N).
 
     ``step_batch`` is elementwise over rows, so each row's states are
-    bit-identical to the ones stepped from it in any larger batch.  The
-    states are stored site-major, as (p, N, B), and returned as a view.
+    bit-identical to the ones stepped from it in any larger batch.  A
+    private copy of ``x0`` is stepped in place.  The states are stored
+    site-major, as (p, N, B), and returned as a view.
     """
-    x = np.asfortranarray(x0)
+    x = np.array(x0, dtype=float, order="F")
     out = np.empty((p,) + x.shape[::-1])
     out[0] = x.T
     for k in range(1, p):
-        x, _ = step_batch(x, t)
+        step_batch(x, t, x)
         out[k] = x.T
     return out.transpose(2, 0, 1)
 

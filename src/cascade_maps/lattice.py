@@ -8,11 +8,12 @@ emitted excess, the observable time series of the system.
 
 The sweep is inherently sequential across sites, but distinct orbits are
 independent: :func:`step_batch` advances any number of orbits at once as
-rows of an array, and is the kernel behind the basin renderer and the
-attractor census.  :func:`step` advances one state with a loop over its
-sites, as a one-row batch costs several times more per call.  Both paths
-perform the identical IEEE operations in the same order, so single orbits
-advanced either way agree bit for bit.
+rows of an array, fusing the logistic map into the sweep one site column at
+a time, and with ``out`` steps a batch in place; it is the census's kernel,
+and :func:`cascade_batch` sweeps the images the basin renderer computes.
+:func:`step` advances one state with a loop over its sites, as a one-row
+batch costs several times more per call.  All three are bit-identical for
+every finite image, so single orbits advanced either way agree bit for bit.
 
 Layout contract of the batch kernels: an (M, N) batch may have any memory
 order, and the result keeps the input's order.  The sweep reads one site
@@ -88,17 +89,42 @@ def step(s: LatticeState, t: Threshold) -> LatticeState:
     return LatticeState(sites=out, last_excess=e)
 
 
-def step_batch(x: np.ndarray, t: Threshold) -> tuple[np.ndarray, np.ndarray]:
+def step_batch(
+    x: np.ndarray, t: Threshold, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Advance many independent orbits one step.
 
     ``x`` has shape (M, N): M orbits of N sites.  Returns the new states
     and the M emitted excesses.  Purely elementwise over orbits, so the
     result does not depend on how a larger batch is split into blocks.
-    Any memory order of ``x`` is accepted and kept by the new states;
-    column-major is the fast path (see the module docstring).
+    With ``out=None`` the states are a new float array in ``x``'s memory
+    order and ``x`` is untouched; else they are written to the float array
+    ``out``, which may be ``x`` itself.  Column-major is the fast path.
+
+    Each site column takes six ufunc calls on two length-M temporaries:
+    ``s = 4 x``, ``x = 1 - x``, ``s *= x``, ``s += carry``,
+    ``x = min(s, c1)``, ``carry = s - x``.  At every finite ``s``,
+    ``s - min(s, c1)`` is ``max(s - c1, 0.0)`` bit for bit (the same
+    subtraction above ``c1``, ``+0.0`` at or below it), so the result
+    matches :func:`step` for every state in [0, 1].  It differs only where
+    an image is ``-inf``, from a state with ``|x| > 1e154``.
     """
-    y = 4.0 * x * (1.0 - x)
-    return cascade_batch(y, t.c1)
+    if out is None:
+        out = np.array(x, dtype=float, order="K")
+    elif out is not x:
+        np.copyto(out, x)
+    c1 = t.c1
+    s = np.empty(out.shape[0])
+    carry = np.zeros(out.shape[0])
+    for i in range(out.shape[1]):
+        col = out[:, i]
+        np.multiply(col, 4.0, out=s)
+        np.subtract(1.0, col, out=col)
+        s *= col
+        s += carry
+        np.minimum(s, c1, out=col)
+        np.subtract(s, col, out=carry)
+    return out, carry
 
 
 def cascade_batch(y: np.ndarray, c1: float) -> tuple[np.ndarray, np.ndarray]:

@@ -768,6 +768,72 @@ def test_canonical_rotation_matches_all_rotations_oracle(data):
     assert low.tobytes() == want.tobytes()
 
 
+def _keep_least_oracle(low, x):
+    # One np.where per site column, from the last to the first.
+    below = x[:, -1] < low[:, -1]
+    for i in range(x.shape[1] - 2, -1, -1):
+        below = np.where(x[:, i] == low[:, i], below, x[:, i] < low[:, i])
+    np.copyto(low, x, where=below[:, None])
+
+
+@st.composite
+def _tied_pairs(draw, values):
+    # Two (M, N) batches, N = 1..8, of a few values, so that rows often tie
+    # on site 0 and on longer prefixes; column-major, as the census passes.
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 30))
+    rows = st.lists(st.lists(values, min_size=n, max_size=n), min_size=m, max_size=m)
+    a, b = (np.asfortranarray(draw(rows), dtype=float) for _ in range(2))
+    for i in draw(st.sets(st.integers(0, m - 1))):
+        k = draw(st.integers(1, n))
+        b[i, :k] = a[i, :k]
+    return a, b
+
+
+@settings(max_examples=400)
+@given(_tied_pairs(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, math.nan])))
+def test_keep_least_matches_the_full_where_chain(pair):
+    # -0.0 ties +0.0 and NaN is never less nor equal, in both forms.
+    low, x = pair
+    want = low.copy(order="F")
+    _keep_least_oracle(want, x)
+    analysis._keep_least(low, x)
+    assert low.tobytes() == want.tobytes()
+
+
+@settings(max_examples=400)
+@given(_tied_pairs(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])))
+def test_return_test_matches_whole_row_comparison(pair):
+    # Rows that tie on site 0 alone, on a prefix, or throughout.
+    ref, x = pair
+    got = analysis._returned(x, ref)
+    assert got.dtype == bool
+    assert got.tolist() == (x == ref).all(axis=1).tolist()
+
+
+def test_search_and_rebuild_never_write_their_input():
+    # Both step a private copy in place: a read-only column-major batch
+    # passes, and a writable one is left byte-identical.
+    t = cm.Threshold(0.95)
+    x = np.asfortranarray(analysis._census_initial_states(SEED, 300, 4))
+    for writeable in (False, True):
+        batch = x.copy(order="F")
+        batch.setflags(write=writeable)
+        before = batch.tobytes()
+        periods, least = analysis._recurrences(t, batch, 100, 64)
+        assert batch.tobytes() == before
+        assert (periods > 0).any()
+        orbits = analysis._orbit_states(t, batch, 12)
+        assert batch.tobytes() == before
+        assert orbits[:, 0].tobytes() == batch.tobytes()
+    i = int(np.flatnonzero(periods > 0)[0])
+    s0 = cm.LatticeState(sites=x[i])  # read-only sites, passed as a 1-row view
+    rec = cm.detect_periodic_orbit(t, s0, 100, 64)
+    assert rec is not None and rec.period == periods[i]
+    assert rec.orbit[0].tobytes() == least[i].tobytes()
+    assert s0.sites.tobytes() == x[i].tobytes()
+
+
 @settings(max_examples=300)
 @given(st.data(), st.sampled_from([0.84, 0.95]), st.integers(0, 30))
 def test_lag_matches_agrees_with_slot_loop(data, c1, lag):

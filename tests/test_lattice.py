@@ -398,6 +398,63 @@ def test_batch_kernels_do_not_depend_on_memory_order(grid, kernel):
             assert x.flags.f_contiguous
         if name == "C":
             assert x.flags.c_contiguous
+        if kernel == "step_batch":
+            # In place on a fresh batch of the same layout (``_layouts``
+            # may return ``y`` itself): the same bits, carries included,
+            # written into the batch itself.
+            b = _layouts(y.copy())[name]
+            x, e = step_batch(b, t, b)
+            assert x is b
+            assert b.tobytes() == want_x.tobytes(), name
+            assert e.tobytes() == want_e.tobytes(), name
+
+
+def test_step_batch_writes_a_separate_out_and_leaves_the_input():
+    # The dyadic grid of the tests above, where ties yh == c1 are common.
+    t = cm.Threshold(0.875)
+    y = np.array([[k, (3 * k) % 65, (7 * k) % 65] for k in range(65)]) / 64.0
+    y[0] = [1.0, 0.75, t.c1]
+    before = y.tobytes()
+    want_x, want_e = step_batch(y, t)
+    assert y.tobytes() == before
+    for order in "CF":
+        out = np.full(y.shape, np.nan, order=order)
+        x, e = step_batch(y, t, out)
+        assert x is out
+        assert y.tobytes() == before
+        assert out.tobytes() == want_x.tobytes()
+        assert e.tobytes() == want_e.tobytes()
+
+
+def test_step_batch_of_an_int_batch_is_float():
+    t = cm.Threshold(0.875)
+    ints = np.array([[0, 1, 1], [1, 0, 0]])
+    x, e = step_batch(ints, t)
+    assert x.dtype == np.float64 and e.dtype == np.float64
+    want_x, want_e = step_batch(ints.astype(float), t)
+    assert x.tobytes() == want_x.tobytes()
+    assert e.tobytes() == want_e.tobytes()
+    assert ints.tolist() == [[0, 1, 1], [1, 0, 0]]
+
+
+_STATE = st.floats(-1e150, 1e150) | st.integers(0, 64).map(lambda k: k / 64)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(_STATE, min_size=n, max_size=n), min_size=1, max_size=20)
+    )
+)
+def test_step_batch_is_the_logistic_image_swept_by_cascade_batch(rows):
+    # The fused carry s - min(s, c1) equals max(s - c1, 0) bit for bit at
+    # every finite s, so any state whose images stay finite (here |x| <=
+    # 1e150, images above -5e300) steps as the unfused form does.
+    t = cm.Threshold(0.875)
+    x = np.array(rows, dtype=float)
+    want_x, want_e = cascade_batch(4.0 * x * (1.0 - x), t.c1)
+    got_x, got_e = step_batch(x, t)
+    assert got_x.tobytes() == want_x.tobytes()
+    assert got_e.tobytes() == want_e.tobytes()
 
 
 def _spy(monkeypatch, module, name, batches):
