@@ -243,19 +243,15 @@ def build_markov(t: Threshold, n: int) -> MarkovModel:
         lo >= f_lo - _INCLUSION_SLACK and hi <= f_hi + _INCLUSION_SLACK
         for lo, hi in intervals
     ]
-    n0 = None
-    for i in range(len(contained), 0, -1):
-        if not contained[i - 1]:
-            break
-        n0 = i
-    if n0 is None:
+    n0 = n + 1  # the least depth from which every preimage is covered
+    while n0 > 1 and contained[n0 - 2]:
+        n0 -= 1
+    if n0 > n:
         raise ParameterError("no branch preimage is covered by the gap image")
     if n < n0 + 1:
         raise ParameterError(f"partition depth n={n} too small, need n >= {n0 + 1}")
 
-    matrix = np.zeros((n + 1, n + 1), dtype=np.int8)
-    for i in range(n):
-        matrix[i, i + 1] = 1
+    matrix = np.eye(n + 1, k=1, dtype=np.int8)
     matrix[n0:, 0] = 1
 
     return MarkovModel(
@@ -314,10 +310,9 @@ def _keep_least(low: np.ndarray, x: np.ndarray) -> None:
     throughout is not less), as one ``np.where`` per column would decide."""
     below = x[:, 0] < low[:, 0]
     tie = np.flatnonzero(x[:, 0] == low[:, 0])
-    if tie.size:
-        xt, lt = x[tie], low[tie]
-        at = (np.arange(tie.size), (xt != lt).argmax(axis=1))
-        below[tie] = xt[at] < lt[at]
+    xt, lt = x[tie], low[tie]
+    at = (np.arange(tie.size), (xt != lt).argmax(axis=1))
+    below[tie] = xt[at] < lt[at]
     np.copyto(low, x, where=below[:, None])
 
 

@@ -61,12 +61,9 @@ def _parse_point(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",") if p.strip())
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p.strip())
+def _parse_list(kind):
+    """A parser of comma-separated ``kind`` values; empty items are skipped."""
+    return lambda text: tuple(kind(p) for p in text.split(",") if p.strip())
 
 
 def _option(default, parse, least=None):
@@ -97,9 +94,9 @@ class RunConfig:
     j: int = _option(10, int, 0)
     corner: bool = _option(False, _parse_bool)
     point: Optional[tuple[float, float]] = _option(None, _parse_point)
-    eps: tuple[float, ...] = _option((0.1, 0.05, 0.02), _parse_floats)
-    resolutions: tuple[int, ...] = _option((125, 249, 499), _parse_ints)
-    radii: tuple[float, ...] = _option((0.05, 0.1, 0.2), _parse_floats)
+    eps: tuple[float, ...] = _option((0.1, 0.05, 0.02), _parse_list(float))
+    resolutions: tuple[int, ...] = _option((125, 249, 499), _parse_list(int))
+    radii: tuple[float, ...] = _option((0.05, 0.1, 0.2), _parse_list(float))
     workers: int = _option(1, int, 1)
     output_path: Optional[str] = _option(None, str)
     format: str = _option("csv", str)
@@ -249,16 +246,10 @@ def _run_orbit(cfg: RunConfig) -> None:
 def _run_stars(cfg: RunConfig) -> None:
     stars = analysis.star_values(cfg.max_s)
     header = ["s", "value", "spacing", "spacing_ratio"]
-    rows = []
-    for k, star in enumerate(stars):
-        spacing = stars[k].value - stars[k - 1].value if k >= 1 else ""
-        ratio = (
-            (stars[k].value - stars[k - 1].value)
-            / (stars[k - 1].value - stars[k - 2].value)
-            if k >= 2
-            else ""
-        )
-        rows.append((star.s, star.value, spacing, ratio))
+    values = [star.value for star in stars]
+    gaps = [b - a for a, b in zip(values, values[1:])]
+    ratios = [b / a for a, b in zip(gaps, gaps[1:])]
+    rows = zip([star.s for star in stars], values, ["", *gaps], ["", "", *ratios])
     _emit_table(header, rows, cfg.output_path)
 
 

@@ -144,15 +144,11 @@ def write_rows(fh: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> N
     included, ends in ``"\\r\\n"`` (the ``csv`` module's excel dialect).
 
     The basin table of :func:`write_basin_csv` is written by its own
-    ``write``, without the ``csv`` module; under a header of other than six
-    names it raises ``ValueError`` before anything is written.  Numeric
-    text is never empty and holds no ``,``, ``"``, ``\\r`` or ``\\n``, so
-    the excel dialect would quote none of it, and the bytes are the same as
-    for its rows.
+    ``write``, without the ``csv`` module.  Numeric text is never empty and
+    holds no ``,``, ``"``, ``\\r`` or ``\\n``, so the excel dialect would
+    quote none of it, and the bytes are the same as for its rows.
     """
     width = len(header)
-    if isinstance(rows, _BasinTable) and width != len(_BASIN_HEADER):
-        raise ValueError(f"a table of {len(_BASIN_HEADER)} columns under {width} names")
     writer = csv.writer(fh)
     writer.writerow(list(header))
     if isinstance(rows, _BasinTable):
@@ -214,10 +210,7 @@ def class_palette(n_classes: int) -> np.ndarray:
 def pgm_bytes(classes_img: np.ndarray, n_classes: int) -> bytes:
     """8-bit binary PGM of class ids scaled onto 0..255."""
     h, w = classes_img.shape
-    if n_classes > 1:
-        scaled = np.rint(classes_img * (255.0 / (n_classes - 1))).astype(np.uint8)
-    else:
-        scaled = np.zeros_like(classes_img, dtype=np.uint8)
+    scaled = np.rint(classes_img * (255.0 / max(n_classes - 1, 1))).astype(np.uint8)
     return f"P5\n{w} {h}\n255\n".encode("ascii") + scaled.tobytes()
 
 

@@ -238,12 +238,10 @@ def estimate_avoidance(
     hits = 0
     for first in range(0, samples, _AVOIDANCE_CHUNK):
         x = rng.random(min(_AVOIDANCE_CHUNK, samples - first))
-        alive = np.ones(x.size, dtype=bool)
-        for i in range(j + 1):
+        alive = (x < lo) | (x > hi)
+        for _ in range(j):
+            x = np.minimum(4.0 * x * (1.0 - x), t.c1)
             alive &= (x < lo) | (x > hi)
-            if i < j:
-                y = 4.0 * x * (1.0 - x)
-                x = np.where(y < t.c1, y, t.c1)
         hits += int(np.count_nonzero(alive))
     fraction = hits / samples
     stderr = math.sqrt(fraction * (1.0 - fraction) / samples)

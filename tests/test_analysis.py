@@ -192,6 +192,51 @@ def test_markov_rejects_low_threshold_and_small_depth():
         cm.build_markov(cm.Threshold(0.94), 3)  # needs n >= n0 + 1
 
 
+def _markov_oracle(t, n):
+    # Walks the depths directly: the least depth n0 from which every branch
+    # preimage down to depth n lies in the gap image (f(c2), c1), widened by
+    # the inclusion slack.  Returns (n0, matrix), or the error message.
+    slack = analysis._INCLUSION_SLACK
+    f_lo = 4.0 * t.c2 * (1.0 - t.c2)
+    lo, hi = t.c2, t.c0
+    covered = []
+    for _ in range(n):
+        lo, hi = 0.5 + 0.5 * math.sqrt(1.0 - hi), 0.5 + 0.5 * math.sqrt(1.0 - lo)
+        covered.append(lo >= f_lo - slack and hi <= t.c1 + slack)
+    n0s = [d for d in range(1, n + 1) if all(covered[d - 1 :])]
+    if not n0s:
+        return "no branch preimage is covered by the gap image"
+    n0 = n0s[0]
+    if n < n0 + 1:
+        return f"partition depth n={n} too small, need n >= {n0 + 1}"
+    matrix = np.zeros((n + 1, n + 1), dtype=np.int8)
+    for i in range(n + 1):
+        for k in range(n + 1):
+            matrix[i, k] = k == i + 1 or (k == 0 and i >= n0)
+    return n0, matrix
+
+
+def test_markov_matches_a_depth_walk_oracle():
+    kinds = set()
+    for c1 in [0.9331, 0.935, 0.94, 0.95, 0.96, 0.97, 0.99, 0.9999]:
+        t = cm.Threshold(c1)
+        for n in range(1, 25):
+            want = _markov_oracle(t, n)
+            if isinstance(want, str):
+                with pytest.raises(ParameterError) as info:
+                    cm.build_markov(t, n)
+                assert str(info.value) == want
+                kinds.add(want.split()[0])
+                continue
+            m = cm.build_markov(t, n)
+            assert m.n0 == want[0]
+            assert m.matrix.dtype == np.int8
+            assert np.array_equal(m.matrix, want[1])
+            kinds.add("built")
+    # the grid takes both error paths and the build
+    assert kinds == {"no", "partition", "built"}
+
+
 @pytest.mark.parametrize("n", [0, -3])
 def test_markov_rejects_a_depth_below_one(n):
     with pytest.raises(ParameterError, match="n must be >= 1"):

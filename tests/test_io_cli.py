@@ -419,6 +419,27 @@ def test_main_stars_csv(capsys):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("max_s", range(2, 16))
+def test_main_stars_rows_match_the_per_index_formula(capsys, max_s):
+    # The oracle indexes the star list directly, as each row's spacing and
+    # ratio are defined; the text pins every value bit for bit.
+    stars = cm.star_values(max_s)
+    rows = []
+    for k, star in enumerate(stars):
+        spacing = stars[k].value - stars[k - 1].value if k >= 1 else ""
+        ratio = (
+            (stars[k].value - stars[k - 1].value)
+            / (stars[k - 1].value - stars[k - 2].value)
+            if k >= 2
+            else ""
+        )
+        rows.append((star.s, star.value, spacing, ratio))
+    want = io.StringIO()
+    cio.write_rows(want, ["s", "value", "spacing", "spacing_ratio"], rows)
+    assert main(["stars", "--max-s", str(max_s)]) == 0
+    assert capsys.readouterr() == (want.getvalue(), "")
+
+
 def test_main_stars_past_the_last_resolved_star_is_usage_error(capsys):
     assert main(["stars", "--max-s", "15"]) == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 15
@@ -583,15 +604,6 @@ def test_basin_table_iterates_as_zip_of_its_columns():
     expect = list(zip(*_basin_columns(grid)))
     assert rows == expect
     assert [tuple(map(type, row)) for row in rows] == [tuple(map(type, row)) for row in expect]
-
-
-@pytest.mark.parametrize("width", [5, 7])
-def test_write_rows_rejects_a_basin_table_that_misses_the_header_before_writing(width):
-    grid = cm.render_basins(cm.Threshold(0.84), cm.GridSpec(resolution=4))
-    buf = io.StringIO()
-    with pytest.raises(ValueError):
-        cio.write_rows(buf, (cio._BASIN_HEADER * 2)[:width], cio._BasinTable(grid))
-    assert buf.getvalue() == ""
 
 
 def test_main_basin_csv_rows_end_in_the_class(capsys, monkeypatch, tmp_path):

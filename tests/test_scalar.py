@@ -389,7 +389,8 @@ def test_avoidance_accepts_numpy_integers():
 
 
 def _estimate_avoidance_oracle(t, j, samples, seed):
-    # The unchunked loop: every sample drawn at once and iterated together.
+    # The unchunked loop: every sample drawn at once and iterated together,
+    # clipped with ``np.where`` and tested again after each step.
     x = np.random.default_rng(seed).random(samples)
     lo, hi = t.c_interval
     alive = np.ones(samples, dtype=bool)
@@ -405,8 +406,10 @@ def _estimate_avoidance_oracle(t, j, samples, seed):
 CHUNK = scalar._AVOIDANCE_CHUNK
 
 
-@pytest.mark.parametrize("samples", [1, 7, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
-@pytest.mark.parametrize("j", [0, 4])
+@pytest.mark.parametrize(
+    "samples", [1, 7, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 100, 3 * CHUNK + 5]
+)
+@pytest.mark.parametrize("j", [0, 1, 4, 5])
 def test_estimate_avoidance_chunks_match_one_draw(samples, j):
     t = cm.Threshold(0.9)
     got = cm.estimate_avoidance(t, j, samples, seed=11)
