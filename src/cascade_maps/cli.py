@@ -7,6 +7,9 @@ file > defaults; environment variables use the ``CASCADE_`` prefix
 (``--max-iter`` becomes ``CASCADE_MAX_ITER``), and a config file passed
 via ``--config`` is line-oriented ``key=value`` with unknown keys
 rejected.  Exit codes: 0 success, 2 usage error, 3 runtime failure.
+A summary line is ``key=value`` fields joined by single spaces, each real
+in the shortest form that parses back to it (``io.format_real``); one
+formatter, ``_fields``, builds every one.
 Each option is declared once, as a :class:`RunConfig` field that holds its
 default, the parser of its raw text and, for a count, its least value.
 ``basin`` and ``accumulation`` accept and validate ``--workers`` (>= 1) but
@@ -54,13 +57,6 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_point(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected px,py — got {text!r}")
-    return float(parts[0]), float(parts[1])
-
-
 def _parse_list(kind):
     """A parser of comma-separated ``kind`` values; empty items are skipped."""
     return lambda text: tuple(kind(p) for p in text.split(",") if p.strip())
@@ -93,7 +89,7 @@ class RunConfig:
     n: int = _option(12, int, 1)
     j: int = _option(10, int, 0)
     corner: bool = _option(False, _parse_bool)
-    point: Optional[tuple[float, float]] = _option(None, _parse_point)
+    point: Optional[tuple[float, ...]] = _option(None, _parse_list(float))
     eps: tuple[float, ...] = _option((0.1, 0.05, 0.02), _parse_list(float))
     resolutions: tuple[int, ...] = _option((125, 249, 499), _parse_list(int))
     radii: tuple[float, ...] = _option((0.05, 0.1, 0.2), _parse_list(float))
@@ -160,27 +156,20 @@ def parse_config(argv: Sequence[str], env: Optional[dict] = None) -> RunConfig:
 
     flag_values: dict = {}
     config_path = None
-    args = list(argv[1:])
-    i = 0
-    while i < len(args):
-        arg = args[i]
+    args = iter(argv[1:])
+    for arg in args:
         if not arg.startswith("--"):
             raise UsageError(f"unexpected argument {arg!r}")
         if arg == "--config":
-            if i + 1 >= len(args):
+            config_path = next(args, None)
+            if config_path is None:
                 raise UsageError("--config needs a path")
-            config_path = args[i + 1]
-            i += 2
             continue
         key = _flag_to_key(arg, allowed)
-        if key == "corner":
-            flag_values[key] = True
-            i += 1
-            continue
-        if i + 1 >= len(args):
+        raw = "true" if key == "corner" else next(args, None)
+        if raw is None:
             raise UsageError(f"flag {arg!r} needs a value")
-        flag_values[key] = _coerce(key, args[i + 1], "flag")
-        i += 2
+        flag_values[key] = _coerce(key, raw, "flag")
 
     file_values = _read_config_file(config_path, allowed) if config_path else {}
 
@@ -223,6 +212,13 @@ def _emit_table(header, rows, out: Optional[str]) -> None:
         io.write_rows(sys.stdout, header, rows)
 
 
+def _fields(values: dict) -> str:
+    """A summary line: ``key=value`` fields joined by spaces, reals via ``io.format_real``."""
+    return " ".join(
+        f"{k}={io.format_real(v) if isinstance(v, float) else v}" for k, v in values.items()
+    )
+
+
 def _describe(oc: OrbitClass) -> tuple[str, object, int, str]:
     """An orbit class's name, period ("" unless super-stable), detail and detail key."""
     if isinstance(oc, SuperStable):
@@ -235,12 +231,10 @@ def _describe(oc: OrbitClass) -> tuple[str, object, int, str]:
 def _run_orbit(cfg: RunConfig) -> None:
     t = Threshold(cfg.c1)
     name, period, detail, key = _describe(classify_orbit(t, max_iter=cfg.max_iter))
-    period = f" period={period}" if period else ""
-    print(
-        f"c1={io.format_real(t.c1)} c0={io.format_real(t.c0)} "
-        f"c2={io.format_real(t.c2)} d1={io.format_real(t.d1)} "
-        f"class={name}{period} {key}={detail}"
-    )
+    summary = {"c1": t.c1, "c0": t.c0, "c2": t.c2, "d1": t.d1, "class": name}
+    if period:
+        summary["period"] = period
+    print(_fields({**summary, key: detail}))
 
 
 def _run_stars(cfg: RunConfig) -> None:
@@ -270,10 +264,8 @@ def _run_basin(cfg: RunConfig) -> None:
     t = Threshold(cfg.c1)
     grid = basins.render_basins(t, _basin_spec(cfg))
     components = basins.label_components(grid).total_components
-    print(
-        f"c1={io.format_real(t.c1)} resolution={cfg.resolution} "
-        f"classes={grid.n_classes} components={components}"
-    )
+    summary = {"c1": t.c1, "resolution": cfg.resolution, "classes": grid.n_classes}
+    print(_fields({**summary, "components": components}))
     out = cfg.output_path or f"basin_c1_{cfg.c1}_r{cfg.resolution}.{cfg.format}"
     if cfg.format == "csv":
         io.write_basin_csv(grid, out)
@@ -297,23 +289,19 @@ def _run_census(cfg: RunConfig) -> None:
         (k, rec.period, rec.kind, rec.window_fingerprint, hits)
         for k, (rec, hits) in enumerate(entries)
     ]
-    print(f"attractors={len(entries)} samples={cfg.samples} seed={cfg.seed:#x}")
+    seed = f"{cfg.seed:#x}"
+    print(_fields({"attractors": len(entries), "samples": cfg.samples, "seed": seed}))
     _emit_table(header, rows, cfg.output_path)
 
 
 def _run_markov(cfg: RunConfig) -> None:
     t = Threshold(cfg.c1)
     model = analysis.build_markov(t, cfg.n)
-    print(
-        f"c1={io.format_real(t.c1)} n={cfg.n} n0={model.n0} "
-        f"spectral_radius={io.format_real(model.spectral_radius)} "
-        f"entropy_bound={io.format_real(model.entropy_bound)}"
-    )
+    summary = {"c1": t.c1, "n": cfg.n, "n0": model.n0, "spectral_radius": model.spectral_radius}
+    print(_fields({**summary, "entropy_bound": model.entropy_bound}))
     if cfg.output_path:
         header = [f"j{k}" for k in range(model.matrix.shape[1])]
-        rows = [tuple(int(v) for v in row) for row in model.matrix]
-        io.write_csv(header, rows, cfg.output_path)
-        print(f"wrote {cfg.output_path}")
+        _emit_table(header, model.matrix.tolist(), cfg.output_path)
 
 
 def _run_measure(cfg: RunConfig) -> None:
@@ -321,11 +309,8 @@ def _run_measure(cfg: RunConfig) -> None:
     fraction, stderr = estimate_avoidance(t, cfg.j, cfg.samples, cfg.seed)
     tent = avoidance_measure_tent(t, cfg.j)
     ratio = fraction / tent if tent > 0 else float("nan")
-    print(
-        f"c1={io.format_real(t.c1)} j={cfg.j} samples={cfg.samples} "
-        f"fraction={io.format_real(fraction)} stderr={io.format_real(stderr)} "
-        f"tent={io.format_real(tent)} ratio={io.format_real(ratio)}"
-    )
+    summary = {"c1": t.c1, "j": cfg.j, "samples": cfg.samples, "fraction": fraction}
+    print(_fields({**summary, "stderr": stderr, "tent": tent, "ratio": ratio}))
 
 
 def _run_accumulation(cfg: RunConfig) -> None:

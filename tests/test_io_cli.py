@@ -400,16 +400,62 @@ def test_main_runtime_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_main_markov_line(capsys):
-    assert main(["markov", "--c1", "0.95", "--n", "8"]) == 0
-    out = capsys.readouterr().out
-    assert "n0=3" in out and "spectral_radius=" in out
+#: subcommand -> (argv, whole stdout) of its summary line, byte for byte;
+#: ``{out}`` stands for the output path
+SUMMARY_LINES = {
+    "markov": (
+        ["markov", "--c1", "0.95", "--n", "8"],
+        "c1=0.95 n=8 n0=3 spectral_radius=1.3426361971791383"
+        " entropy_bound=0.29463499266790355\n",
+    ),
+    "measure": (
+        ["measure", "--c1", "0.9", "--j", "3", "--samples", "20000"],
+        "c1=0.9 j=3 samples=20000 fraction=0.1374 stderr=0.0024343504267052432"
+        " tent=0.39979182281085834 ratio=0.34367886525033803\n",
+    ),
+    "basin": (
+        ["basin", "--c1", "0.84", "--res", "40", "--format", "pgm", "--out", "{out}"],
+        "c1=0.84 resolution=40 classes=2 components=39\nwrote {out}\n",
+    ),
+    "census": (
+        ["census", "--c1", "0.95", "--sites", "3", "--samples", "50", "--out", "{out}"],
+        "attractors=8 samples=50 seed=0x5eedca5cade\nwrote {out}\n",
+    ),
+}
 
 
-def test_main_measure_line(capsys):
-    assert main(["measure", "--c1", "0.9", "--j", "3", "--samples", "20000"]) == 0
-    out = capsys.readouterr().out
-    assert "fraction=" in out and "tent=" in out
+@pytest.mark.parametrize("argv, stdout", SUMMARY_LINES.values(), ids=SUMMARY_LINES)
+def test_main_summary_line_is_exact(capsys, tmp_path, argv, stdout):
+    out = str(tmp_path / "out")
+    assert main([arg.format(out=out) for arg in argv]) == 0
+    assert capsys.readouterr() == (stdout.format(out=out), "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["orbit", "--c1"], "flag '--c1' needs a value"),
+        (["orbit", "--c1", "0.9", "--config"], "--config needs a path"),
+        # The unknown flag is reported before its missing value.
+        (["orbit", "--bogus"], "unknown flag '--bogus'"),
+        # --corner takes no value, so --res is the flag left without one.
+        (["accumulation", "--c1", "0.95", "--corner", "--res"], "flag '--res' needs a value"),
+    ],
+)
+def test_main_argv_errors(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+
+def test_main_markov_out_writes_the_matrix(capsys, tmp_path):
+    path = tmp_path / "m.csv"
+    assert main(["markov", "--c1", "0.95", "--n", "6", "--out", str(path)]) == 0
+    assert capsys.readouterr().out.endswith(f"\nwrote {path}\n")
+    matrix = cm.build_markov(cm.Threshold(0.95), 6).matrix
+    assert set(matrix.ravel().tolist()) == {0, 1}
+    lines = [",".join(f"j{k}" for k in range(7))]
+    lines += [",".join(map(str, row)) for row in matrix.tolist()]
+    assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
 
 
 def test_main_stars_csv(capsys):
@@ -645,6 +691,9 @@ def test_main_accumulation_point(capsys, workers):
         (["--corner", "--eps", ""], "eps_list and resolutions must not be empty"),
         (["--corner", "--resolutions", ""], "eps_list and resolutions must not be empty"),
         (["--point", "0.5,0.5", "--radii", ","], "radii must not be empty"),
+        (["--point", "0.5"], "point must be a pair of reals, got (0.5,)"),
+        (["--point", ""], "point must be a pair of reals, got ()"),
+        (["--point", "0.5,0.2,0.1"], "point must be a pair of reals, got (0.5, 0.2, 0.1)"),
     ],
 )
 def test_main_accumulation_rejects_bad_regions_without_rendering(
