@@ -23,7 +23,8 @@ only its first ``(r + 1) // 2`` cells are simulated, any other axis is
 simulated whole, and the grid is rebuilt by reflecting along each folded
 axis.  The unit square simulates one quadrant.  Simulated cells are
 numbered ``k = i*hy + j``, with ``hy`` the simulated cells of the y axis.
-Batches are (m, N) and column-major, so the cascade sweep reads each site
+Batches are column-major (m, N), or in the head one site-0 row per x-row
+and (m, N - 1) of the other sites, so the cascade sweep reads each site
 column as one contiguous run (the fast path of
 :func:`cascade_maps.lattice.cascade_batch`).
 
@@ -33,15 +34,19 @@ states at step 8 and 40 from step 64 on.  Each step passes its logistic
 images ``y`` to the next, and rows whose ``y`` agree bit for bit merge.
 This is exact at any step: the kernel is elementwise over rows, and step
 k+1 and every step after it, excesses included, depend on ``y_{k+1}``
-alone.  The head runs each chunk of ``_CHUNK_CELLS`` cells, small enough
-to stay in cache, for ``min(8, transient)`` steps and compacts it to its
-distinct rows; an ``int32`` owner map of 4 B per cell records each cell's
-row.  The tail gathers every chunk's rows into one batch, compacts it
-across chunks and runs the rest of the transient once per grid, compacting
-again at steps 16, 32, 64, ... and at ``transient``.  The window then sums
-each row's excesses from zero, in step order, with no compaction in it.
-The working set is the owner map plus one chunk, or the merged batch if
-larger.
+alone.  The head runs each chunk of whole x-rows, at most
+``_CHUNK_CELLS`` cells (small enough to stay in cache) and at least one
+x-row, for ``min(8, transient)`` steps.  The array is uni-directional, so
+site 0 is driven by nothing and its orbit depends on the cell's x offset
+alone: the head sweeps it once per x-row and sweeps sites 1..N-1 of every
+cell with that x-row's excess as their incoming carry.  It then assembles
+the chunk's (m, N) rows and compacts them to the distinct ones; an
+``int32`` owner map of 4 B per cell records each cell's row.  The tail
+gathers every chunk's rows into one batch, compacts it across chunks and
+runs the rest of the transient once per grid, compacting again at steps
+16, 32, 64, ... and at ``transient``.  The window then sums each row's
+excesses from zero, in step order, with no compaction in it.  The working
+set is the owner map plus one chunk, or the merged batch if larger.
 """
 
 from __future__ import annotations
@@ -181,8 +186,9 @@ def _axis_centers(axis_range: tuple[float, float], resolution: int) -> np.ndarra
     return _axis_offsets(axis_range, resolution) + 0.5
 
 
-#: Cells per chunk.  16384 cells keep each (m, 2) array at 256 KB, so a
-#: chunk stays in a core's L2 cache for all of its steps.
+#: Most cells per chunk, in whole x-rows and at least one.  16384 cells
+#: keep each (m, 2) array at 256 KB, so a chunk stays in a core's L2 cache
+#: for all of its steps.
 _CHUNK_CELLS = 16384
 
 #: The first compaction step: each chunk is stepped this far on its own (or
@@ -191,45 +197,47 @@ _CHUNK_CELLS = 16384
 _FIRST_COMPACTION = 8
 
 
-def _cell_offsets(
-    ux: np.ndarray, uy: np.ndarray, spec: GridSpec, k0: int, k1: int
-) -> np.ndarray:
-    """Column-major offsets array (m, N) for cells ``k0 <= k < k1`` of the
-    axes ``ux`` by ``uy``, ``k = i*len(uy) + j``."""
-    i, j = np.divmod(np.arange(k0, k1), uy.size)
-    u = np.empty((k1 - k0, spec.n_sites), order="F")
-    u[:, 0] = ux[i]
-    u[:, 1] = uy[j]
-    for k, pinned in enumerate(spec.pinned_sites):
-        u[:, 2 + k] = pinned - 0.5
-    return u
-
-
-def _step(y: np.ndarray, c1: float) -> np.ndarray:
+def _step(y: np.ndarray, c1: float, carry: np.ndarray | None = None) -> np.ndarray:
     """One step from the logistic images ``y``, in place: ``y`` becomes the
     images ``(4x)(1 - x)`` of the step's state ``x``, with ``1 - x`` taken in
-    place of the spent ``x``.  Returns the step's excesses."""
-    x, e = cascade_batch(y, c1)
+    place of the spent ``x``.  ``carry`` is the sweep's incoming carry, as
+    for ``cascade_batch``.  Returns the step's excesses."""
+    x, e = cascade_batch(y, c1, carry)
     np.multiply(4.0, x, out=y)
     np.subtract(1.0, x, out=x)
     np.multiply(y, x, out=y)
     return e
 
 
-def _chunk_head(u: np.ndarray, c1: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """A chunk's first ``steps`` steps, given offsets ``u``.
+def _chunk_head(
+    ux: np.ndarray, uy: np.ndarray, spec: GridSpec, c1: float, steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``steps`` steps of the cells on x offsets ``ux`` by ``uy``.
 
     The images of step 1 are ``1 - 4u**2`` (the symmetric form of the
-    logistic map at ``1/2 + u``), computed in place: ``u`` is overwritten
-    and then carries the images of each later step.  Returns the distinct
+    logistic map at ``1/2 + u``).  Site 0 is driven by nothing, so its
+    orbit depends on the cell's x offset alone: each step sweeps it once
+    per x offset, as a (len(ux), 1) batch, and then sites 1..N-1 of every
+    cell with its x-row's excess as their incoming carry, which is
+    bit-identical to sweeping all N sites at once.  The drive's images fill
+    column 0 only once the steps are done.  Returns the distinct (m, N)
     images of step ``steps + 1`` and each cell's row.
     """
-    y = u
-    np.multiply(y, y, out=y)
-    np.multiply(4.0, y, out=y)
-    np.subtract(1.0, y, out=y)
+    rows, hy = ux.size, uy.size
+    drive = (1.0 - 4.0 * (ux * ux))[:, None]
+    y = np.empty((rows * hy, spec.n_sites), order="F")
+    y[:, 1].reshape(rows, hy)[...] = uy
+    for k, pinned in enumerate(spec.pinned_sites):
+        y[:, 2 + k] = pinned - 0.5
+    cells = y[:, 1:]
+    np.multiply(cells, cells, out=cells)
+    np.multiply(4.0, cells, out=cells)
+    np.subtract(1.0, cells, out=cells)
+    carry = np.empty((rows, hy))
     for _ in range(steps):
-        _step(y, c1)
+        carry[...] = _step(drive, c1)[:, None]
+        _step(cells, c1, carry.reshape(-1))
+    y[:, 0].reshape(rows, hy)[...] = drive
     return _distinct(y)
 
 
@@ -246,8 +254,9 @@ def _window_sums(
     A batch row holds the logistic images ``y`` that the next step starts
     from.  That step and every later one, excesses included, are functions
     of ``y`` alone, so rows whose images agree bit for bit can merge at any
-    step without changing a bit.  Each chunk of ``_CHUNK_CELLS`` cells runs
-    its head (:func:`_chunk_head`) on its own, to step
+    step without changing a bit.  Each chunk of whole x-rows, at most
+    ``_CHUNK_CELLS`` cells and at least one x-row, runs its head
+    (:func:`_chunk_head`, which steps site 0 once per x-row) on its own, to step
     ``min(_FIRST_COMPACTION, transient)``; the chunks' distinct rows are
     then gathered into one column-major batch, which runs the rest of the
     transient once, compacted across chunks at the end of the head (unless
@@ -257,20 +266,21 @@ def _window_sums(
     in step order.
 
     ``owner`` is ``int32``, 4 B per cell.  A chunk's head peaks at about
-    0.68 MB traced (c1 = 0.95, while compacting at step 8), less than half
+    0.69 MB traced (c1 = 0.95, while compacting at step 8), less than half
     of what labelling the r = 499 grid needs next to it.
     """
-    n = ux.size * uy.size
+    hx, hy = ux.size, uy.size
     transient = spec.transient
     k = min(_FIRST_COMPACTION, transient)
-    owner = np.empty(n, dtype=np.int32)
+    owner = np.empty(hx * hy, dtype=np.int32)
     ys = []
     rows = 0
-    for c0 in range(0, n, _CHUNK_CELLS):
-        c_end = min(c0 + _CHUNK_CELLS, n)
-        y, inv = _chunk_head(_cell_offsets(ux, uy, spec, c0, c_end), t.c1, k)
+    per_chunk = max(1, _CHUNK_CELLS // hy)
+    for i0 in range(0, hx, per_chunk):
+        i1 = min(i0 + per_chunk, hx)
+        y, inv = _chunk_head(ux[i0:i1], uy, spec, t.c1, k)
         inv += rows
-        owner[c0:c_end] = inv
+        owner[i0 * hy : i1 * hy] = inv
         del inv
         rows += y.shape[0]
         ys.append(y)

@@ -4,11 +4,13 @@ Real numbers are written in shortest round-trip form, so a written value
 parses back to the identical double.  CSV rows may come from any iterable
 (a lazy ``zip`` included) and are written one at a time through the
 ``csv`` module.  The basin CSV of :func:`write_basin_csv` skips the rows:
-its six columns are coded into one vocabulary of texts per table, each
-distinct value formatted once with its separator, and the table is
-written a chunk of whole grid rows at a time, each chunk one gather
-through that vocabulary and one ``"".join``, so the writer holds at most
-one chunk of codes and strings in memory.  Images are binary
+each distinct value is formatted once with its separator.  ``j`` and
+``y`` depend on the grid column alone, so they fill one row template per
+table, and ``i`` and ``x`` on the grid row alone, so each grid row repeats
+one text of each.  The fingerprint and class texts come from one gather
+per chunk of whole grid rows through a vocabulary of texts, and each grid
+row is one ``"".join`` of its template, so the writer holds at most one
+chunk of codes and texts and one row's text in memory.  Images are binary
 "P5"/"P6" with the grid transposed so that x grows to the right and y
 grows upward.
 The colour palette spaces class hues evenly on a 12-colour wheel from
@@ -86,52 +88,46 @@ class _BasinTable:
     def write(self, fh: TextIO) -> None:
         """Write the rows as CSV text, with no header.
 
-        Every field is coded into one vocabulary of texts, each ending in
-        its ``","`` or ``"\\r\\n"``: ``i`` and ``j`` over ``range(r)``,
-        ``x`` and ``y`` over the axis centres, the fingerprint over its
+        Every field text ends in its ``","`` or ``"\\r\\n"``.  ``i`` and
+        ``x`` depend on the grid row alone and ``j`` and ``y`` on the column
+        alone, so each grid row is written from one row template of
+        ``6 r`` texts whose ``j`` and ``y`` slots are filled once per table.
+        Each row sets its ``i`` and ``x`` slots by list repetition and its
+        fingerprint and class slots from one gather per chunk of whole grid
+        rows through a vocabulary of texts: the fingerprint's over its
         distinct 64-bit patterns (one sort per table, so ``-0.0`` stays
-        apart from ``0.0`` and NaN payloads from each other), and the class
-        over ``range(n_classes)``.  Each chunk of whole grid rows is one
-        gather through that vocabulary and one ``"".join``.
+        apart from ``0.0`` and NaN payloads from each other), then the
+        class's over ``range(n_classes)``.  Each row is then one
+        ``"".join`` of its template.
         """
         grid = self.grid
         r = grid.spec.resolution
         keys = np.sort(grid.fingerprints.view(np.int64), axis=None)
         keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        reals = np.concatenate(
-            (
-                _axis_centers(grid.spec.x_range, r),
-                _axis_centers(grid.spec.y_range, r),
-                keys.view(np.float64),
-            )
-        )
         vocab = np.array(
-            [f"{k}," for k in range(r)]
-            + [format_real(v) + "," for v in reals.tolist()]
+            [format_real(v) + "," for v in keys.view(np.float64).tolist()]
             + [f"{k}\r\n" for k in range(grid.n_classes)],
             dtype=object,
         )
+        x_texts, y_texts = (
+            [format_real(v) + "," for v in _axis_centers(a, r).tolist()]
+            for a in (grid.spec.x_range, grid.spec.y_range)
+        )
+        row = [""] * (6 * r)
+        row[1::6] = [f"{j}," for j in range(r)]
+        row[3::6] = y_texts
         step = max(1, _CHUNK_ROWS // r)
         for i0 in range(0, r, step):
-            fh.write(self._chunk(vocab, keys, i0, min(i0 + step, r)))
-
-    def _chunk(self, vocab: np.ndarray, keys: np.ndarray, i0: int, i1: int) -> str:
-        """The CSV text of grid rows ``i0:i1``, coded as :meth:`write` says."""
-        grid = self.grid
-        r = grid.spec.resolution
-        cells = np.arange(r)
-        i = cells[i0:i1, None]
-        codes = np.empty((i1 - i0, r, 6), dtype=np.intp)
-        codes[..., 0] = i
-        codes[..., 1] = cells
-        codes[..., 2] = i + r
-        codes[..., 3] = cells + 2 * r
-        bits = grid.fingerprints[i0:i1].view(np.int64)
-        codes[..., 4] = np.searchsorted(keys, bits) + 3 * r
-        codes[..., 5] = grid.classes[i0:i1] + (3 * r + keys.shape[0])
-        texts = vocab.take(codes.ravel()).tolist()
-        del codes  # freed before the join, to keep the writer's peak low
-        return "".join(texts)
+            i1 = min(i0 + step, r)
+            codes = np.empty((i1 - i0, 2, r), dtype=np.intp)
+            codes[:, 0] = np.searchsorted(keys, grid.fingerprints[i0:i1].view(np.int64))
+            codes[:, 1] = grid.classes[i0:i1] + keys.size
+            for i, (fingerprints, classes) in enumerate(vocab.take(codes).tolist(), i0):
+                row[0::6] = [f"{i},"] * r
+                row[2::6] = [x_texts[i]] * r
+                row[4::6] = fingerprints
+                row[5::6] = classes
+                fh.write("".join(row))
 
 
 def write_rows(fh: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -11,6 +11,9 @@ independent: :func:`step_batch` advances any number of orbits at once as
 rows of an array, fusing the logistic map into the sweep one site column at
 a time, and with ``out`` steps a batch in place; it is the census's kernel,
 and :func:`cascade_batch` sweeps the images the basin renderer computes.
+Given the excesses of a sweep over a row's first sites as its ``carry``,
+:func:`cascade_batch` sweeps the rest bit for bit as one sweep would; the
+renderer's head thus sweeps the undriven site 0 once per x-row of a grid.
 :func:`step` advances one state with a loop over its sites, as a one-row
 batch costs several times more per call.  All three are bit-identical for
 every finite image, so single orbits advanced either way agree bit for bit.
@@ -127,7 +130,9 @@ def step_batch(
     return out, carry
 
 
-def cascade_batch(y: np.ndarray, c1: float) -> tuple[np.ndarray, np.ndarray]:
+def cascade_batch(
+    y: np.ndarray, c1: float, carry: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised cascade sweep over rows of ``y`` (shape (M, N)).
 
     Copies ``y`` once and sweeps its site columns in place: ``min(yh, c1)``
@@ -135,12 +140,18 @@ def cascade_batch(y: np.ndarray, c1: float) -> tuple[np.ndarray, np.ndarray]:
     input this is bit-identical to the branching sweep of :func:`step`:
     ``yh - c1 > 0`` exactly when ``yh > c1`` (gradual underflow), and
     ``yh == c1`` carries ``+0.0``.
+    ``carry`` holds the M carries into the first column, zero if ``None``:
+    the excesses of a sweep of the sites to the left, so that sweeping a
+    row's sites in two batches, the second given the first's excesses, is
+    bit-identical to sweeping them in one.  It is swept in place and
+    returned as the excesses.
     ``y`` itself is not modified.  The copy keeps ``y``'s memory order, so
     any order is accepted and kept; with column-major ``y`` each swept
     column is contiguous, which is the fast path.
     """
     out = y.copy(order="K")
-    carry = np.zeros(y.shape[0])
+    if carry is None:
+        carry = np.zeros(y.shape[0])
     for i in range(y.shape[1]):
         yh = out[:, i]
         np.add(yh, carry, out=yh)

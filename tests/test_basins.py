@@ -173,9 +173,10 @@ def _direct_fingerprints(t, spec):
     # Oracle: every cell of the grid stepped as one block, none reflected
     # and none merged, with the window's excesses summed in step order.
     r = spec.resolution
-    ux = basins._axis_offsets(spec.x_range, r)
-    uy = basins._axis_offsets(spec.y_range, r)
-    u = basins._cell_offsets(ux, uy, spec, 0, r * r)
+    u = np.empty((r * r, spec.n_sites))
+    u[:, 0] = np.repeat(basins._axis_offsets(spec.x_range, r), r)
+    u[:, 1] = np.tile(basins._axis_offsets(spec.y_range, r), r)
+    u[:, 2:] = np.subtract(spec.pinned_sites, 0.5)
     x, e = cascade_batch(1.0 - 4.0 * (u * u), t.c1)
     total = np.zeros(r * r)
     for k in range(1, spec.transient + spec.window + 1):
@@ -196,7 +197,8 @@ def test_render_matches_direct_simulation_of_every_cell(monkeypatch, r, chunk):
     # through the compactions at 32 and 64 as well.  Windows of 40 from
     # steps 1 and 10 span steps 16 and 32 (and 8 from step 1), where a
     # longer transient would compact, and check a window with no
-    # compaction in it.
+    # compaction in it.  Two pinned sites put two carried sites after the
+    # drive site, which the head sweeps once per x-row.
     monkeypatch.setattr(basins, "_CHUNK_CELLS", chunk)
     grid = [(tr, w) for tr in (0, 7, 8, 9, 16) for w in (1, 12)] + [(100, 12), (0, 40), (9, 40)]
     for transient, window in grid:
@@ -204,6 +206,7 @@ def test_render_matches_direct_simulation_of_every_cell(monkeypatch, r, chunk):
         specs = [
             cm.GridSpec(resolution=r, **steps),
             cm.GridSpec(resolution=r, pinned_sites=(0.3,), **steps),
+            cm.GridSpec(resolution=r, pinned_sites=(0.3, 0.7), **steps),
             cm.GridSpec(resolution=r, x_range=(0.1, 0.6), **steps),
         ]
         for t in (T84, T94, T98):
@@ -213,22 +216,58 @@ def test_render_matches_direct_simulation_of_every_cell(monkeypatch, r, chunk):
                 assert g.fingerprints.tobytes() == want, (t.c1, spec)
 
 
+@pytest.mark.parametrize("transient", [0, 3, 9])
+@pytest.mark.parametrize("r, chunk", [(2, 1), (9, 3), (33, 16)])
+def test_render_chunks_of_one_x_row_match_direct_simulation(monkeypatch, r, chunk, transient):
+    # A _CHUNK_CELLS below one x-row's cells still makes whole x-rows: each
+    # chunk holds exactly one, whose drive site is stepped once for all of
+    # its cells.  At r=2 the unit square folds to one cell; its slices
+    # hold two x-rows or two cells per x-row.
+    monkeypatch.setattr(basins, "_CHUNK_CELLS", chunk)
+    heads = []
+    inner = basins._chunk_head
+
+    def spy(ux, uy, *args):
+        heads.append((ux.size, uy.size))
+        return inner(ux, uy, *args)
+
+    monkeypatch.setattr(basins, "_chunk_head", spy)
+    specs = [
+        cm.GridSpec(resolution=r, transient=transient),
+        cm.GridSpec(resolution=r, pinned_sites=(0.3, 0.7), transient=transient),
+        cm.GridSpec(resolution=r, x_range=(0.1, 0.6), y_range=(0.2, 0.7), transient=transient),
+    ]
+    for t in (T84, T95, T98):
+        for spec in specs:
+            heads.clear()
+            want = _direct_fingerprints(t, spec).tobytes()
+            assert cm.render_basins(t, spec).fingerprints.tobytes() == want, (t.c1, spec)
+            hx, hy = ((r + 1) // 2 if a == _UNIT else r for a in (spec.x_range, spec.y_range))
+            assert heads == [(1, hy)] * hx
+
+
 def test_render_steps_each_distinct_state_once(monkeypatch):
     # Cells fall onto few exact states after their clips, and the render
     # steps each distinct state of a chunk once: at c1=0.95, r=64 the kernel
-    # steps about a seventh of the simulated quadrant's rows.  Every batch
-    # stays column-major after the compactions.
+    # steps about a seventh of the simulated quadrant's site-states.  In the
+    # head, site 0 is stepped once per x-row and the other sites once per
+    # cell; the tail steps whole distinct rows.  Every batch stays
+    # column-major after the compactions.
     batches = _spy_batches(monkeypatch)
     r = 64
+    h = (r + 1) // 2
     spec = cm.GridSpec(resolution=r)
     cm.render_basins(T95, spec)
     steps = spec.transient + spec.window
-    assert len(batches) == steps == 112
-    rows = [m for m, _ in batches]
-    assert sum(rows) <= 0.2 * ((r + 1) // 2) ** 2 * steps
-    assert rows[0] == ((r + 1) // 2) ** 2
-    assert 1 < rows[-1] < rows[0]
-    assert all(f_contiguous for _, f_contiguous in batches)
+    head = basins._FIRST_COMPACTION
+    assert len(batches) == steps + head == 120
+    assert batches[: 2 * head] == [(h, 1, True, False), (h * h, 1, True, True)] * head
+    tail = batches[2 * head :]
+    assert {(n, carried) for _, n, _, carried in tail} == {(2, False)}
+    site_steps = [m * n for m, n, _, _ in batches]
+    assert sum(site_steps) <= 0.2 * h * h * spec.n_sites * steps
+    assert 1 < tail[-1][0] < h * h
+    assert all(f_contiguous for _, _, f_contiguous, _ in batches)
 
 
 @pytest.mark.parametrize("transient, window", [(100, 12), (9, 40), (0, 40), (3, 12)])
@@ -238,8 +277,11 @@ def test_render_window_steps_one_batch_without_compaction(monkeypatch, t, transi
     # each of its steps passes the kernel the same number of rows.
     batches = _spy_batches(monkeypatch)
     cm.render_basins(t, cm.GridSpec(resolution=64, transient=transient, window=window))
-    assert len(batches) == transient + window
-    assert len({m for m, _ in batches[-window:]}) == 1
+    # A step is one sweep from site 0: in the head, site 0's sweep, which
+    # the carried sweep of the other sites continues.
+    steps = [m for m, _, _, carried in batches if not carried]
+    assert len(steps) == transient + window
+    assert len(set(steps[-window:])) == 1
 
 
 @pytest.mark.parametrize("r", [2, 3, 64, 65])
@@ -250,11 +292,13 @@ def test_render_window_steps_one_batch_without_compaction(monkeypatch, t, transi
 )
 def test_render_simulates_the_first_half_of_each_unit_axis(monkeypatch, r, x_range, y_range):
     # Each axis that spans the unit interval is folded on its own, to its
-    # first (r + 1) // 2 cells; any other axis is simulated whole.
+    # first (r + 1) // 2 cells; any other axis is simulated whole.  The
+    # head's first step sweeps site 0 once per simulated x-row, then the
+    # other site of every simulated cell.
     batches = _spy_batches(monkeypatch)
     cm.render_basins(T95, cm.GridSpec(resolution=r, x_range=x_range, y_range=y_range))
     hx, hy = ((r + 1) // 2 if a == _UNIT else r for a in (x_range, y_range))
-    assert batches[0][0] == hx * hy
+    assert [m for m, _, _, _ in batches[:2]] == [hx, hx * hy]
 
 
 @pytest.mark.parametrize("r", [2, 3, 8, 9])
@@ -285,29 +329,33 @@ def test_render_compacts_across_chunks_only_when_there_are_several(monkeypatch, 
 
 
 def _spy_batches(monkeypatch):
+    # Each sweep as (rows, sites, column-major, given an incoming carry).
     batches = []
     inner = basins.cascade_batch
 
-    def spy(y, c1):
-        batches.append((y.shape[0], y.flags.f_contiguous))
-        return inner(y, c1)
+    def spy(y, c1, carry=None):
+        batches.append((*y.shape, y.flags.f_contiguous, carry is not None))
+        return inner(y, c1, carry)
 
     monkeypatch.setattr(basins, "cascade_batch", spy)
     return batches
 
 
 def test_render_merges_the_chunks_after_the_first_compaction(monkeypatch):
-    # At r=64 chunks of 512 cells make 2 chunks of the 1024 simulated
-    # cells.  Each chunk runs steps 1-8 on its own; the merged batch then
-    # runs steps 9-112 once for the whole grid.
+    # At r=64 chunks of 512 cells make 2 chunks of 16 x-rows of the 1024
+    # simulated cells.  Each chunk runs steps 1-8 on its own, site 0 once
+    # per x-row and site 1 once per cell; the merged batch then runs steps
+    # 9-112 once for the whole grid, both sites in one sweep.
     spec = cm.GridSpec(resolution=64)
     want = cm.render_basins(T95, spec).fingerprints.tobytes()
     monkeypatch.setattr(basins, "_CHUNK_CELLS", 512)
     batches = _spy_batches(monkeypatch)
     got = cm.render_basins(T95, spec).fingerprints.tobytes()
-    assert len(batches) == 2 * 8 + (112 - 8) == 120
-    assert [m for m, _ in batches[:16:8]] == [512] * 2
-    assert all(f_contiguous for _, f_contiguous in batches)
+    assert len(batches) == 2 * 2 * 8 + (112 - 8) == 136
+    head = [(16, 1, True, False), (512, 1, True, True)] * 8
+    assert batches[:32] == head * 2
+    assert {(n, carried) for _, n, _, carried in batches[32:]} == {(2, False)}
+    assert all(f_contiguous for _, _, f_contiguous, _ in batches)
     assert got == want
 
 
@@ -363,16 +411,18 @@ def test_two_render_chunks_at_their_peaks_stay_below_labelling():
     # The factor 2 is headroom: with one chunk's peak at most half of what
     # labelling the grid needs next to it, the corner command's peak is set
     # by the labelling, not by the render.
+    # The chunk is the render's: whole x-rows of the folded quadrant, as
+    # many as fit in _CHUNK_CELLS.
     spec = cm.GridSpec(resolution=499)
-    ux = basins._axis_offsets(spec.x_range, spec.resolution)
-    uy = basins._axis_offsets(spec.y_range, spec.resolution)
+    h = (spec.resolution + 1) // 2
+    ux, uy = (basins._axis_offsets(a, spec.resolution)[:h] for a in (spec.x_range, spec.y_range))
 
-    def chunk(k0, k1):
-        u = basins._cell_offsets(ux, uy, spec, k0, k1)
-        basins._chunk_head(u, T95.c1, min(basins._FIRST_COMPACTION, spec.transient))
+    def chunk(i1):
+        steps = min(basins._FIRST_COMPACTION, spec.transient)
+        basins._chunk_head(ux[:i1], uy, spec, T95.c1, steps)
 
-    chunk(0, 100)
-    chunk_peak = _traced_peak(chunk, 0, basins._CHUNK_CELLS)
+    chunk(1)
+    chunk_peak = _traced_peak(chunk, basins._CHUNK_CELLS // h)
     g = cm.render_basins(T95, spec)
     label_peak = _traced_peak(cm.label_components, g)
     # Both sides hold the fingerprints; labelling also holds the classes.

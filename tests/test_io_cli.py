@@ -587,8 +587,8 @@ def test_main_basin_csv_matches_row_writer(capsys, monkeypatch, tmp_path, r, c1,
 def test_basin_csv_writer_peak_stays_below_one_chunk_bound(tmp_path):
     # The r=499 table is 17.1 MB of text.  write_basin_csv holds at most
     # the sort of the fingerprints' bit patterns (2.0 MB) or one chunk of
-    # 15,968 rows (codes, their gather, its text and the encoded bytes):
-    # 2.63 MB traced; the bound is 3.3 MB.
+    # 32 grid rows (their fingerprint and class codes, the gathered texts
+    # and one grid row's text): 2.63 MB traced; the bound is 3.3 MB.
     grid = cm.render_basins(cm.Threshold(0.95), cm.GridSpec(resolution=499))
     path = str(tmp_path / "grid.csv")
     tracemalloc.start()
@@ -641,6 +641,26 @@ def test_basin_table_chunks_match_row_writer(monkeypatch, chunk_rows):
 def test_basin_table_of_a_sub_range_grid_matches_row_writer():
     spec = cm.GridSpec(resolution=37, x_range=(0.2, 0.7), y_range=(0.1, 0.9))
     got, expect = _basin_texts(cm.render_basins(cm.Threshold(0.95), spec))
+    assert got == expect
+
+
+@pytest.mark.parametrize("t", [cm.Threshold(0.84), cm.Threshold(0.95)])
+def test_basin_table_of_the_smallest_grid_matches_row_writer(t):
+    # r=2: a row template of two cells, and both grid rows in one chunk.
+    got, expect = _basin_texts(cm.render_basins(t, cm.GridSpec(resolution=2)))
+    assert len(got) == 2 + 4
+    assert got == expect
+
+
+def test_basin_table_of_a_one_class_grid_matches_row_writer():
+    # Every cell takes the same fingerprint and class text: a vocabulary of
+    # one fingerprint and one class.
+    r = 5
+    fingerprints = np.full((r, r), 0.25)
+    classes = np.zeros((r, r), dtype=np.int32)
+    grid = cm.BasinGrid(cm.GridSpec(resolution=r), fingerprints, classes, {0: 0.25})
+    got, expect = _basin_texts(grid)
+    assert {row.split(",", 4)[4] for row in expect[1:-1]} == {"0.25,0"}
     assert got == expect
 
 

@@ -357,6 +357,26 @@ def test_cascade_batch_is_bitwise_scalar_cascade_at_exact_ties(grid):
         assert np.float64(e).tobytes() == be[i].tobytes()
 
 
+@given(
+    st.lists(
+        st.lists(st.integers(0, 64), min_size=3, max_size=3), min_size=1, max_size=40
+    ),
+    st.integers(1, 2),
+)
+def test_cascade_batch_continues_a_sweep_from_its_carry(grid, split):
+    # Sweeping a row's first sites, then the rest from their excesses, is
+    # the one sweep bit for bit, ties and +0.0 carries included.
+    t = cm.Threshold(0.875)
+    y = np.array(grid, dtype=float) / 64.0
+    y[0] = [1.0, 0.75, t.c1]
+    want_x, want_e = cascade_batch(y, t.c1)
+    head_x, head_e = cascade_batch(y[:, :split], t.c1)
+    tail_x, tail_e = cascade_batch(y[:, split:], t.c1, head_e)
+    assert tail_e is head_e
+    assert np.hstack((head_x, tail_x)).tobytes() == want_x.tobytes()
+    assert tail_e.tobytes() == want_e.tobytes()
+
+
 # ------------------------------------------------------ batch memory layout
 
 
@@ -475,9 +495,11 @@ def test_render_and_census_pass_column_major_batches(monkeypatch):
     _spy(monkeypatch, analysis, "step_batch", batches)
     spec = cm.GridSpec(resolution=8, transient=5, window=4)
     cm.render_basins(T90, spec)
-    assert len(batches) == spec.transient + spec.window
+    # Each head step sweeps site 0 per x-row, then the other sites per cell.
+    sweeps = spec.transient + spec.window + min(basins._FIRST_COMPACTION, spec.transient)
+    assert len(batches) == sweeps
     cm.census(T90, 3, 50, seed=7, transient=5, max_period=8)
-    assert len(batches) > spec.transient + spec.window + 5
+    assert len(batches) > sweeps + 5
     assert set(batches) == {(2, True)}
 
 
