@@ -4,11 +4,14 @@ Every grid cell launches one lattice orbit from the cell centre; after a
 transient the excesses of a fixed window are summed into the cell's
 fingerprint, fingerprints are bucketed into classes, and classes are split
 into 4-connected components by :func:`label_components`.  The accumulation
-drivers then count the distinct components that meet their regions, the
+drivers count the distinct components that meet their regions, the
 finite-resolution proxy for basin components accumulating at the corners
 and at interior points: :func:`corner_accumulation` its corner boxes, and
 :func:`interior_accumulation` its disks.  Each driver selects and checks
-its own regions.
+its own regions.  The drivers build neither the fingerprint grid nor the
+class grid: they label the class map strip by strip of whole rows, rebuilt
+from the simulated quadrant, and keep across strips only the components
+open on the last row (see :func:`_strip_counts`).
 
 Mirror symmetry is preserved exactly: on the default unit square the cell
 centres are stored as offsets ``u`` from 1/2 with ``u`` exactly
@@ -45,8 +48,14 @@ the chunk's (m, N) rows and compacts them to the distinct ones; an
 gathers every chunk's rows into one batch, compacts it across chunks and
 runs the rest of the transient once per grid, compacting again at steps
 16, 32, 64, ... and at ``transient``.  The window then sums each row's
-excesses from zero, in step order, with no compaction in it.  The working
-set is the owner map plus one chunk, or the merged batch if larger.
+excesses from zero, in step order, with no compaction in it.  The render's
+working set is the owner map plus one chunk, or the merged batch if
+larger: at c1=0.95 it peaks at 1.16 MB traced at r=499 and 16.8 MB at
+r=1999, where the merged batch holds 147,006 rows.  :func:`render_basins`
+then holds its two grids, 12 B per cell, and :func:`label_components` its
+labels next to them.  The accumulation drivers hold instead the classes of
+the simulated quadrant, 4 B per simulated cell, and one strip of at most
+``_STRIP_CELLS`` cells.
 """
 
 from __future__ import annotations
@@ -304,6 +313,25 @@ def _window_sums(
     return sums[row], owner
 
 
+def _render_rows(
+    t: Threshold, spec: GridSpec
+) -> tuple[np.ndarray, np.ndarray, dict[int, float], np.ndarray]:
+    """The simulated quadrant of the render, before any grid is assembled.
+
+    Returns the per-row window sums, the per-row classes and the class
+    table, and the owner map: the (hx, hy) batch row of each simulated
+    cell, ``hx`` and ``hy`` being the simulated cells of the x and y axes.
+    """
+    r = spec.resolution
+    ux, uy = (
+        _axis_offsets(a, r)[: (r + 1) // 2 if tuple(a) == _UNIT else r]
+        for a in (spec.x_range, spec.y_range)
+    )
+    sums, owner = _window_sums(t, spec, ux, uy)
+    row_classes, class_table = _bucket_fingerprints(sums)
+    return sums, row_classes, class_table, owner.reshape(ux.size, uy.size)
+
+
 def render_basins(t: Threshold, spec: GridSpec) -> BasinGrid:
     """Render the fingerprint grid and bucket it into classes.
 
@@ -316,22 +344,18 @@ def render_basins(t: Threshold, spec: GridSpec) -> BasinGrid:
     ``r // 2``; any other axis is simulated whole.  The fold is exact,
     because the unit axis offsets are exactly antisymmetric and step 1
     depends on ``u**2`` alone.  The output is allocated once the orbits are
-    done, so the render peaks below labelling the grid.  The per-row window
-    sums hold every value the cells hold, so they are bucketed alone and
-    each cell takes its row's class; the reflected cells hold bit-identical
-    values, so the classes and the class table are those of the whole grid.
+    done (:func:`_render_rows`), and then filled by reflection.  The per-row
+    window sums hold every value the cells hold, so they are bucketed alone
+    and each cell takes its row's class; the reflected cells hold
+    bit-identical values, so the classes and the class table are those of
+    the whole grid.
     """
     r = spec.resolution
-    ux, uy = (
-        _axis_offsets(a, r)[: (r + 1) // 2 if tuple(a) == _UNIT else r]
-        for a in (spec.x_range, spec.y_range)
-    )
-    hx, hy = ux.size, uy.size
-    sums, owner = _window_sums(t, spec, ux, uy)
-    row_classes, class_table = _bucket_fingerprints(sums)
+    sums, row_classes, class_table, owner = _render_rows(t, spec)
+    hx, hy = owner.shape
     grids = np.empty((r, r)), np.empty((r, r), dtype=np.int32)
     for grid, per_row in zip(grids, (sums, row_classes)):
-        simulated = per_row[owner].reshape(hx, hy)
+        simulated = per_row[owner]
         grid[:hx, :hy] = simulated
         grid[:hx, hy:] = simulated[:, : r - hy][:, ::-1]
         grid[hx:] = grid[: r - hx][::-1]
@@ -380,53 +404,64 @@ def _bucket_fingerprints(fingerprints: np.ndarray) -> tuple[np.ndarray, dict[int
 def _run_graph(
     classes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Row runs of equal class in a square class map, and the edges between them.
+    """Row runs of equal class in a rectangular class map, and the edges between them.
 
     Returns each cell's run id (``int32``, raster order), each run's class,
     and the edges ``(upper, lower)``: one per pair of same-class runs that
     overlap in adjacent rows, taken at the first column of the overlap.
     """
-    r = classes.shape[0]
+    cols = classes.shape[1]
     flat = classes.ravel()
     start = np.empty(flat.size, dtype=bool)
     np.not_equal(flat[1:], flat[:-1], out=start[1:])
-    start[::r] = True
+    start[::cols] = True
     run = start.astype(np.int32)
     np.cumsum(run, out=run)
     run -= 1
-    rows = start.reshape(r, r)
+    rows = start.reshape(classes.shape)
     joined = rows[1:] | rows[:-1]
     joined &= classes[1:] == classes[:-1]
-    lower = np.flatnonzero(joined) + r
-    return run, np.compress(start, flat), np.take(run, lower - r), np.take(run, lower)
+    lower = np.flatnonzero(joined) + cols
+    return run, np.compress(start, flat), np.take(run, lower - cols), np.take(run, lower)
 
 
-def _label_cells(classes: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Component ids of a square class map and the component count per class.
+def _join(parent: np.ndarray, edges: list[np.ndarray]) -> np.ndarray:
+    """Union-find over the edges ``edges = [a, b]``, from the forest ``parent``.
 
-    Union-find over the row runs of :func:`_run_graph` hooks each edge's
-    larger root onto its smaller one and pointer-jumps, until no edge joins
-    two roots; each root is then its component's first run in raster order.
-    The roots are numbered by one sort of ``class << shift | run`` words,
-    ``shift`` being the bit length of the largest run id, so that ids
-    ascend by class, then by first cell.  Classes are ``int32``, and a map
-    of fewer than 2**31 cells (r <= 46,340, as the ``int32`` run ids need)
-    has ``shift <= 31``, so the words fit in 62 of ``int64``'s 63 bits.
+    Hooks each edge's larger root onto its smaller one and pointer-jumps,
+    until no edge joins two roots.  Returns each node's root, the least
+    node of its set.  ``edges`` is emptied, so that the caller holds no
+    copy of the edges while the loop narrows them.
     """
-    run, run_class, a, b = _run_graph(classes)
-    parent = np.arange(run_class.size, dtype=np.int32)
+    a, b = edges
+    edges.clear()
     while True:
         a, b = np.take(parent, a), np.take(parent, b)
         keep = a != b
         a, b = a[keep], b[keep]
         if not a.size:
-            break
+            return parent
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
         while True:
             grand = np.take(parent, parent)
             if np.array_equal(grand, parent):
                 break
             parent = grand
+
+
+def _label_cells(classes: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Component ids of a rectangular class map and the component count per class.
+
+    Union-find (:func:`_join`) over the row runs of :func:`_run_graph`;
+    each root is its component's first run in raster order.  The roots are
+    numbered by one sort of ``class << shift | run`` words, ``shift`` being
+    the bit length of the largest run id, so that ids ascend by class, then
+    by first cell.  Classes are ``int32``, and a map of fewer than 2**31
+    cells (r <= 46,340 for a square one, as the ``int32`` run ids need) has
+    ``shift <= 31``, so the words fit in 62 of ``int64``'s 63 bits.
+    """
+    run, run_class, *edges = _run_graph(classes)
+    parent = _join(np.arange(run_class.size, dtype=np.int32), edges)
 
     # Number the roots by class, then by first cell: ids ascend in raster
     # order within a class, one class after another.
@@ -465,9 +500,101 @@ def label_components(g: BasinGrid) -> ComponentStats:
     )
 
 
-def _components_meeting(component_ids: np.ndarray, cells) -> int:
-    """Number of distinct components among the cells that ``cells`` indexes."""
-    return int(np.count_nonzero(np.bincount(component_ids[cells].ravel())))
+#: Most cells per strip of the accumulation drivers, in whole grid rows and
+#: at least one.  Labelling a strip peaks at about 20 B per cell, and an
+#: r = 499 grid is four strips, so there are few seams to stitch.
+_STRIP_CELLS = 65536
+
+
+def _class_strips(quadrant: np.ndarray, r: int):
+    """The class map of ``r`` by ``r`` cells, from the top row down, as strips
+    of whole grid rows, at most ``_STRIP_CELLS`` cells and at least one row
+    each: yields each strip's slice of grid rows and its ``int32`` classes.
+    Each strip is rebuilt from the classes of the simulated quadrant by the
+    reflections of :func:`render_basins`: grid row ``i >= hx`` is row
+    ``r - 1 - i``, and column ``j >= hy`` is column ``r - 1 - j``.
+    """
+    hx, hy = quadrant.shape
+    step = max(1, _STRIP_CELLS // r)
+    for i0 in range(0, r, step):
+        i = np.arange(i0, min(i0 + step, r))
+        strip = np.empty((i.size, r), dtype=np.int32)
+        strip[:, :hy] = quadrant[np.where(i < hx, i, r - 1 - i)]
+        strip[:, hy:] = strip[:, : r - hy][:, ::-1]
+        yield slice(i0, i0 + i.size), strip
+
+
+def _strip_counts(strips, n_classes: int) -> list[int]:
+    """Distinct 4-connected components that meet each region of a class map
+    given strip by strip (row-by-row cluster labelling, as in Hoshen and
+    Kopelman, Phys. Rev. B 14 (1976) 3438).
+
+    ``strips`` yields ``(classes, regions)`` from the top of the map down:
+    ``classes`` is the map's next whole rows (``int32``, of ``n_classes``
+    classes), and ``regions`` one index into them per region, the same
+    regions in the same order in every strip.  Each strip is labelled on its
+    own by :func:`_label_cells`.  Its components and the components still
+    open above it are the nodes of one :func:`_join`, whose edges join the
+    equal-class cells that face each other across the seam.  A component
+    that does not reach the strip's last row can grow no further: it is
+    counted in every region it met, and dropped.  So only the last row's
+    open components and the regions each has met are kept across strips,
+    at most one per cell of a row, never a grid of labels.
+    """
+    count = 0
+    seam = None
+    for classes, regions in strips:
+        if seam is None:
+            # Above the first strip: no open component, and a row of no class.
+            seam = np.full(classes.shape[1], -1, np.int32), np.zeros(classes.shape[1], np.int32)
+            open_met = np.zeros((len(regions), 0), bool)
+        ids, counts = _label_cells(classes, n_classes)
+        # Nodes 0..m-1 are the open components; the strip's component k
+        # (1-based) is node m - 1 + k.
+        m = open_met.shape[1]
+        ids += m - 1
+        same = seam[0] == classes[0]
+        nodes = np.arange(m + int(counts.sum()), dtype=np.int32)
+        root = _join(nodes, [seam[1][same], ids[0][same]])
+        # Marks go to roots only: met[k, x] is whether root x met region k.
+        met = np.zeros((len(regions), root.size), bool)
+        np.logical_or.at(met.T, root[:m], open_met.T)
+        for k, region in enumerate(regions):
+            met[k, root[ids[region].ravel()]] = True
+        last = root[ids[-1]]
+        del ids
+        reach = np.zeros(root.size, bool)
+        reach[last] = True
+        kept = np.flatnonzero(reach)
+        open_met = met[:, kept]
+        count = count + met.sum(axis=1) - open_met.sum(axis=1)
+        # The roots on the last row stay open, renumbered from 0.
+        number = np.empty(root.size, np.int32)
+        number[kept] = np.arange(kept.size, dtype=np.int32)
+        seam = classes[-1].copy(), number[last]
+    return (count + open_met.sum(axis=1)).tolist()
+
+
+def _region_counts(t: Threshold, spec: GridSpec, regions) -> list[int]:
+    """Render ``spec`` and count the distinct components that meet each
+    region, strip by strip: ``regions(rows)`` indexes every region within
+    the grid rows of the slice ``rows`` (see :func:`_strip_counts`).
+    Neither the fingerprint grid nor the class grid is built."""
+    row_classes, class_table, owner = _render_rows(t, spec)[1:]
+    quadrant = row_classes[owner]
+    del owner
+    strips = _class_strips(quadrant, spec.resolution)
+    return _strip_counts(((c, regions(rows)) for rows, c in strips), len(class_table))
+
+
+def _box_sides(centres: np.ndarray, eps: float) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The cells ``(start, stop)`` of an axis whose centre has ``c <= eps``
+    and those whose centre has ``c >= 1 - eps``.  Cell centres ascend along
+    an axis, so the first are a prefix of it and the second a suffix."""
+    n = centres.size
+    near = int(np.count_nonzero(centres <= eps))
+    far = int(np.count_nonzero(centres >= 1.0 - eps))
+    return (0, near), (n - far, n)
 
 
 def corner_accumulation(
@@ -482,7 +609,11 @@ def corner_accumulation(
     and corner, ready for CSV export.  The box of side eps at corner ``ab``
     holds the cells whose centre has ``cx <= eps`` (``a`` = 0) or
     ``cx >= 1 - eps`` (``a`` = 1), and likewise ``cy`` for ``b``; it counts
-    the distinct components with a cell in it.
+    the distinct components with a cell in it.  Each grid is counted strip
+    by strip (:func:`_region_counts`), so a grid needs the render's working
+    set, then 4 B per simulated cell and one strip, never a full grid: at
+    c1=0.95 the call peaks at 1.54 MB traced for r = 125, 249, 499, set by
+    the r=499 strips, and at 16.8 MB for r=1999, set by the render.
     """
     eps_list = _positive_reals("eps_list", eps_list, "corner box size")
     resolutions = _reals("resolutions", resolutions)
@@ -497,17 +628,19 @@ def corner_accumulation(
     rows: list[tuple] = []
     for r in resolutions:
         spec = dataclasses.replace(base_spec, resolution=r)
-        ids = label_components(render_basins(t, spec)).component_ids
-        cx = _axis_centers(spec.x_range, r)
-        cy = _axis_centers(spec.y_range, r)
+        cx, cy = _axis_centers(spec.x_range, r), _axis_centers(spec.y_range, r)
+        boxes = []
         for eps in eps_list:
-            x_sides = (cx <= eps, cx >= 1.0 - eps)
-            y_sides = (cy <= eps, cy >= 1.0 - eps)
-            for corner in _CORNERS:
-                box = np.ix_(x_sides[int(corner[0])], y_sides[int(corner[1])])
-                rows.append((r, eps, corner, _components_meeting(ids, box)))
-        # Free this grid's labels before the next, larger grid is rendered.
-        del ids, cx, cy
+            x_sides, y_sides = _box_sides(cx, eps), _box_sides(cy, eps)
+            boxes += [(x_sides[int(a)], slice(*y_sides[int(b)])) for a, b in _CORNERS]
+
+        def in_strip(strip_rows):
+            i0 = strip_rows.start
+            return [(slice(max(a - i0, 0), max(b - i0, 0)), y) for (a, b), y in boxes]
+
+        counts = _region_counts(t, spec, in_strip)
+        keys = [(eps, corner) for eps in eps_list for corner in _CORNERS]
+        rows += [(r, eps, corner, n) for (eps, corner), n in zip(keys, counts)]
     return header, rows
 
 
@@ -520,7 +653,10 @@ def interior_accumulation(
     """Component counts over disks around an interior point (one render).
 
     The disk of a radius holds the cells whose centre lies within it, and
-    it counts the distinct components with a cell in it.
+    it counts the distinct components with a cell in it.  The grid is
+    counted strip by strip, as in :func:`corner_accumulation`; each strip
+    also holds its cells' squared distances, 8 B per cell, and one mask per
+    radius.
     """
     radii = _positive_reals("radii", radii, "disk radius")
     if not radii:
@@ -528,9 +664,11 @@ def interior_accumulation(
     px, py = _reals("point", point, pair=True)
     if not (0.0 < px < 1.0 and 0.0 < py < 1.0):
         raise ParameterError("accumulation point must lie in the open square")
-    ids = label_components(render_basins(t, spec)).component_ids
     cx = _axis_centers(spec.x_range, spec.resolution)
     cy = _axis_centers(spec.y_range, spec.resolution)
-    dist2 = (cx[:, None] - px) ** 2 + (cy[None, :] - py) ** 2
-    rows = [(radius, _components_meeting(ids, dist2 <= radius * radius)) for radius in radii]
-    return ["radius", "components"], rows
+
+    def disks(rows):
+        dist2 = (cx[rows, None] - px) ** 2 + (cy[None, :] - py) ** 2
+        return [dist2 <= radius * radius for radius in radii]
+
+    return ["radius", "components"], list(zip(radii, _region_counts(t, spec, disks)))

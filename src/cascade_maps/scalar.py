@@ -209,7 +209,13 @@ def tent_map(u):
 
 
 def avoidance_measure_tent(t: Threshold, j: int) -> float:
-    """Tent measure ``d1**(j+1)`` of points avoiding C for ``j`` steps."""
+    """``d1**(j+1)``: the tent measure of the points avoiding C for ``j``
+    steps at ``j = 0``, and an upper bound on it for ``j >= 1``.
+
+    Only at ``j = 0`` is the value exact.  For ``j >= 1`` the avoiding set
+    is smaller: at c1=0.95 its exact tent measure is 0.7129 at j=1, against
+    ``d1**2`` = 0.7335, and about 0.0112 at j=20, against ``d1**21`` = 0.0386.
+    """
     return t.d1 ** (_require_integer("j", j, 0) + 1)
 
 

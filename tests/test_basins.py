@@ -743,6 +743,159 @@ def test_interior_accumulation_matches_ndimage_oracle(t, ranges, point, r):
     assert rows == [(radius, _oracle_count(ids, dist2 <= radius * radius)) for radius in radii]
 
 
+def _full_grid_corner_rows(t, base_spec, eps_list, resolutions):
+    # Oracle: the full-grid corner driver, which rendered each grid whole,
+    # labelled it with label_components and selected each box from the
+    # grid of component ids.
+    rows = []
+    for r in resolutions:
+        spec = dataclasses.replace(base_spec, resolution=r)
+        ids = cm.label_components(cm.render_basins(t, spec)).component_ids
+        cx = basins._axis_centers(spec.x_range, r)
+        cy = basins._axis_centers(spec.y_range, r)
+        for eps in eps_list:
+            x_sides = (cx <= eps, cx >= 1.0 - eps)
+            y_sides = (cy <= eps, cy >= 1.0 - eps)
+            for corner in ("00", "01", "10", "11"):
+                box = np.ix_(x_sides[int(corner[0])], y_sides[int(corner[1])])
+                rows.append((r, eps, corner, int(np.count_nonzero(np.bincount(ids[box].ravel())))))
+    return ["resolution", "eps", "corner", "components"], rows
+
+
+def _full_grid_disk_rows(t, spec, point, radii):
+    # Oracle: the full-grid interior driver, as _full_grid_corner_rows.
+    ids = cm.label_components(cm.render_basins(t, spec)).component_ids
+    cx = basins._axis_centers(spec.x_range, spec.resolution)
+    cy = basins._axis_centers(spec.y_range, spec.resolution)
+    dist2 = (cx[:, None] - point[0]) ** 2 + (cy[None, :] - point[1]) ** 2
+    counts = [int(np.count_nonzero(np.bincount(ids[dist2 <= q * q]))) for q in radii]
+    return ["radius", "components"], list(zip(radii, counts))
+
+
+#: Strip sizes in cells: one grid row, several rows that end neither at a
+#: fold nor at the grid's end, the default, and the whole grid.
+_STRIP_SIZES = {"row": 1, "rows": 1000, "default": basins._STRIP_CELLS, "grid": 1 << 40}
+_SLICES = {
+    "unit": cm.GridSpec(resolution=2),
+    "sub": cm.GridSpec(resolution=2, x_range=_RANGES[1][0], y_range=_RANGES[1][1]),
+    "pinned": cm.GridSpec(resolution=2, y_range=(0.2, 0.7), pinned_sites=(0.3,)),
+}
+
+
+@pytest.mark.parametrize("strip", list(_STRIP_SIZES))
+@pytest.mark.parametrize("slice_name", list(_SLICES))
+@pytest.mark.parametrize("t", [T84, T95, T98], ids=["c84", "c95", "c98"])
+def test_strip_counts_match_the_full_grid_drivers(monkeypatch, t, slice_name, strip):
+    monkeypatch.setattr(basins, "_STRIP_CELLS", _STRIP_SIZES[strip])
+    base = _SLICES[slice_name]
+    eps_list = [0.5, 0.3, 0.1, 0.05, 0.02]
+    args = (t, base, eps_list, [31, 32, 125])
+    assert cm.corner_accumulation(*args) == _full_grid_corner_rows(*args)
+    for r, point in ((32, (0.45, 0.5)), (125, (0.75, 0.75))):
+        args = (t, dataclasses.replace(base, resolution=r), point, [2.0, 0.3, 0.1, 0.02])
+        assert cm.interior_accumulation(*args) == _full_grid_disk_rows(*args)
+
+
+@pytest.mark.parametrize("t", [T95, T98], ids=["c95", "c98"])
+def test_strip_counts_match_the_full_grid_drivers_over_several_default_strips(t):
+    # r=499 is four strips of the default size; r=300 is two, split unevenly.
+    args = (t, cm.GridSpec(), [0.3, 0.1, 0.05, 0.02], [300, 499])
+    assert cm.corner_accumulation(*args) == _full_grid_corner_rows(*args)
+
+
+def _strip_regions(classes: np.ndarray) -> list[np.ndarray]:
+    """Masks over the whole map: all of it, none of it, each column (each
+    crosses every seam), the left half, and three random scatters."""
+    n_rows, n_cols = classes.shape
+    rng = np.random.default_rng(n_rows * n_cols)
+    masks = [np.ones(classes.shape, bool), np.zeros(classes.shape, bool)]
+    for j in range(n_cols):
+        column = np.zeros(classes.shape, bool)
+        column[:, j] = True
+        masks.append(column)
+    left = np.zeros(classes.shape, bool)
+    left[:, : n_cols // 2] = True
+    masks.append(left)
+    masks += [rng.random(classes.shape) < p for p in (0.01, 0.1, 0.5)]
+    return masks
+
+
+def _assert_strip_counts_match_ndimage(classes: np.ndarray, rows: int) -> None:
+    # The oracle labels a rectangular map too; its spec is not read.
+    classes = np.asarray(classes, dtype=np.int32)
+    masks = _strip_regions(classes)
+    strips = (
+        (classes[i : i + rows], [m[i : i + rows] for m in masks])
+        for i in range(0, classes.shape[0], rows)
+    )
+    got = basins._strip_counts(strips, int(classes.max()) + 1)
+    table = {int(k): float(k) for k in np.unique(classes)}
+    g = cm.BasinGrid(cm.GridSpec(resolution=2), classes.astype(float), classes, table)
+    ids, _ = _ndimage_labels(g)
+    assert got == [_oracle_count(ids, m) for m in masks]
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("name", list(_SHAPES))
+def test_strip_labeller_matches_ndimage_on_adversarial_shapes(name, rows):
+    # The serpentines cross every seam, and the spiral's corridor crosses
+    # each seam many times before it closes.
+    _assert_strip_counts_match_ndimage(_SHAPES[name], rows)
+    _assert_strip_counts_match_ndimage(_SHAPES[name].T, rows)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("shape", [(2, 2), (5, 5), (7, 3), (3, 11), (97, 97)])
+@pytest.mark.parametrize("n_classes", [2, 3, 7])
+def test_strip_labeller_matches_ndimage_on_random_maps(n_classes, shape, rows):
+    rng = np.random.default_rng(1000 * n_classes + shape[0] * shape[1])
+    _assert_strip_counts_match_ndimage(rng.integers(0, n_classes, shape), rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_strip_labeller_matches_ndimage_on_small_maps(data):
+    n_rows, n_cols = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+    k = data.draw(st.integers(1, 4))
+    size = n_rows * n_cols
+    cells = data.draw(st.lists(st.integers(0, k - 1), min_size=size, max_size=size))
+    rows = data.draw(st.integers(1, n_rows))
+    _assert_strip_counts_match_ndimage(np.reshape(cells, (n_rows, n_cols)), rows)
+
+
+def test_corner_command_peak_at_r1999_is_bounded_by_the_quadrant_and_one_strip(monkeypatch):
+    # The bound, fixed before the test was first run.  Per simulated cell
+    # (hx * hy of them, 1000 x 1000 here): the render's int32 owner map,
+    # 4 B, and its merged tail batch, at most one (m, 2) double row per
+    # cell, 16 B.  Per strip: 64 B for each of the default strip's 65,536
+    # cells, a fixed allowance.  A full-grid class map, id grid or strip
+    # (r * r = 4M cells) adds 16 MB or more and fails.
+    r = 1999
+    h = (r + 1) // 2
+    per_strip = 64 * 65536
+    spec = cm.GridSpec(resolution=r)
+    peak = _traced_peak(cm.corner_accumulation, T95, spec, [0.1, 0.05, 0.02], [r])
+    assert peak < 20 * h * h + per_strip
+    # With the render done outside the trace, what is left is the classes
+    # of the simulated quadrant, 4 B per simulated cell, and the strips.
+    rendered = basins._render_rows(T95, spec)
+    monkeypatch.setattr(basins, "_render_rows", lambda t, s: rendered)
+    peak = _traced_peak(cm.corner_accumulation, T95, spec, [0.1, 0.05, 0.02], [r])
+    assert peak < 4 * h * h + per_strip
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="boxes are chosen on rounded cell centres, so mirror corners differ (ROADMAP item 7)",
+)
+def test_mirror_corner_boxes_count_alike():
+    # The class map is exactly symmetric under x -> 1-x and y -> 1-y, so
+    # corners 00 and 11 should count alike, and so should 01 and 10.
+    _, rows = cm.corner_accumulation(T95, cm.GridSpec(resolution=125), [0.02], [125])
+    count = {corner: n for _, _, corner, n in rows}
+    assert count["00"] == count["11"] and count["01"] == count["10"]
+
+
 def test_corner_accumulation_validates_monotone_args():
     spec = cm.GridSpec(resolution=16)
     with pytest.raises(ParameterError):
@@ -782,6 +935,7 @@ def test_accumulation_rejects_bad_regions_before_rendering(monkeypatch, call):
         raise AssertionError("rendered a grid for invalid regions")
 
     monkeypatch.setattr(basins, "render_basins", no_render)
+    monkeypatch.setattr(basins, "_render_rows", no_render)
     with pytest.raises(ParameterError):
         call(cm.GridSpec(resolution=16))
 

@@ -723,6 +723,7 @@ def test_main_accumulation_rejects_bad_regions_without_rendering(
         raise AssertionError("rendered a grid for invalid regions")
 
     monkeypatch.setattr(cm.basins, "render_basins", no_render)
+    monkeypatch.setattr(cm.basins, "_render_rows", no_render)
     assert main(["accumulation", "--c1", "0.95", *flags]) == 2
     assert capsys.readouterr().err == f"usage error: {message}\n"
 
