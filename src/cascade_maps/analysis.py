@@ -3,12 +3,13 @@
 Covers the scalar bifurcation structure (the period-2 window, the "star"
 thresholds where the orbit of ``c1`` hits the repelling fixed point 3/4,
 the Markov partition near 3/4 and its entropy bound) and the lattice side
-(anti-phase existence condition, periodic-orbit detection with in-phase /
-anti-phase / ripple classification, and a seeded attractor census).  An
-attractor is identified by its bit-exact return: a clip sets a site to
-exactly ``c1``, so every super-stable orbit repeats bit for bit.  Census
-and detection both name it by the least state its period search visits,
-and rebuild its orbit from that state, in canonical phase.
+(the threshold above which the two-site anti-phase orbit exists,
+periodic-orbit detection with in-phase / anti-phase / ripple
+classification, and a seeded attractor census).  An attractor is
+identified by its bit-exact return: a clip sets a site to exactly ``c1``,
+so every super-stable orbit repeats bit for bit.  Census and detection
+both name it by the least state its period search visits, and rebuild its
+orbit from that state, in canonical phase.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "MarkovModel",
     "AttractorRecord",
     "BifurcationSample",
-    "antiphase_condition",
     "antiphase_root",
     "star_values",
     "build_markov",
@@ -44,7 +44,6 @@ __all__ = [
     "excess_window_sum",
     "census",
     "bifurcation_scan",
-    "central_component_reaches_boundary",
 ]
 
 #: Threshold where the orbit of c1 reaches 3/4 in two steps; bifurcations of
@@ -120,15 +119,6 @@ def _antiphase_overshoot(t: Threshold) -> float:
     return (t.c2 + e_c2) - (1.0 - t.c0)
 
 
-def antiphase_condition(t: Threshold) -> bool:
-    """Whether the kicked partner site stays inside C: ``c2 + e(c2) <= 1 - c0``.
-
-    Exactly this inequality decides existence of the two-site anti-phase
-    orbit in the period-2 window.
-    """
-    return _antiphase_overshoot(t) <= 0.0
-
-
 def _bisect(fn, lo: float, hi: float, width: float) -> float:
     flo = fn(lo)
     fhi = fn(hi)
@@ -153,10 +143,12 @@ def _bisect(fn, lo: float, hi: float, width: float) -> float:
 
 
 def antiphase_root() -> float:
-    """The threshold where the anti-phase existence condition turns on.
+    """The threshold above which the two-site anti-phase orbit exists.
 
-    Bisection on the condition's own overshoot, of ``Threshold(c)``, inside
-    the period-2 window; below the root the condition fails, above it holds.
+    The orbit exists exactly when the kicked partner site stays inside C,
+    ``c2 + e(c2) <= 1 - c0``.  Bisection on that condition's overshoot, of
+    ``Threshold(c)``, inside the period-2 window; below the root the
+    condition fails, above it holds.
     """
     return _bisect(lambda c: _antiphase_overshoot(Threshold(c)), 0.76, 0.9, 1e-13)
 
@@ -569,14 +561,3 @@ def bifurcation_scan(
         period = oc.period if isinstance(oc, SuperStable) else None
         out.append(BifurcationSample(c1=float(c1), orbit_class=oc, period=period))
     return out
-
-
-def central_component_reaches_boundary(t: Threshold, n_sites: int) -> bool:
-    """Whether accumulated carries can push the in-phase core to the boundary.
-
-    True iff some ``j < n_sites`` has ``j * (1 - c1) > 1``: enough upstream
-    sites clipping at once to lift a downstream site past 1.  The product is
-    monotone in ``j``, also when rounded, so the largest ``j`` decides.
-    """
-    n_sites = _require_integer("n_sites", n_sites, 2)
-    return (n_sites - 1) * (1.0 - t.c1) > 1.0

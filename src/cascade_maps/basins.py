@@ -76,7 +76,6 @@ __all__ = [
     "BasinGrid",
     "ComponentStats",
     "render_basins",
-    "cell_fingerprint",
     "label_components",
     "corner_accumulation",
     "interior_accumulation",
@@ -364,20 +363,6 @@ def render_basins(t: Threshold, spec: GridSpec) -> BasinGrid:
     return BasinGrid(
         spec=spec, fingerprints=grids[0], classes=grids[1], class_table=class_table
     )
-
-
-def cell_fingerprint(t: Threshold, spec: GridSpec, i: int, j: int) -> float:
-    """Re-simulate a single cell through the renderer's exact code path,
-    as a grid of one chunk of one cell."""
-    _require_integer("i", i, 0)
-    _require_integer("j", j, 0)
-    r = spec.resolution
-    if i >= r or j >= r:
-        raise ParameterError("cell index out of range")
-    ux = _axis_offsets(spec.x_range, r)
-    uy = _axis_offsets(spec.y_range, r)
-    sums, owner = _window_sums(t, spec, ux[i : i + 1], uy[j : j + 1])
-    return float(sums[owner[0]])
 
 
 def _bucket_fingerprints(fingerprints: np.ndarray) -> tuple[np.ndarray, dict[int, float]]:

@@ -32,7 +32,6 @@ __all__ = [
     "write_rows",
     "write_csv",
     "write_basin_csv",
-    "read_csv",
     "grid_to_image",
     "class_palette",
     "pgm_bytes",
@@ -169,18 +168,6 @@ def write_csv(header: Sequence[str], rows: Iterable[Sequence], path: str) -> Non
 def write_basin_csv(grid: BasinGrid, path: str) -> None:
     """Write a basin grid as CSV, one ``i, j, x, y, fingerprint, class`` row per cell."""
     write_csv(_BASIN_HEADER, _BasinTable(grid), path)
-
-
-def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    """Read a CSV written by :func:`write_csv`; fields come back as strings."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            rows = [row for row in reader]
-    except OSError as exc:
-        raise OSError(f"cannot read CSV from {path!r}: {exc}") from exc
-    return header, rows
 
 
 def grid_to_image(values: np.ndarray) -> np.ndarray:

@@ -9,9 +9,10 @@ from it live on that immutable record:
   the preimage of ``[c1, 1]`` under ``f``;
 * ``c2``  first forward image of ``c1``, lower end of the absorbing
   interval ``A = [c2, c1]``;
-* ``d1``  image of ``c1`` under the conjugacy with the slope-2 tent map.
-  ``d1**(j+1)`` is the tent measure of the set of points whose first
-  ``j`` iterates avoid ``C``.
+* ``d1 = acos(1 - 2 c1) / pi``, the image of ``c1`` in the coordinates
+  ``(2/pi) asin(sqrt(x))`` where ``f`` is the slope-2 tent map.
+  ``d1**(j+1)`` bounds the tent measure of the points whose first ``j``
+  iterates avoid ``C``: exact at ``j = 0``, an upper bound for ``j >= 1``.
 
 An orbit that lands in the interior of ``C`` is clipped to exactly
 ``c1`` and from then on repeats a finite cycle exactly, so the "period"
@@ -39,11 +40,7 @@ __all__ = [
     "OrbitClass",
     "logistic",
     "threshold_map",
-    "forward_orbit",
     "classify_orbit",
-    "tent_conjugacy",
-    "tent_conjugacy_inverse",
-    "tent_map",
     "avoidance_measure_tent",
     "estimate_avoidance",
 ]
@@ -133,25 +130,6 @@ def threshold_map(x: float, t: Threshold) -> tuple[float, float]:
     return t.c1, y - t.c1
 
 
-def forward_orbit(t: Threshold, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """First ``k`` points of the orbit of ``c1`` with the excess of each step.
-
-    Returns ``(states, excesses)`` where ``states[0] = c1`` and
-    ``excesses[i]`` is the excess emitted by the step that produced
-    ``states[i]`` (zero for the starting point).
-    """
-    k = _require_integer("k", k, 1)
-    states = np.empty(k)
-    excesses = np.zeros(k)
-    states[0] = t.c1
-    x = t.c1
-    for i in range(1, k):
-        x, e = threshold_map(x, t)
-        states[i] = x
-        excesses[i] = e
-    return states, excesses
-
-
 def classify_orbit(t: Threshold, max_iter: int = MAX_ITER_DEFAULT) -> OrbitClass:
     """Classify the forward orbit of ``c1``.
 
@@ -174,38 +152,6 @@ def classify_orbit(t: Threshold, max_iter: int = MAX_ITER_DEFAULT) -> OrbitClass
         if lo + BOUNDARY_TOL < x < hi - BOUNDARY_TOL:
             return SuperStable(period=k + 1, steps_to_c=k)
     return Repeller(iterations_checked=max_iter)
-
-
-def _on_unit_interval(x, name: str, fn):
-    """``fn`` of ``x`` in [0, 1] (else :class:`DomainError`), a float for scalar ``x``."""
-    x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0.0) & (x <= 1.0)):
-        raise DomainError(f"{name} is defined on [0, 1]")
-    out = fn(x)
-    return out.item() if out.ndim == 0 else out
-
-
-def tent_conjugacy(x):
-    """Conjugacy ``h(x) = (2/pi) asin(sqrt(x))`` taking ``f`` to the tent map, on
-    scalars or arrays; satisfies ``h(f(x)) == tent_map(h(x))``."""
-    return _on_unit_interval(
-        x, "tent conjugacy", lambda x: (2.0 / np.pi) * np.arcsin(np.sqrt(x))
-    )
-
-
-def tent_conjugacy_inverse(u):
-    """Inverse conjugacy ``sin^2(pi u / 2)``."""
-
-    def sin_squared(u):
-        s = np.sin(np.pi * u / 2.0)
-        return s * s
-
-    return _on_unit_interval(u, "inverse tent conjugacy", sin_squared)
-
-
-def tent_map(u):
-    """Slope-2 tent map ``1 - |1 - 2u|`` on [0, 1]."""
-    return _on_unit_interval(u, "tent map", lambda u: 1.0 - np.abs(1.0 - 2.0 * u))
 
 
 def avoidance_measure_tent(t: Threshold, j: int) -> float:

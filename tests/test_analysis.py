@@ -18,18 +18,22 @@ ANTIPHASE_ROOT = 0.83627234814318
 # -------------------------------------------------------- anti-phase condition
 
 
+def _condition_holds(t):
+    """The two-site anti-phase orbit's existence condition, ``c2 + e(c2) <= 1 - c0``."""
+    return analysis._antiphase_overshoot(t) <= 0.0
+
+
 @pytest.mark.parametrize("c1,expected", [(0.84, True), (0.80, False), (0.9, True)])
 def test_antiphase_condition_examples(c1, expected):
-    assert cm.antiphase_condition(cm.Threshold(c1)) is expected
+    assert _condition_holds(cm.Threshold(c1)) is expected
 
 
 def test_antiphase_condition_flips_once_across_the_window():
     root = cm.antiphase_root()
     grid = np.linspace(0.7501, cm.PERIOD2_WINDOW_END - 1e-9, 1000)
     for c1 in map(float, grid):
-        # a Python bool, so that ``is`` also checks the ``-> bool`` promise
         expected = c1 > root
-        assert cm.antiphase_condition(cm.Threshold(c1)) is expected
+        assert _condition_holds(cm.Threshold(c1)) is expected
 
 
 def test_antiphase_root_value():
@@ -43,8 +47,8 @@ def test_antiphase_root_is_pinned():
 
 def test_antiphase_condition_flips_within_the_bisection_width():
     root = cm.antiphase_root()
-    assert cm.antiphase_condition(cm.Threshold(root - 1e-13)) is False
-    assert cm.antiphase_condition(cm.Threshold(root + 1e-13)) is True
+    assert _condition_holds(cm.Threshold(root - 1e-13)) is False
+    assert _condition_holds(cm.Threshold(root + 1e-13)) is True
 
 
 def test_antiphase_condition_is_the_written_out_comparison():
@@ -59,7 +63,7 @@ def test_antiphase_condition_is_the_written_out_comparison():
     for c1 in grid:
         t = cm.Threshold(c1)
         e_c2 = 4.0 * t.c2 * (1.0 - t.c2) - t.c1
-        assert cm.antiphase_condition(t) is (t.c2 + e_c2 <= 1.0 - t.c0)
+        assert _condition_holds(t) is (t.c2 + e_c2 <= 1.0 - t.c0)
 
 
 def test_antiphase_root_against_direct_condition_oracle():
@@ -75,8 +79,8 @@ def test_antiphase_root_against_direct_condition_oracle():
 
 def test_antiphase_straddle():
     root = cm.antiphase_root()
-    assert cm.antiphase_condition(cm.Threshold(root - 1e-6)) is False
-    assert cm.antiphase_condition(cm.Threshold(root + 1e-6)) is True
+    assert _condition_holds(cm.Threshold(root - 1e-6)) is False
+    assert _condition_holds(cm.Threshold(root + 1e-6)) is True
 
 
 # ------------------------------------------------------------------ star values
@@ -289,9 +293,17 @@ def test_detect_canonical_phase_is_rotation_invariant():
     assert np.array_equal(a.orbit, b.orbit)
 
 
+def _orbit_of_c1(t, k):
+    """The first ``k`` states of the scalar orbit of ``c1``."""
+    states = [t.c1]
+    for _ in range(k - 1):
+        states.append(cm.threshold_map(states[-1], t)[0])
+    return states
+
+
 def test_detect_ripple_at_high_threshold():
     t = cm.Threshold(0.95)
-    cyc, _ = cm.forward_orbit(t, 10)
+    cyc = _orbit_of_c1(t, 10)
     n = 4
     s0 = cm.LatticeState(sites=[cyc[(10 - 1 - i) % 10] for i in range(n)])
     rec = cm.detect_periodic_orbit(t, s0, 60, 32)
@@ -310,7 +322,7 @@ def test_detect_ripple_at_high_threshold():
 
 def test_ripple_basin_has_interior():
     t = cm.Threshold(0.95)
-    cyc, _ = cm.forward_orbit(t, 10)
+    cyc = _orbit_of_c1(t, 10)
     base = np.array([cyc[(10 - 1 - i) % 10] for i in range(4)])
     rng = np.random.default_rng(7)
     for _ in range(5):
@@ -1028,49 +1040,14 @@ def test_scan_validates_range():
         cm.bifurcation_scan(0.8, 0.9, 1)
 
 
-# ---------------------------------------------- central component criterion
-
-
-@pytest.mark.parametrize(
-    "c1,n,expected",
-    [
-        (0.7501, 6, True),
-        (0.9, 2, False),
-        (0.8, 2, False),
-        (0.9, 11, False),
-        (0.9, 12, True),
-    ],
-)
-def test_central_component_reaches_boundary(c1, n, expected):
-    assert cm.central_component_reaches_boundary(cm.Threshold(c1), n) is expected
-
-
-def test_central_component_matches_every_upstream_count():
-    # The last product decides, also at thresholds 1 - 1/j where the
-    # rounded product lands next to 1.
-    grid = np.linspace(0.7501, 0.9999, 300).tolist() + [1.0 - 1.0 / j for j in range(5, 40)]
-    for c1 in grid:
-        t = cm.Threshold(c1)
-        for n in range(2, 50):
-            want = any(j * (1.0 - t.c1) > 1.0 for j in range(1, n))
-            assert cm.central_component_reaches_boundary(t, n) is want, (c1, n)
-
-
-def test_central_component_needs_two_sites():
-    with pytest.raises(ParameterError):
-        cm.central_component_reaches_boundary(cm.Threshold(0.9), 1)
-
-
 # ------------------------------------------------- integer counts everywhere
 
 T95 = cm.Threshold(0.95)
 _COUNT_CALLS = {
     "max_iter": (lambda v: cm.classify_orbit(T95, max_iter=v), 50),
-    "k": (lambda v: cm.forward_orbit(T95, v), 5),
     "steps": (lambda v: cm.bifurcation_scan(0.8, 0.9, v), 3),
     "max_s": (cm.star_values, 3),
     "n": (lambda v: cm.build_markov(T95, v), 12),
-    "n_sites": (lambda v: cm.central_component_reaches_boundary(T95, v), 3),
 }
 
 

@@ -26,12 +26,19 @@ def test_format_real_round_trips():
         assert float(cio.format_real(x)) == x
 
 
+def _read_csv(path):
+    """The header and the rows of a written CSV, every field a string."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
+
+
 def test_csv_round_trip_bit_exact(tmp_path):
     path = str(tmp_path / "t.csv")
     rng = np.random.default_rng(18)
     rows = [(i, float(v), f"name{i}") for i, v in enumerate(rng.random(50))]
     cio.write_csv(["k", "value", "label"], rows, path)
-    header, back = cio.read_csv(path)
+    header, back = _read_csv(path)
     assert header == ["k", "value", "label"]
     for (k, v, s), row in zip(rows, back):
         assert int(row[0]) == k
@@ -515,7 +522,7 @@ def test_main_census_table(capsys, tmp_path):
         ["census", "--c1", "0.84", "--samples", "500", "--seed", "7", "--out", out]
     )
     assert rc == 0
-    header, rows = cio.read_csv(out)
+    header, rows = _read_csv(out)
     assert header == ["rank", "period", "kind", "fingerprint", "hits"]
     assert sum(int(r[4]) for r in rows) == 500
 
@@ -538,7 +545,7 @@ def test_main_basin_csv_round_trip(tmp_path):
     out = str(tmp_path / "grid.csv")
     rc = main(["basin", "--c1", "0.8", "--res", "8", "--format", "csv", "--out", out])
     assert rc == 0
-    header, rows = cio.read_csv(out)
+    header, rows = _read_csv(out)
     assert header == ["i", "j", "x", "y", "fingerprint", "class"]
     assert len(rows) == 64
     grid = cm.render_basins(cm.Threshold(0.8), cm.GridSpec(resolution=8))

@@ -20,15 +20,23 @@ PUBLIC_NAMES = [
     "BracketError", "ComponentStats", "DomainError", "GridSpec",
     "LatticeState", "MarkovModel", "OrbitClass", "PERIOD2_WINDOW_END",
     "ParameterError", "Repeller", "StarValue", "SuperStable", "Threshold",
-    "XI2", "antiphase_condition", "antiphase_root", "avoidance_measure_tent",
-    "bifurcation_scan", "build_markov", "cell_fingerprint",
-    "census", "central_component_reaches_boundary", "classify_orbit",
-    "corner_accumulation", "detect_periodic_orbit", "estimate_avoidance",
-    "excess_window_sum", "forward_orbit",
+    "XI2", "antiphase_root", "avoidance_measure_tent", "bifurcation_scan",
+    "build_markov", "census", "classify_orbit", "corner_accumulation",
+    "detect_periodic_orbit", "estimate_avoidance", "excess_window_sum",
     "interior_accumulation", "label_components", "logistic",
-    "render_basins", "star_values", "step", "step_batch",
-    "tent_conjugacy", "tent_conjugacy_inverse", "tent_map", "threshold_map",
+    "render_basins", "star_values", "step", "step_batch", "threshold_map",
 ]  # fmt: skip
+
+#: exported names that no ``src/`` code calls yet, each with the later
+#: work that needs it (see ROADMAP item 14)
+KEPT_FOR_CLAIMS = {
+    "antiphase_root": "paper-claims section 1: the two-site anti-phase "
+    "orbit lives between it and PERIOD2_WINDOW_END",
+    "PERIOD2_WINDOW_END": "paper-claims section 1: the right end of the "
+    "interval that holds the two-site anti-phase orbit",
+    "detect_periodic_orbit": "the acceptance oracle of the exact attractor "
+    "enumeration (ROADMAP item 1); LIBRARY_BOUNDS['max_period'] uses it",
+}
 
 #: a valid value for every key some subcommand requires
 REQUIRED_VALUES = {"c1": "0.84", "lo": "0.76", "hi": "0.8"}
@@ -39,6 +47,58 @@ RUN_FIELDS = {f.name for f in dataclasses.fields(cli.RunConfig)} - {"subcommand"
 def test_package_exports_exactly_the_public_names():
     assert sorted(cm.__all__) == PUBLIC_NAMES
     assert len(set(cm.__all__)) == len(cm.__all__)
+
+
+def _bound_names(stmt: ast.stmt) -> set[str]:
+    """The names a top-level statement binds: what it defines or assigns,
+    and every nested ``def``, local and parameter inside it."""
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+    return names
+
+
+def _src_loads() -> set[str]:
+    """Every name that ``src/`` loads from outside the statement binding
+    it: a bare name that the loading statement does not bind itself (so a
+    local named like an export is no caller), or an attribute of one of the
+    package's modules."""
+    paths = sorted(Path(cm.__file__).parent.glob("*.py"))
+    modules = {path.stem for path in paths}
+    loads = set()
+    for path in paths:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            bound = _bound_names(stmt)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    if node.id not in bound:
+                        loads.add(node.id)
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                ):
+                    loads.add(node.attr)
+    return loads
+
+
+def test_every_export_is_called_in_src_or_kept_for_a_claim():
+    # An export that only the tests call is dead API: it leaves the package
+    # unless a later use is named for it here.
+    loads = _src_loads()
+    uncalled = {name for name in [*cm.__all__, *cio.__all__] if name not in loads}
+    assert sorted(uncalled - set(KEPT_FOR_CLAIMS)) == []
+
+
+def test_each_kept_name_is_still_an_uncalled_export():
+    # Once a kept name gets a caller in src/, its entry here is stale.
+    assert set(KEPT_FOR_CLAIMS) <= set(cm.__all__)
+    assert sorted(set(KEPT_FOR_CLAIMS) & _src_loads()) == []
 
 
 @pytest.mark.parametrize("module", [analysis, basins, errors, lattice, scalar])

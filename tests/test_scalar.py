@@ -139,33 +139,6 @@ def test_threshold_invariants(c1):
     assert t.d1 == pytest.approx(math.acos(1.0 - 2.0 * c1) / math.pi, abs=0)
 
 
-# ------------------------------------------------------------- forward orbit
-
-
-def test_forward_orbit_period_two_example():
-    t = cm.Threshold(0.84)
-    states, excesses = cm.forward_orbit(t, 3)
-    assert states == pytest.approx([0.84, 0.5376, 0.84], abs=1e-15)
-    assert excesses[0] == 0.0 and excesses[1] == 0.0
-    assert excesses[2] == pytest.approx(0.15434496, abs=1e-12)
-
-
-def test_forward_orbit_xi2_reaches_the_repelling_point():
-    t = cm.Threshold(cm.XI2)
-    states, _ = cm.forward_orbit(t, 3)
-    assert states[0] == t.c1
-    assert states[1] == pytest.approx(0.25, abs=1e-15)
-    assert states[2] == pytest.approx(0.75, abs=1e-15)
-
-
-def test_forward_orbit_length_one():
-    t = cm.Threshold(0.8)
-    states, excesses = cm.forward_orbit(t, 1)
-    assert states.tolist() == [0.8] and excesses.tolist() == [0.0]
-    with pytest.raises(ParameterError):
-        cm.forward_orbit(t, 0)
-
-
 # ------------------------------------------------------------ classify_orbit
 
 
@@ -223,55 +196,12 @@ def test_classify_orbit_period_is_the_first_return_to_c1():
             continue
         found += 1
         assert oc.period == oc.steps_to_c + 1, c1
-        states, _ = cm.forward_orbit(t, oc.period + 1)
+        states = [t.c1]
+        for _ in range(oc.period):
+            states.append(cm.threshold_map(states[-1], t)[0])
         assert states[oc.period] == t.c1, c1
-        assert not np.any(states[1 : oc.period] == t.c1), c1
+        assert t.c1 not in states[1 : oc.period], c1
     assert found > len(grid) // 2
-
-
-# ------------------------------------------------------------ tent conjugacy
-
-
-def test_tent_conjugacy_fixed_values():
-    assert cm.tent_conjugacy(0.0) == 0.0
-    assert cm.tent_conjugacy(1.0) == pytest.approx(1.0, abs=1e-15)
-    assert cm.tent_conjugacy(0.5) == pytest.approx(0.5, abs=1e-15)
-    assert cm.tent_conjugacy(0.75) == pytest.approx(2.0 / 3.0, abs=1e-15)
-
-
-def test_tent_conjugacy_defect_below_1e12():
-    xs = np.linspace(0.0, 1.0, 10_000)
-    lhs = cm.tent_conjugacy(4.0 * xs * (1.0 - xs))
-    rhs = cm.tent_map(cm.tent_conjugacy(xs))
-    assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-
-def test_tent_conjugacy_roundtrip():
-    us = np.linspace(0.0, 1.0, 5_001)
-    back = cm.tent_conjugacy(cm.tent_conjugacy_inverse(us))
-    assert np.max(np.abs(back - us)) <= 1e-12
-
-
-def test_tent_map_values():
-    assert cm.tent_map(0.25) == 0.5
-    assert cm.tent_map(0.5) == 1.0
-    assert cm.tent_map(1.0) == 0.0
-
-
-@pytest.mark.parametrize("u", [1.5, -0.5, math.nan, [0.5, 1.5], [0.5, math.nan]])
-def test_tent_map_rejects_points_outside_the_unit_interval(u):
-    # Outside [0, 1] the formula still gives a number (-1.0 at 1.5, -2.0 at
-    # -0.5) and passes NaN through; the map rejects them, as logistic does.
-    with pytest.raises(DomainError, match="tent map"):
-        cm.tent_map(u)
-
-
-def test_tent_conjugacy_domain_errors():
-    # NaN lies outside [0, 1] too, as a scalar or inside an array.
-    for fn in (cm.tent_conjugacy, cm.tent_conjugacy_inverse):
-        for x in (-0.1, 1.5, math.nan, [0.5, -0.1], [0.5, math.nan]):
-            with pytest.raises(DomainError):
-                fn(x)
 
 
 # -------------------------------------------------------- avoidance measures
@@ -294,17 +224,17 @@ def test_avoidance_measure_tent_monotone_decay():
     assert cm.avoidance_measure_tent(t, 400) < 1e-20
 
 
-def exact_avoiding_measure(t: cm.Threshold, jmax: int) -> list[float]:
+def avoiding_pieces(t: cm.Threshold, jmax: int) -> list[list[tuple[float, float]]]:
     """Independent oracle: exact interval pullback of the C-avoiding set.
 
     R_j = G intersect f^{-1}(R_{j-1}) with G the complement of C; the two
     inverse branches of the logistic map pull interval endpoints back
-    exactly, so the Lebesgue measure is a finite sum of interval lengths.
+    exactly, so each R_j, j = 0..jmax, is a finite list of intervals.
     """
     c0 = t.c0
     g_pieces = [(0.0, c0), (1.0 - c0, 1.0)]
     cur = list(g_pieces)
-    out = [sum(b - a for a, b in cur)]
+    out = [cur]
     for _ in range(jmax):
         nxt = []
         for a, b in cur:
@@ -315,8 +245,35 @@ def exact_avoiding_measure(t: cm.Threshold, jmax: int) -> list[float]:
                     if hi2 > lo2:
                         nxt.append((lo2, hi2))
         cur = sorted(nxt)
-        out.append(sum(b - a for a, b in cur))
+        out.append(cur)
     return out
+
+
+def exact_avoiding_measure(t: cm.Threshold, jmax: int) -> list[float]:
+    """The Lebesgue measure of each R_j: a finite sum of interval lengths."""
+    return [sum(b - a for a, b in pieces) for pieces in avoiding_pieces(t, jmax)]
+
+
+def _tent_coordinate(x: float) -> float:
+    """``h(x) = (2/pi) asin(sqrt(x))``, which conjugates f to the slope-2 tent map."""
+    return (2.0 / math.pi) * math.asin(math.sqrt(x))
+
+
+@pytest.mark.parametrize("c1", [0.8, 0.9, 0.95, 0.99])
+def test_d1_power_is_the_tent_measure_at_j0_and_an_upper_bound_after(c1):
+    # The scalar module docstring's claim, on the exact pullback's pieces
+    # measured in tent coordinates.
+    t = cm.Threshold(c1)
+    tent = [
+        sum(_tent_coordinate(b) - _tent_coordinate(a) for a, b in pieces)
+        for pieces in avoiding_pieces(t, 20)
+    ]
+    assert abs(tent[0] - t.d1) <= 1e-15
+    assert cm.avoidance_measure_tent(t, 0) == t.d1
+    for j in range(1, 21):
+        assert tent[j] < cm.avoidance_measure_tent(t, j), j
+    if c1 == 0.95:
+        assert (round(tent[1], 5), round(tent[20], 5)) == (0.71287, 0.01122)
 
 
 def test_estimate_avoidance_matches_exact_pullback():
