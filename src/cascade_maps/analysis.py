@@ -9,7 +9,9 @@ classification, and a seeded attractor census).  An attractor is
 identified by its bit-exact return: a clip sets a site to exactly ``c1``,
 so every super-stable orbit repeats bit for bit.  Census and detection
 both name it by the least state its period search visits, and rebuild its
-orbit from that state, in canonical phase.
+orbit from that state, in canonical phase.  A record's fingerprint is
+the excess summed over the ``FINGERPRINT_WINDOW`` steps from that state
+(``_window_fingerprint``).
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ __all__ = [
     "star_values",
     "build_markov",
     "detect_periodic_orbit",
-    "excess_window_sum",
     "census",
     "bifurcation_scan",
 ]
@@ -92,7 +93,8 @@ class MarkovModel:
 
 @dataclass(frozen=True)
 class AttractorRecord:
-    """A detected periodic lattice orbit in canonical phase."""
+    """A detected periodic lattice orbit in canonical phase, fingerprinted
+    by :func:`_window_fingerprint` from its first state."""
 
     period: int
     orbit: np.ndarray  # (period, n_sites), least rotation; read-only
@@ -274,22 +276,16 @@ def _lag_match_rows(orbits: np.ndarray, lag: int, t: Threshold) -> np.ndarray:
     return ok.all(axis=(1, 2))
 
 
-def excess_window_sum(
-    s: LatticeState, t: Threshold, transient: int, window: int
-) -> float:
-    """Total excess over ``window`` steps after discarding a transient.
+def _window_fingerprint(x0: np.ndarray, t: Threshold) -> float:
+    """Total excess over the :data:`FINGERPRINT_WINDOW` steps from sites ``x0``.
 
     This is the ``window_fingerprint`` of an :class:`AttractorRecord`: on a
     super-stable attractor whose period divides the window the sum is an
     exact invariant of the attractor, independent of phase.
     """
-    transient = _require_integer("transient", transient, 0)
-    window = _require_integer("window", window, 1)
-    cur = s
-    for _ in range(transient):
-        cur = step(cur, t)
+    cur = LatticeState(sites=x0)
     total = 0.0
-    for _ in range(window):
+    for _ in range(FINGERPRINT_WINDOW):
         cur = step(cur, t)
         total += cur.last_excess
     return total
@@ -397,10 +393,10 @@ def _attractor_records(t: Threshold, orbits: np.ndarray) -> list[AttractorRecord
     comparisons: ``in_phase`` if all sites are equal at every step, else
     ``anti_phase`` for two sites and even ``p`` if site 1 repeats site 0
     half a period later (:func:`_lag_match_rows`), else ``ripple`` if each
-    site repeats its left neighbour one step later, else ``other``.  The fingerprint is
-    :func:`excess_window_sum` from the canonical first state, one record
-    at a time.  The records' orbits are rows of ``orbits``, which is made
-    read-only, so no record's orbit can be written.
+    site repeats its left neighbour one step later, else ``other``.  The
+    fingerprint is :func:`_window_fingerprint` from the canonical first
+    state, one record at a time.  The records' orbits are rows of
+    ``orbits``, which is made read-only, so no record's orbit can be written.
     """
     b, p, n = orbits.shape
     orbits.setflags(write=False)
@@ -415,9 +411,7 @@ def _attractor_records(t: Threshold, orbits: np.ndarray) -> list[AttractorRecord
             period=p,
             orbit=orbits[j],
             kind=kinds[j],
-            window_fingerprint=excess_window_sum(
-                LatticeState(sites=orbits[j, 0]), t, 0, FINGERPRINT_WINDOW
-            ),
+            window_fingerprint=_window_fingerprint(orbits[j, 0], t),
         )
         for j in range(b)
     ]

@@ -13,8 +13,8 @@ row is one ``"".join`` of its template, so the writer holds at most one
 chunk of codes and texts and one row's text in memory.  Images are binary
 "P5"/"P6" with the grid transposed so that x grows to the right and y
 grows upward.
-The colour palette spaces class hues evenly on a 12-colour wheel from
-blue (lowest fingerprint class) down to red (highest).
+The colour palette sweeps class hues from blue (lowest fingerprint class)
+down to red (highest), each rounded to the nearest of a 12-colour wheel.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ __all__ = [
     "write_rows",
     "write_csv",
     "write_basin_csv",
-    "grid_to_image",
-    "class_palette",
-    "pgm_bytes",
-    "ppm_bytes",
     "write_image",
 ]
 
@@ -170,17 +166,9 @@ def write_basin_csv(grid: BasinGrid, path: str) -> None:
     write_csv(_BASIN_HEADER, _BasinTable(grid), path)
 
 
-def grid_to_image(values: np.ndarray) -> np.ndarray:
-    """Reorient an ``[i=x, j=y]`` grid into image rows (top row = largest y)."""
-    return values.T[::-1, :]
-
-
-def class_palette(n_classes: int) -> np.ndarray:
-    """RGB palette over classes: blue for the lowest class, red for the highest.
-
-    Hues sweep 240 deg down to 0 deg, quantised to the nearest 30 deg step
-    of a 12-colour wheel.
-    """
+def _palette(n_classes: int) -> np.ndarray:
+    """RGB colours of the classes: hues from 240 deg (blue, class 0) down to
+    0 deg (red, the last), each rounded to a 30 deg step."""
     colors = np.empty((max(n_classes, 1), 3), dtype=np.uint8)
     for k in range(max(n_classes, 1)):
         frac = k / (n_classes - 1) if n_classes > 1 else 0.0
@@ -190,30 +178,20 @@ def class_palette(n_classes: int) -> np.ndarray:
     return colors
 
 
-def pgm_bytes(classes_img: np.ndarray, n_classes: int) -> bytes:
-    """8-bit binary PGM of class ids scaled onto 0..255."""
-    h, w = classes_img.shape
-    scaled = np.rint(classes_img * (255.0 / max(n_classes - 1, 1))).astype(np.uint8)
-    return f"P5\n{w} {h}\n255\n".encode("ascii") + scaled.tobytes()
-
-
-def ppm_bytes(classes_img: np.ndarray, n_classes: int) -> bytes:
-    """24-bit binary PPM using the fixed class palette."""
-    h, w = classes_img.shape
-    palette = class_palette(n_classes)
-    pixels = palette[classes_img]
-    return f"P6\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes()
-
-
 def write_image(grid: BasinGrid, path: str, image_format: str) -> None:
-    """Write a basin grid as a PGM ("pgm") or PPM ("ppm") image file."""
-    img = grid_to_image(grid.classes)
+    """Write a basin grid as a PGM ("pgm", class ids scaled onto 0..255) or
+    PPM ("ppm", the class palette) image file, top row the largest y."""
+    img = grid.classes.T[::-1, :]
     if image_format == "pgm":
-        payload = pgm_bytes(img, grid.n_classes)
+        magic = "P5"
+        pixels = np.rint(img * (255.0 / max(grid.n_classes - 1, 1))).astype(np.uint8)
     elif image_format == "ppm":
-        payload = ppm_bytes(img, grid.n_classes)
+        magic = "P6"
+        pixels = _palette(grid.n_classes)[img]
     else:
         raise ValueError(f"unknown image format {image_format!r}")
+    h, w = img.shape
+    payload = f"{magic}\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes()
     try:
         with open(path, "wb") as fh:
             fh.write(payload)

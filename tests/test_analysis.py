@@ -565,13 +565,15 @@ def _orbit_kind_oracle(orbit, t, tol=0.0):
 def _attractor_record_oracle(orbit, t, tol=0.0):
     # One record per orbit, as the census and detection first built them.
     canon = _canonical_rotation_oracle(orbit.copy())
+    s, fingerprint = cm.LatticeState(sites=canon[0]), 0.0
+    for _ in range(analysis.FINGERPRINT_WINDOW):
+        s = cm.step(s, t)
+        fingerprint += s.last_excess
     return cm.AttractorRecord(
         period=orbit.shape[0],
         orbit=canon,
         kind=_orbit_kind_oracle(canon, t, tol),
-        window_fingerprint=cm.excess_window_sum(
-            cm.LatticeState(sites=canon[0]), t, 0, analysis.FINGERPRINT_WINDOW
-        ),
+        window_fingerprint=fingerprint,
     )
 
 

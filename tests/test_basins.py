@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 import cascade_maps as cm
-from cascade_maps import basins
+from cascade_maps import analysis, basins
 from cascade_maps.basins import _bucket_fingerprints
 from cascade_maps.errors import ParameterError
 from cascade_maps.lattice import cascade_batch
@@ -961,4 +961,7 @@ def test_interior_accumulation_single_basin_stays_at_one():
 
 def test_fixed_corner_state_has_zero_fingerprint():
     # The exact corner state is a fixed point that never emits excess.
-    assert cm.excess_window_sum(cm.LatticeState(sites=[0.0, 0.0]), T84, 100, 12) == 0.0
+    s = cm.LatticeState(sites=[0.0, 0.0])
+    for _ in range(100):
+        s = cm.step(s, T84)
+    assert analysis._window_fingerprint(s.sites, T84) == 0.0

@@ -159,28 +159,52 @@ def test_csv_write_failure_reports_path():
 # --------------------------------------------------------------------- images
 
 
-def test_pgm_two_by_two_example():
-    img = np.array([[0, 1], [1, 0]], dtype=np.int32)
-    payload = cio.pgm_bytes(img, 2)
+def _written_image(tmp_path, classes, n_classes, image_format):
+    """The file that ``write_image`` writes for a hand-built grid of ``classes``."""
+    classes = np.asarray(classes, dtype=np.int32)
+    grid = cm.BasinGrid(
+        spec=cm.GridSpec(resolution=max(2, *classes.shape)),
+        fingerprints=classes.astype(float),
+        classes=classes,
+        class_table={k: float(k) for k in range(n_classes)},
+    )
+    path = tmp_path / f"grid.{image_format}"
+    cio.write_image(grid, str(path), image_format)
+    return path.read_bytes()
+
+
+def _grid_of(img):
+    """The ``[i=x, j=y]`` class grid whose image rows are ``img``."""
+    return np.asarray(img)[::-1].T
+
+
+def _palette(tmp_path, n_classes):
+    """The RGB colours of classes 0 .. n-1, read from a one-row PPM."""
+    payload = _written_image(tmp_path, _grid_of([range(n_classes)]), n_classes, "ppm")
+    header = f"P6\n{n_classes} 1\n255\n".encode("ascii")
+    assert payload.startswith(header)
+    return np.frombuffer(payload[len(header):], dtype=np.uint8).reshape(-1, 3)
+
+
+def test_pgm_two_by_two_example(tmp_path):
+    payload = _written_image(tmp_path, _grid_of([[0, 1], [1, 0]]), 2, "pgm")
     assert payload == b"P5\n2 2\n255\n" + bytes([0, 255, 255, 0])
 
 
-def test_pgm_single_class_is_black():
-    img = np.zeros((2, 3), dtype=np.int32)
-    payload = cio.pgm_bytes(img, 1)
+def test_pgm_single_class_is_black(tmp_path):
+    payload = _written_image(tmp_path, _grid_of(np.zeros((2, 3))), 1, "pgm")
     assert payload == b"P5\n3 2\n255\n" + bytes(6)
 
 
-def test_ppm_uses_fixed_palette():
-    img = np.array([[0, 1]], dtype=np.int32)
-    payload = cio.ppm_bytes(img, 2)
+def test_ppm_uses_fixed_palette(tmp_path):
+    payload = _written_image(tmp_path, _grid_of([[0, 1]]), 2, "ppm")
     assert payload == b"P6\n2 1\n255\n" + bytes([0, 0, 255, 255, 0, 0])
 
 
-def test_palette_blue_to_red():
-    pal = cio.class_palette(2)
+def test_palette_blue_to_red(tmp_path):
+    pal = _palette(tmp_path, 2)
     assert pal.tolist() == [[0, 0, 255], [255, 0, 0]]
-    pal5 = cio.class_palette(5)
+    pal5 = _palette(tmp_path, 5)
     assert pal5.tolist() == [
         [0, 0, 255],
         [0, 255, 255],
@@ -189,29 +213,24 @@ def test_palette_blue_to_red():
         [255, 0, 0],
     ]
     # hues sit on the 12-colour wheel for any class count
-    pal25 = cio.class_palette(25)
+    pal25 = _palette(tmp_path, 25)
     assert pal25[0].tolist() == [0, 0, 255] and pal25[-1].tolist() == [255, 0, 0]
 
 
-def test_grid_to_image_orientation():
-    # values[i, j] with i = x, j = y; top image row is the largest y
+def test_grid_to_image_orientation(tmp_path):
+    # values[i, j] with i = x, j = y; top image row is the largest y.  With
+    # 256 classes a PGM pixel is its class id.
     values = np.array([[1, 2], [3, 4]])
-    img = cio.grid_to_image(values)
-    assert img.tolist() == [[2, 4], [1, 3]]
+    payload = _written_image(tmp_path, values, 256, "pgm")
+    assert payload == b"P5\n2 2\n255\n" + bytes([2, 4, 1, 3])
 
 
 def test_golden_image_fixture_is_stable(tmp_path):
     grid = cm.render_basins(cm.Threshold(0.84), cm.GridSpec(resolution=63))
-    img = cio.grid_to_image(grid.classes)
-    pgm = cio.pgm_bytes(img, grid.n_classes)
-    ppm = cio.ppm_bytes(img, grid.n_classes)
-    assert hashlib.sha256(pgm).hexdigest() == GOLDEN_PGM_SHA256
-    assert hashlib.sha256(ppm).hexdigest() == GOLDEN_PPM_SHA256
-    # write_image emits the same bytes
-    out = str(tmp_path / "g.ppm")
-    cio.write_image(grid, out, "ppm")
-    with open(out, "rb") as fh:
-        assert fh.read() == ppm
+    for image_format, golden in (("pgm", GOLDEN_PGM_SHA256), ("ppm", GOLDEN_PPM_SHA256)):
+        out = tmp_path / f"g.{image_format}"
+        cio.write_image(grid, str(out), image_format)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == golden
 
 
 def test_write_image_rejects_unknown_format(tmp_path):

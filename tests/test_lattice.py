@@ -4,7 +4,7 @@ from hypothesis import example, given, strategies as st
 
 import cascade_maps as cm
 from cascade_maps import analysis, basins, lattice
-from cascade_maps.errors import DomainError, ParameterError
+from cascade_maps.errors import DomainError
 from cascade_maps.lattice import _distinct_rows, cascade_batch, step_batch
 
 T84 = cm.Threshold(0.84)
@@ -282,23 +282,29 @@ def test_lattice_absorbed_into_product_interval():
     assert entered.all()
 
 
-# --------------------------------------------------------- excess_window_sum
+# ------------------------------------------------------ window fingerprint
+
+
+def _window_sum(sites, t, transient):
+    """The record fingerprint of the state ``transient`` steps from ``sites``."""
+    s = cm.LatticeState(sites=sites)
+    for _ in range(transient):
+        s = cm.step(s, t)
+    return analysis._window_fingerprint(s.sites, t)
 
 
 def test_window_sum_zero_on_fixed_corner():
-    assert cm.excess_window_sum(cm.LatticeState(sites=[0.0, 0.0]), T84, 5, 12) == 0.0
+    assert _window_sum([0.0, 0.0], T84, 5) == 0.0
 
 
 def test_window_sum_in_phase_basin():
-    total = cm.excess_window_sum(cm.LatticeState(sites=[0.5, 0.5]), T84, 100, 12)
+    total = _window_sum([0.5, 0.5], T84, 100)
     assert total == IN_PHASE_SUM
     assert total == pytest.approx(12 * (4 * 0.5376 * (1 - 0.5376) - 0.84), abs=1e-12)
 
 
 def test_window_sum_anti_phase_basin_distinct():
-    total = cm.excess_window_sum(
-        cm.LatticeState(sites=[T84.c2, T84.c1]), T84, 100, 12
-    )
+    total = _window_sum([T84.c2, T84.c1], T84, 100)
     assert total == ANTI_PHASE_SUM
     assert abs(total - IN_PHASE_SUM) > 1e-3
 
@@ -306,21 +312,9 @@ def test_window_sum_anti_phase_basin_distinct():
 def test_window_sum_phase_invariant_for_even_window():
     # Window of 12 covers six full periods: the sum cannot depend on the
     # phase at which the window opens.
-    a = cm.excess_window_sum(cm.LatticeState(sites=[0.5, 0.5]), T84, 100, 12)
-    b = cm.excess_window_sum(cm.LatticeState(sites=[0.5, 0.5]), T84, 101, 12)
+    a = _window_sum([0.5, 0.5], T84, 100)
+    b = _window_sum([0.5, 0.5], T84, 101)
     assert a == b
-
-
-def test_window_sum_validation():
-    s = cm.LatticeState(sites=[0.5])
-    with pytest.raises(ParameterError):
-        cm.excess_window_sum(s, T84, -1, 12)
-    with pytest.raises(ParameterError):
-        cm.excess_window_sum(s, T84, 0, 0)
-    with pytest.raises(ParameterError, match="transient must be an integer"):
-        cm.excess_window_sum(s, T84, 2.5, 12)
-    with pytest.raises(ParameterError, match="window must be an integer"):
-        cm.excess_window_sum(s, T84, 0, 12.0)
 
 
 # ------------------------------------------------- vectorised cascade kernel

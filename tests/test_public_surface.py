@@ -4,8 +4,10 @@ CLI loads."""
 
 import ast
 import dataclasses
+import inspect
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -22,10 +24,12 @@ PUBLIC_NAMES = [
     "ParameterError", "Repeller", "StarValue", "SuperStable", "Threshold",
     "XI2", "antiphase_root", "avoidance_measure_tent", "bifurcation_scan",
     "build_markov", "census", "classify_orbit", "corner_accumulation",
-    "detect_periodic_orbit", "estimate_avoidance", "excess_window_sum",
-    "interior_accumulation", "label_components", "logistic",
-    "render_basins", "star_values", "step", "step_batch", "threshold_map",
+    "detect_periodic_orbit", "estimate_avoidance", "interior_accumulation",
+    "label_components", "logistic", "render_basins", "star_values", "step",
+    "step_batch", "threshold_map",
 ]  # fmt: skip
+
+IO_NAMES = ["format_real", "write_rows", "write_csv", "write_basin_csv", "write_image"]
 
 #: exported names that no ``src/`` code calls yet, each with the later
 #: work that needs it (see ROADMAP item 14)
@@ -38,6 +42,16 @@ KEPT_FOR_CLAIMS = {
     "enumeration (ROADMAP item 1); LIBRARY_BOUNDS['max_period'] uses it",
 }
 
+#: exported names that only their own module calls, each with the reason it
+#: stays public
+OWN_MODULE_ONLY = {
+    "XI2": "build_markov's lower limit; paper-claims section 4 sets item 21's "
+    "c* = 0.92624463 beside it",
+    "threshold_map": "the paper's clipped map, from which the tests build "
+    "the orbit of c1",
+    "logistic": "defines threshold_map's state + excess",
+}
+
 #: a valid value for every key some subcommand requires
 REQUIRED_VALUES = {"c1": "0.84", "lo": "0.76", "hi": "0.8"}
 
@@ -47,6 +61,7 @@ RUN_FIELDS = {f.name for f in dataclasses.fields(cli.RunConfig)} - {"subcommand"
 def test_package_exports_exactly_the_public_names():
     assert sorted(cm.__all__) == PUBLIC_NAMES
     assert len(set(cm.__all__)) == len(cm.__all__)
+    assert cio.__all__ == IO_NAMES
 
 
 def _bound_names(stmt: ast.stmt) -> set[str]:
@@ -63,15 +78,16 @@ def _bound_names(stmt: ast.stmt) -> set[str]:
     return names
 
 
-def _src_loads() -> set[str]:
-    """Every name that ``src/`` loads from outside the statement binding
-    it: a bare name that the loading statement does not bind itself (so a
-    local named like an export is no caller), or an attribute of one of the
-    package's modules."""
+def _src_loads_by_module() -> dict[str, set[str]]:
+    """Every name that each ``src/`` module loads from outside the statement
+    binding it: a bare name that the loading statement does not bind itself
+    (so a local named like an export is no caller), or an attribute of one
+    of the package's modules."""
     paths = sorted(Path(cm.__file__).parent.glob("*.py"))
     modules = {path.stem for path in paths}
-    loads = set()
+    by_module = {}
     for path in paths:
+        loads = by_module[path.stem] = set()
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             bound = _bound_names(stmt)
             for node in ast.walk(stmt):
@@ -84,15 +100,69 @@ def _src_loads() -> set[str]:
                     and node.value.id in modules
                 ):
                     loads.add(node.attr)
-    return loads
+    return by_module
+
+
+def _src_loads() -> set[str]:
+    return set().union(*_src_loads_by_module().values())
+
+
+#: each library module's short name -> the module
+EXPORTING = {
+    module.__name__.rsplit(".", 1)[1]: module
+    for module in (analysis, basins, errors, lattice, scalar, cio)
+}
+
+
+def _loaded_outside_own_module() -> set[str]:
+    """The exports that some ``src/`` module other than their own loads."""
+    by_module = _src_loads_by_module()
+    return {
+        name
+        for own, module in EXPORTING.items()
+        for name in module.__all__
+        if any(name in loads for stem, loads in by_module.items() if stem != own)
+    }
+
+
+def _hinted_types(hint) -> set[str]:
+    """The names of the classes in a type hint, through its arguments."""
+    names = {hint.__name__} if isinstance(hint, type) else set()
+    for arg in typing.get_args(hint):
+        names |= _hinted_types(arg)
+    return names
+
+
+def _returned_types() -> set[str]:
+    """The exported types that the return hint of some exported function names."""
+    hints = (
+        typing.get_type_hints(obj).get("return")
+        for module in EXPORTING.values()
+        for obj in (getattr(module, name) for name in module.__all__)
+        if inspect.isfunction(obj)
+    )
+    return set().union(*map(_hinted_types, hints)) & set(cm.__all__)
 
 
 def test_every_export_is_called_in_src_or_kept_for_a_claim():
-    # An export that only the tests call is dead API: it leaves the package
-    # unless a later use is named for it here.
-    loads = _src_loads()
-    uncalled = {name for name in [*cm.__all__, *cio.__all__] if name not in loads}
-    assert sorted(uncalled - set(KEPT_FOR_CLAIMS)) == []
+    # An export that only its own module or the tests call is dead API: it
+    # leaves the public surface unless an export returns it or a reason is
+    # named for it here.
+    outside = _loaded_outside_own_module()
+    exempt = _returned_types() | set(KEPT_FOR_CLAIMS) | set(OWN_MODULE_ONLY)
+    uncalled = {name for name in [*cm.__all__, *cio.__all__] if name not in outside}
+    assert sorted(uncalled - exempt) == []
+
+
+def test_each_own_module_name_is_still_called_by_its_module_alone():
+    # Once a name in OWN_MODULE_ONLY gains a caller in another module, or
+    # loses its last one, or an export returns it, its entry is stale.
+    by_module = _src_loads_by_module()
+    owners = {name: own for own, module in EXPORTING.items() for name in module.__all__}
+    assert set(OWN_MODULE_ONLY) <= set(owners)
+    assert sorted(set(OWN_MODULE_ONLY) & _loaded_outside_own_module()) == []
+    assert sorted(n for n in OWN_MODULE_ONLY if n not in by_module[owners[n]]) == []
+    assert sorted(set(OWN_MODULE_ONLY) & _returned_types()) == []
 
 
 def test_each_kept_name_is_still_an_uncalled_export():
