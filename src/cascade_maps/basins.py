@@ -434,50 +434,36 @@ def _join(parent: np.ndarray, edges: list[np.ndarray]) -> np.ndarray:
             parent = grand
 
 
-def _label_cells(classes: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Component ids of a rectangular class map and the component count per class.
+def _label_cells(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Component ids of a rectangular class map and each component's class.
 
     Union-find (:func:`_join`) over the row runs of :func:`_run_graph`;
-    each root is its component's first run in raster order.  The roots are
-    numbered by one sort of ``class << shift | run`` words, ``shift`` being
-    the bit length of the largest run id, so that ids ascend by class, then
-    by first cell.  Classes are ``int32``, and a map of fewer than 2**31
-    cells (r <= 46,340 for a square one, as the ``int32`` run ids need) has
-    ``shift <= 31``, so the words fit in 62 of ``int64``'s 63 bits.
+    each root is its component's first run in raster order, and the roots
+    are numbered in that order, so that ids ascend with each component's
+    first cell.
     """
     run, run_class, *edges = _run_graph(classes)
     parent = _join(np.arange(run_class.size, dtype=np.int32), edges)
-
-    # Number the roots by class, then by first cell: ids ascend in raster
-    # order within a class, one class after another.
     roots = np.flatnonzero(parent == np.arange(parent.size, dtype=np.int32))
-    root_class = run_class[roots]
-    shift = (parent.size - 1).bit_length()
-    word = root_class.astype(np.int64)
-    word <<= shift
-    word |= roots
-    del roots
-    word.sort()
-    word &= (1 << shift) - 1
     comp = np.empty(parent.size, dtype=np.int32)
-    comp[word] = np.arange(1, word.size + 1, dtype=np.int32)
+    comp[roots] = np.arange(1, roots.size + 1, dtype=np.int32)
     # Indexing, not np.take, below: np.take copies int32 indices to intp.
     comp = comp[parent]
     for k0 in range(0, run.size, _LABEL_BLOCK):
         block = run[k0 : k0 + _LABEL_BLOCK]
         block[...] = comp[block]
-    return run.reshape(classes.shape), np.bincount(root_class, minlength=n_classes)
+    return run.reshape(classes.shape), run_class[roots]
 
 
 def label_components(g: BasinGrid) -> ComponentStats:
     """4-connected labelling of same-class cells, all classes in one pass.
 
     Union-find over the row runs of equal class (see :func:`_label_cells`).
-    Component ids are 1-based: the components of class 0 come first, then
-    those of class 1 and so on, and within a class they ascend with their
-    first cell in raster order.
+    Component ids are 1-based and ascend with each component's first cell
+    in raster order.
     """
-    component_ids, counts = _label_cells(g.classes, g.n_classes)
+    component_ids, component_class = _label_cells(g.classes)
+    counts = np.bincount(component_class, minlength=g.n_classes)
     return ComponentStats(
         component_ids=component_ids,
         class_component_counts={k: int(counts[k]) for k in g.class_table},
@@ -509,22 +495,22 @@ def _class_strips(quadrant: np.ndarray, r: int):
         yield slice(i0, i0 + i.size), strip
 
 
-def _strip_counts(strips, n_classes: int) -> list[int]:
+def _strip_counts(strips) -> list[int]:
     """Distinct 4-connected components that meet each region of a class map
     given strip by strip (row-by-row cluster labelling, as in Hoshen and
     Kopelman, Phys. Rev. B 14 (1976) 3438).
 
     ``strips`` yields ``(classes, regions)`` from the top of the map down:
-    ``classes`` is the map's next whole rows (``int32``, of ``n_classes``
-    classes), and ``regions`` one index into them per region, the same
-    regions in the same order in every strip.  Each strip is labelled on its
-    own by :func:`_label_cells`.  Its components and the components still
-    open above it are the nodes of one :func:`_join`, whose edges join the
-    equal-class cells that face each other across the seam.  A component
-    that does not reach the strip's last row can grow no further: it is
-    counted in every region it met, and dropped.  So only the last row's
-    open components and the regions each has met are kept across strips,
-    at most one per cell of a row, never a grid of labels.
+    ``classes`` is the map's next whole rows (``int32``), and ``regions``
+    one index into them per region, the same regions in the same order in
+    every strip.  Each strip is labelled on its own by :func:`_label_cells`.
+    Its components and the components still open above it are the nodes of
+    one :func:`_join`, whose edges join the equal-class cells that face each
+    other across the seam.  A component that does not reach the strip's
+    last row can grow no further: it is counted in every region it met, and
+    dropped.  So only the last row's open components and the regions each
+    has met are kept across strips, at most one per cell of a row, never a
+    grid of labels.
     """
     count = 0
     seam = None
@@ -533,13 +519,15 @@ def _strip_counts(strips, n_classes: int) -> list[int]:
             # Above the first strip: no open component, and a row of no class.
             seam = np.full(classes.shape[1], -1, np.int32), np.zeros(classes.shape[1], np.int32)
             open_met = np.zeros((len(regions), 0), bool)
-        ids, counts = _label_cells(classes, n_classes)
+        ids, component_class = _label_cells(classes)
         # Nodes 0..m-1 are the open components; the strip's component k
         # (1-based) is node m - 1 + k.
         m = open_met.shape[1]
+        nodes = np.arange(m + component_class.size, dtype=np.int32)
+        # Only the count is read; the array would stay alive through the strip.
+        del component_class
         ids += m - 1
         same = seam[0] == classes[0]
-        nodes = np.arange(m + int(counts.sum()), dtype=np.int32)
         root = _join(nodes, [seam[1][same], ids[0][same]])
         # Marks go to roots only: met[k, x] is whether root x met region k.
         met = np.zeros((len(regions), root.size), bool)
@@ -565,11 +553,11 @@ def _region_counts(t: Threshold, spec: GridSpec, regions) -> list[int]:
     region, strip by strip: ``regions(rows)`` indexes every region within
     the grid rows of the slice ``rows`` (see :func:`_strip_counts`).
     Neither the fingerprint grid nor the class grid is built."""
-    row_classes, class_table, owner = _render_rows(t, spec)[1:]
+    _, row_classes, _, owner = _render_rows(t, spec)
     quadrant = row_classes[owner]
     del owner
     strips = _class_strips(quadrant, spec.resolution)
-    return _strip_counts(((c, regions(rows)) for rows, c in strips), len(class_table))
+    return _strip_counts((c, regions(rows)) for rows, c in strips)
 
 
 def _box_sides(centres: np.ndarray, eps: float) -> tuple[tuple[int, int], tuple[int, int]]:

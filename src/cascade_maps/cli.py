@@ -11,10 +11,12 @@ A summary line is ``key=value`` fields joined by single spaces, each real
 in the shortest form that parses back to it (``io.format_real``); one
 formatter, ``_fields``, builds every one.
 Each option is declared once, as a :class:`RunConfig` field that holds its
-default, the parser of its raw text and, for a count, its least value.
-``basin`` and ``accumulation`` accept and validate ``--workers`` (>= 1) but
-ignore it, since the render runs on one thread; the flag stays only because
-the benchmark's commands still pass it.
+default and the parser of its raw text.  The library function an option
+reaches checks its value, so a bad value is a usage error before any
+orbit is stepped or any line is printed.  ``basin`` and ``accumulation``
+accept and validate ``--workers`` (>= 1) but ignore it, since the render
+runs on one thread; the flag stays only because the benchmark's commands
+still pass it.
 """
 
 from __future__ import annotations
@@ -62,44 +64,44 @@ def _parse_list(kind):
     return lambda text: tuple(kind(p) for p in text.split(",") if p.strip())
 
 
-def _option(default, parse, least=None):
-    """A :class:`RunConfig` option: its default, raw-text parser and least value."""
-    return field(default=default, metadata={"parse": parse, "least": least})
+def _option(default, parse):
+    """A :class:`RunConfig` option: its default and raw-text parser."""
+    return field(default=default, metadata={"parse": parse})
 
 
 @dataclass
 class RunConfig:
     """Fully resolved options for one subcommand run; every other field is an
-    option, declared once with its default, parser and least value."""
+    option, declared once with its default and parser."""
 
     subcommand: str
     c1: Optional[float] = _option(None, float)
-    sites: int = _option(2, int, 1)
-    resolution: int = _option(basins.GridSpec.resolution, int, 2)
-    transient: int = _option(basins.GridSpec.transient, int, 0)
-    window: int = _option(basins.GridSpec.window, int, 1)
-    samples: int = _option(10_000, int, 1)
-    seed: int = _option(DEFAULT_SEED, lambda s: int(s, 0), 0)
-    max_period: int = _option(64, int, 1)
-    max_iter: int = _option(MAX_ITER_DEFAULT, int, 1)
+    sites: int = _option(2, int)
+    resolution: int = _option(basins.GridSpec.resolution, int)
+    transient: int = _option(basins.GridSpec.transient, int)
+    window: int = _option(basins.GridSpec.window, int)
+    samples: int = _option(10_000, int)
+    seed: int = _option(DEFAULT_SEED, lambda s: int(s, 0))
+    max_period: int = _option(64, int)
+    max_iter: int = _option(MAX_ITER_DEFAULT, int)
     max_s: int = _option(8, int)
     lo: Optional[float] = _option(None, float)
     hi: Optional[float] = _option(None, float)
-    steps: int = _option(200, int, 2)
-    n: int = _option(12, int, 1)
-    j: int = _option(10, int, 0)
+    steps: int = _option(200, int)
+    n: int = _option(12, int)
+    j: int = _option(10, int)
     corner: bool = _option(False, _parse_bool)
     point: Optional[tuple[float, ...]] = _option(None, _parse_list(float))
     eps: tuple[float, ...] = _option((0.1, 0.05, 0.02), _parse_list(float))
     resolutions: tuple[int, ...] = _option((125, 249, 499), _parse_list(int))
     radii: tuple[float, ...] = _option((0.05, 0.1, 0.2), _parse_list(float))
-    workers: int = _option(1, int, 1)
+    workers: int = _option(1, int)
     output_path: Optional[str] = _option(None, str)
     format: str = _option("csv", str)
 
 
-#: key -> {"parse", "least"} of every recognised option
-_OPTIONS = {f.name: f.metadata for f in fields(RunConfig) if f.metadata}
+#: key -> parser of every recognised option
+_OPTIONS = {f.name: f.metadata["parse"] for f in fields(RunConfig) if f.metadata}
 
 #: flag aliases on top of the canonical --key spellings
 _ALIASES = {"out": "output_path", "res": "resolution"}
@@ -115,7 +117,7 @@ def _flag_to_key(flag: str, allowed: set[str]) -> str:
 
 def _coerce(key: str, raw: str, origin: str):
     try:
-        return _OPTIONS[key]["parse"](raw)
+        return _OPTIONS[key](raw)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad value for {key} ({origin}): {exc}") from exc
 
@@ -141,9 +143,11 @@ def _read_config_file(path: str, allowed: set[str]) -> dict:
 
 
 def parse_config(argv: Sequence[str], env: Optional[dict] = None) -> RunConfig:
-    """Resolve a command line into a validated :class:`RunConfig`.
+    """Resolve a command line into a :class:`RunConfig`.
 
     Precedence: flags > environment > the ``--config`` file > defaults.
+    Checks the flags, keys, required options, format and accumulation mode;
+    the library checks each value when the subcommand runs.
     """
     env = env or {}
     if not argv:
@@ -190,14 +194,9 @@ def parse_config(argv: Sequence[str], env: Optional[dict] = None) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.c1 is not None and not 0.75 < cfg.c1 < 1.0:
-        raise UsageError(f"c1 must lie in (3/4, 1), got {cfg.c1}")
-    if cfg.subcommand == "scan" and not 0.75 < cfg.lo < cfg.hi < 1.0:
-        raise UsageError("scan needs 3/4 < lo < hi < 1")
-    for key, option in _OPTIONS.items():
-        least, value = option["least"], getattr(cfg, key)
-        if least is not None and value < least:
-            raise UsageError(f"{key} must be >= {least}, got {value}")
+    # ``workers`` reaches no library call, so it is the one value checked here.
+    if cfg.workers < 1:
+        raise UsageError(f"workers must be >= 1, got {cfg.workers}")
     if cfg.format not in ("csv", "pgm", "ppm"):
         raise UsageError(f"format must be csv, pgm or ppm, got {cfg.format!r}")
     if cfg.subcommand == "accumulation" and cfg.corner == (cfg.point is not None):

@@ -25,5 +25,5 @@ def _require_integer(name: str, value, least: int) -> int:
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
     if value < least:
-        raise ParameterError(f"{name} must be >= {least}")
+        raise ParameterError(f"{name} must be >= {least}, got {value}")
     return value

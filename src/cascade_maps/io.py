@@ -182,6 +182,8 @@ def write_image(grid: BasinGrid, path: str, image_format: str) -> None:
     """Write a basin grid as a PGM ("pgm", class ids scaled onto 0..255) or
     PPM ("ppm", the class palette) image file, top row the largest y."""
     img = grid.classes.T[::-1, :]
+    if img.size and not 0 <= img.min() <= img.max() < grid.n_classes:
+        raise ValueError(f"class ids must lie in [0, {grid.n_classes})")
     if image_format == "pgm":
         magic = "P5"
         pixels = np.rint(img * (255.0 / max(grid.n_classes - 1, 1))).astype(np.uint8)

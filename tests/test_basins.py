@@ -553,6 +553,11 @@ def _ndimage_labels(g: cm.BasinGrid) -> tuple[np.ndarray, dict[int, int]]:
 
 def _assert_matches_ndimage(g: cm.BasinGrid) -> None:
     ids, counts = _ndimage_labels(g)
+    # Renumber the oracle's components by their first cell in raster order.
+    _, first = np.unique(ids, return_index=True)
+    number = np.zeros(first.size + 1, dtype=np.int32)
+    number[np.argsort(first) + 1] = np.arange(1, first.size + 1)
+    ids = number[ids]
     stats = cm.label_components(g)
     assert stats.component_ids.dtype == np.int32
     assert np.array_equal(stats.component_ids, ids)
@@ -583,7 +588,7 @@ def test_label_matches_ndimage_on_small_maps(data):
 
 
 def test_label_matches_ndimage_when_every_cell_is_its_own_class():
-    # 4,096 classes of one cell each: the widest class << shift | run words.
+    # 4,096 classes of one cell each.
     rng = np.random.default_rng(64)
     _assert_matches_ndimage(_grid_from_classes(rng.permutation(64 * 64).reshape(64, 64)))
 
@@ -829,7 +834,7 @@ def _assert_strip_counts_match_ndimage(classes: np.ndarray, rows: int) -> None:
         (classes[i : i + rows], [m[i : i + rows] for m in masks])
         for i in range(0, classes.shape[0], rows)
     )
-    got = basins._strip_counts(strips, int(classes.max()) + 1)
+    got = basins._strip_counts(strips)
     table = {int(k): float(k) for k in np.unique(classes)}
     g = cm.BasinGrid(cm.GridSpec(resolution=2), classes.astype(float), classes, table)
     ids, _ = _ndimage_labels(g)

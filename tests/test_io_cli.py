@@ -233,6 +233,14 @@ def test_golden_image_fixture_is_stable(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == golden
 
 
+@pytest.mark.parametrize("image_format", ["pgm", "ppm"])
+def test_write_image_rejects_a_class_id_outside_the_table(tmp_path, image_format):
+    # A PGM used to wrap id 300 modulo 256, and a PPM to index past the palette.
+    with pytest.raises(ValueError, match=r"^class ids must lie in \[0, 2\)$"):
+        _written_image(tmp_path, [[0, 1], [1, 300]], 2, image_format)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_image_rejects_unknown_format(tmp_path):
     grid = cm.render_basins(cm.Threshold(0.8), cm.GridSpec(resolution=8))
     with pytest.raises(ValueError):
@@ -248,11 +256,6 @@ def test_basin_defaults_follow_protocol():
     assert cfg.resolution == 499
     assert cfg.transient == 100
     assert cfg.window == 12
-
-
-def test_out_of_range_threshold_is_usage_error():
-    with pytest.raises(UsageError):
-        parse_config(["orbit", "--c1", "0.5"])
 
 
 def test_census_flags_resolve():
@@ -405,10 +408,17 @@ def test_main_usage_error_exit_code(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sub", ["census", "measure"])
+#: each seeded subcommand -> the library's text for a negative seed
+SEED_ERRORS = {
+    "census": "seed must lie in [0, 2**64), got -1",
+    "measure": "seed must be >= 0, got -1",
+}
+
+
+@pytest.mark.parametrize("sub", list(SEED_ERRORS))
 def test_main_negative_seed_is_usage_error(capsys, sub):
     assert main([sub, "--c1", "0.9", "--samples", "10", "--seed", "-1"]) == 2
-    assert capsys.readouterr() == ("", "usage error: seed must be >= 0, got -1\n")
+    assert capsys.readouterr() == ("", f"usage error: {SEED_ERRORS[sub]}\n")
 
 
 @pytest.mark.parametrize("argv", [["basin"], ["accumulation", "--corner"]])

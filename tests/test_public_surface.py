@@ -14,7 +14,6 @@ import pytest
 
 import cascade_maps as cm
 from cascade_maps import analysis, basins, cli, errors, lattice, scalar
-from cascade_maps.errors import ParameterError
 from cascade_maps import io as cio
 
 PUBLIC_NAMES = [
@@ -39,7 +38,7 @@ KEPT_FOR_CLAIMS = {
     "PERIOD2_WINDOW_END": "paper-claims section 1: the right end of the "
     "interval that holds the two-site anti-phase orbit",
     "detect_periodic_orbit": "the acceptance oracle of the exact attractor "
-    "enumeration (ROADMAP item 1); LIBRARY_BOUNDS['max_period'] uses it",
+    "enumeration (ROADMAP item 1)",
 }
 
 #: exported names that only their own module calls, each with the reason it
@@ -236,39 +235,37 @@ def test_every_option_parses_the_same_from_every_source(key, tmp_path):
     assert getattr(from_flag, key) != getattr(cli.RunConfig(argv[0]), key)
 
 
-T95 = scalar.Threshold(0.95)
-
-#: each option with a least value -> the library call that bounds it
-LIBRARY_BOUNDS = {
-    "sites": lambda v: analysis.census(T95, v, 10, 0),
-    "resolution": lambda v: basins.GridSpec(resolution=v),
-    "transient": lambda v: basins.GridSpec(transient=v),
-    "window": lambda v: basins.GridSpec(window=v),
-    "samples": lambda v: analysis.census(T95, 2, v, 0),
-    "seed": lambda v: scalar.estimate_avoidance(T95, 2, 10, v),
-    "max_period": lambda v: analysis.detect_periodic_orbit(
-        T95, lattice.LatticeState([0.5, 0.5]), 0, v
-    ),
-    "max_iter": lambda v: scalar.classify_orbit(T95, max_iter=v),
-    "steps": lambda v: analysis.bifurcation_scan(0.76, 0.8, v),
-    "n": lambda v: analysis.build_markov(T95, v),
-    "j": lambda v: scalar.avoidance_measure_tent(T95, v),
+#: a bad raw value of each option that the library bounds -> the library's
+#: text for it, through the subcommand that ``_argv_without`` picks
+BAD_VALUES = {
+    "c1": ("0.5", "threshold c1 must lie in (3/4, 1), got 0.5"),
+    "j": ("-1", "j must be >= 0, got -1"),
+    "lo": ("0.81", "scan range must satisfy 3/4 < lo < hi < 1"),
+    "max_iter": ("0", "max_iter must be >= 1, got 0"),
+    "max_period": ("0", "max_period must be >= 1, got 0"),
+    "n": ("0", "n must be >= 1, got 0"),
+    "resolution": ("1", "resolution must be >= 2, got 1"),
+    "samples": ("0", "samples must be >= 1, got 0"),
+    "seed": ("-1", "seed must lie in [0, 2**64), got -1"),
+    "sites": ("0", "n_sites must be >= 1, got 0"),
+    "steps": ("1", "steps must be >= 2, got 1"),
+    "transient": ("-1", "transient must be >= 0, got -1"),
+    "window": ("0", "window must be >= 1, got 0"),
 }
 
 
-def test_every_bounded_option_but_workers_has_a_library_bound():
-    bounded = {key for key, option in cli._OPTIONS.items() if option["least"] is not None}
-    assert bounded - {"workers"} == set(LIBRARY_BOUNDS)
+@pytest.mark.parametrize("key", sorted(BAD_VALUES))
+def test_cli_bounds_equal_the_library_bounds(key, capsys):
+    # The CLI holds no bound of its own: a bad value passes parse_config and
+    # the library rejects it, before any line is printed.
+    raw, text = BAD_VALUES[key]
+    assert cli.main(_argv_without(key) + ["--" + key.replace("_", "-"), raw]) == 2
+    assert capsys.readouterr() == ("", f"usage error: {text}\n")
 
 
-@pytest.mark.parametrize("key", sorted(LIBRARY_BOUNDS))
-def test_cli_bounds_equal_the_library_bounds(key):
-    least = cli._OPTIONS[key]["least"]
-    with pytest.raises(ParameterError, match=f"must be >= {least}"):
-        LIBRARY_BOUNDS[key](least - 1)
-    argv = _argv_without(key) + ["--" + key.replace("_", "-"), str(least - 1)]
-    with pytest.raises(cli.UsageError, match=f"^{key} must be >= {least}, got {least - 1}$"):
-        cli.parse_config(argv)
+def test_parse_config_leaves_values_to_the_library():
+    cfg = cli.parse_config(["basin", "--c1", "0.95", "--res", "1"])
+    assert cfg.resolution == 1
 
 
 def test_every_config_field_is_accepted_by_some_subcommand():
