@@ -340,14 +340,14 @@ def _recurrences(
     transient = _require_integer("transient", transient, 0)
     x = np.array(x, dtype=float, order="F")
     for _ in range(transient):
-        step_batch(x, t, x)
+        step_batch(x, t)
     ref, inv = _distinct(x)
     x, low = ref.copy(order="F"), ref.copy(order="F")
     least = np.empty_like(low)
     periods = np.zeros(x.shape[0], dtype=int)
     live = np.arange(x.shape[0])
     for p in range(1, max_period + 1):
-        step_batch(x, t, x)
+        step_batch(x, t)
         hit = _returned(x, ref)
         _keep_least(low, x)
         if hit.any():
@@ -374,7 +374,7 @@ def _orbit_states(t: Threshold, x0: np.ndarray, p: int) -> np.ndarray:
     out = np.empty((p,) + x.shape[::-1])
     out[0] = x.T
     for k in range(1, p):
-        step_batch(x, t, x)
+        step_batch(x, t)
         out[k] = x.T
     return out.transpose(2, 0, 1)
 

@@ -33,29 +33,30 @@ column as one contiguous run (the fast path of
 
 A clip sets a site to exactly ``c1``, so cells fall onto few exact float
 states: at c1=0.95, r=499 the 62,500 simulated cells hold 9,577 distinct
-states at step 8 and 40 from step 64 on.  Each step passes its logistic
-images ``y`` to the next, and rows whose ``y`` agree bit for bit merge.
-This is exact at any step: the kernel is elementwise over rows, and step
-k+1 and every step after it, excesses included, depend on ``y_{k+1}``
-alone.  The head runs each chunk of whole x-rows, at most
-``_CHUNK_CELLS`` cells (small enough to stay in cache) and at least one
-x-row, for ``min(8, transient)`` steps.  The array is uni-directional, so
-site 0 is driven by nothing and its orbit depends on the cell's x offset
-alone: the head sweeps it once per x-row and sweeps sites 1..N-1 of every
-cell with that x-row's excess as their incoming carry.  It then assembles
-the chunk's (m, N) rows and compacts them to the distinct ones; an
-``int32`` owner map of 4 B per cell records each cell's row.  The tail
-gathers every chunk's rows into one batch, compacts it across chunks and
-runs the rest of the transient once per grid, compacting again at steps
-16, 32, 64, ... and at ``transient``.  The window then sums each row's
-excesses from zero, in step order, with no compaction in it.  The render's
-working set is the owner map plus one chunk, or the merged batch if
-larger: at c1=0.95 it peaks at 1.16 MB traced at r=499 and 16.8 MB at
-r=1999, where the merged batch holds 147,006 rows.  :func:`render_basins`
-then holds its two grids, 12 B per cell, and :func:`label_components` its
-labels next to them.  The accumulation drivers hold instead the classes of
-the simulated quadrant, 4 B per simulated cell, and one strip of at most
-``_STRIP_CELLS`` cells.
+states at step 8 and 40 from step 64 on.  Each step is one
+:func:`cascade_batch` call, which turns the logistic images ``y`` into the
+next step's in place, allocating no (m, N) array, and rows whose ``y``
+agree bit for bit merge.  This is exact at any step: the kernel is
+elementwise over rows, and step k+1 and every step after it, excesses
+included, depend on ``y_{k+1}`` alone.  The head runs each chunk of whole
+x-rows, at most ``_CHUNK_CELLS`` cells (small enough to stay in cache) and
+at least one x-row, for ``min(8, transient)`` steps.  The array is
+uni-directional, so site 0 is driven by nothing and its orbit depends on
+the cell's x offset alone: the head sweeps it once per x-row and sweeps
+sites 1..N-1 of every cell with that x-row's excess as their incoming
+carry.  It then assembles the chunk's (m, N) rows and compacts them to the
+distinct ones; an ``int32`` owner map of 4 B per cell records each cell's
+row.  The tail gathers every chunk's rows into one batch, compacts it
+across chunks and runs the rest of the transient once per grid, compacting
+again at steps 16, 32, 64, ... and at ``transient``.  The window then sums
+each row's excesses from zero, in step order, with no compaction in it.
+The render's working set is the owner map plus one chunk, or the merged
+batch if larger: at c1=0.95 it peaks at 1.16 MB traced at r=499 and 16.8 MB
+at r=1999, where the merged batch holds 147,006 rows.
+:func:`render_basins` then holds its two grids, 12 B per cell, and
+:func:`label_components` its labels next to them.  The accumulation drivers
+hold instead the classes of the simulated quadrant, 4 B per simulated cell,
+and one strip of at most ``_STRIP_CELLS`` cells.
 """
 
 from __future__ import annotations
@@ -205,25 +206,14 @@ _CHUNK_CELLS = 16384
 _FIRST_COMPACTION = 8
 
 
-def _step(y: np.ndarray, c1: float, carry: np.ndarray | None = None) -> np.ndarray:
-    """One step from the logistic images ``y``, in place: ``y`` becomes the
-    images ``(4x)(1 - x)`` of the step's state ``x``, with ``1 - x`` taken in
-    place of the spent ``x``.  ``carry`` is the sweep's incoming carry, as
-    for ``cascade_batch``.  Returns the step's excesses."""
-    x, e = cascade_batch(y, c1, carry)
-    np.multiply(4.0, x, out=y)
-    np.subtract(1.0, x, out=x)
-    np.multiply(y, x, out=y)
-    return e
-
-
 def _chunk_head(
     ux: np.ndarray, uy: np.ndarray, spec: GridSpec, c1: float, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The first ``steps`` steps of the cells on x offsets ``ux`` by ``uy``.
 
     The images of step 1 are ``1 - 4u**2`` (the symmetric form of the
-    logistic map at ``1/2 + u``).  Site 0 is driven by nothing, so its
+    logistic map at ``1/2 + u``), taken once per offset; a pin's offset is
+    ``pin - 0.5`` in the pin's own type.  Site 0 is driven by nothing, so its
     orbit depends on the cell's x offset alone: each step sweeps it once
     per x offset, as a (len(ux), 1) batch, and then sites 1..N-1 of every
     cell with its x-row's excess as their incoming carry, which is
@@ -234,17 +224,14 @@ def _chunk_head(
     rows, hy = ux.size, uy.size
     drive = (1.0 - 4.0 * (ux * ux))[:, None]
     y = np.empty((rows * hy, spec.n_sites), order="F")
-    y[:, 1].reshape(rows, hy)[...] = uy
-    for k, pinned in enumerate(spec.pinned_sites):
-        y[:, 2 + k] = pinned - 0.5
+    y[:, 1].reshape(rows, hy)[...] = 1.0 - 4.0 * (uy * uy)
+    pins = np.array([np.float64(p - 0.5) for p in spec.pinned_sites])
+    y[:, 2:] = 1.0 - 4.0 * (pins * pins)
     cells = y[:, 1:]
-    np.multiply(cells, cells, out=cells)
-    np.multiply(4.0, cells, out=cells)
-    np.subtract(1.0, cells, out=cells)
     carry = np.empty((rows, hy))
     for _ in range(steps):
-        carry[...] = _step(drive, c1)[:, None]
-        _step(cells, c1, carry.reshape(-1))
+        carry[...] = cascade_batch(drive, c1)[:, None]
+        cascade_batch(cells, c1, carry.reshape(-1))
     y[:, 0].reshape(rows, hy)[...] = drive
     return _distinct(y)
 
@@ -256,22 +243,23 @@ def _window_sums(
     sums and each cell's row.
 
     The render passes each unit axis folded to its first ``(r + 1) // 2``
-    offsets: they are exactly antisymmetric, and step 1 is ``1 - 4u**2``,
-    so the other half of the axis runs the same orbits bit for bit.  The
-    fingerprint of cell ``(i, j)`` is ``sums[owner[i*len(uy) + j]]``.
-    A batch row holds the logistic images ``y`` that the next step starts
-    from.  That step and every later one, excesses included, are functions
-    of ``y`` alone, so rows whose images agree bit for bit can merge at any
-    step without changing a bit.  Each chunk of whole x-rows, at most
-    ``_CHUNK_CELLS`` cells and at least one x-row, runs its head
-    (:func:`_chunk_head`, which steps site 0 once per x-row) on its own, to step
-    ``min(_FIRST_COMPACTION, transient)``; the chunks' distinct rows are
-    then gathered into one column-major batch, which runs the rest of the
-    transient once, compacted across chunks at the end of the head (unless
-    there was one chunk, which its head has just compacted), at steps 16,
-    32, ... and at ``transient``.  The window then runs on that batch from
-    zero sums, with no compaction in it, so each cell's excesses are summed
-    in step order.
+    offsets: they are exactly antisymmetric, and step 1 is ``1 - 4u**2``, so
+    the other half of the axis runs the same orbits bit for bit.  The
+    fingerprint of cell ``(i, j)`` is ``sums[owner[i*len(uy) + j]]``.  A
+    batch row holds the logistic images ``y`` that the next step starts
+    from; one :func:`cascade_batch` call, allocating nothing of the batch's
+    size, turns them into the next step's.  That step and every later one,
+    excesses included, are functions of ``y`` alone, so rows whose images
+    agree bit for bit can merge at any step without changing a bit.  Each
+    chunk of whole x-rows, at most ``_CHUNK_CELLS`` cells and at least one
+    x-row, runs its head (:func:`_chunk_head`, which steps site 0 once per
+    x-row) on its own, to step ``min(_FIRST_COMPACTION, transient)``; the
+    chunks' distinct rows are then gathered into one column-major batch,
+    which runs the rest of the transient once, compacted across chunks at
+    the end of the head (unless there was one chunk, which its head has just
+    compacted), at steps 16, 32, ... and at ``transient``.  The window then
+    runs on that batch from zero sums, with no compaction in it, so each
+    cell's excesses are summed in step order.
 
     ``owner`` is ``int32``, 4 B per cell.  A chunk's head peaks at about
     0.69 MB traced (c1 = 0.95, while compacting at step 8), less than half
@@ -302,13 +290,13 @@ def _window_sums(
     while k < transient:
         stop = min(2 * k, transient)
         for _ in range(k, stop):
-            _step(y, t.c1)
+            cascade_batch(y, t.c1)
         k = stop
         y, inv = _distinct(y)
         row = inv[row]
     sums = np.zeros(y.shape[0])
     for _ in range(spec.window):
-        sums += _step(y, t.c1)
+        sums += cascade_batch(y, t.c1)
     return sums[row], owner
 
 

@@ -7,22 +7,22 @@ the overflow is carried on.  The carry leaving the last site is the step's
 emitted excess, the observable time series of the system.
 
 The sweep is inherently sequential across sites, but distinct orbits are
-independent: :func:`step_batch` advances any number of orbits at once as
-rows of an array, fusing the logistic map into the sweep one site column at
-a time, and with ``out`` steps a batch in place; it is the census's kernel,
-and :func:`cascade_batch` sweeps the images the basin renderer computes.
-Given the excesses of a sweep over a row's first sites as its ``carry``,
-:func:`cascade_batch` sweeps the rest bit for bit as one sweep would; the
+independent.  Both batch kernels step the rows of a float (M, N) batch in
+place, one site column at a time, and return the M excesses:
+:func:`step_batch` steps states (the census's kernel) and
+:func:`cascade_batch` the logistic images the basin renderer keeps.  Given
+the excesses of a sweep over a row's first sites as its ``carry``,
+:func:`cascade_batch` steps the rest bit for bit as one sweep would; the
 renderer's head thus sweeps the undriven site 0 once per x-row of a grid.
 :func:`step` advances one state with a loop over its sites, as a one-row
 batch costs several times more per call.  All three are bit-identical for
 every finite image, so single orbits advanced either way agree bit for bit.
 
 Layout contract of the batch kernels: an (M, N) batch may have any memory
-order, and the result keeps the input's order.  The sweep reads one site
-column at a time, so column-major (Fortran) order, where each column is one
-contiguous run, is the fast path; the renderer and the census keep their
-batches column-major.  The values do not depend on the layout.
+order, and only length-M temporaries are allocated.  The sweep reads one
+site column at a time, so column-major (Fortran) order, where each column
+is one contiguous run, is the fast path; the renderer and the census keep
+their batches column-major.  The values do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -92,73 +92,64 @@ def step(s: LatticeState, t: Threshold) -> LatticeState:
     return LatticeState(sites=out, last_excess=e)
 
 
-def step_batch(
-    x: np.ndarray, t: Threshold, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance many independent orbits one step.
+def step_batch(x: np.ndarray, t: Threshold) -> np.ndarray:
+    """Advance many independent orbits one step, in place.
 
-    ``x`` has shape (M, N): M orbits of N sites.  Returns the new states
-    and the M emitted excesses.  Purely elementwise over orbits, so the
-    result does not depend on how a larger batch is split into blocks.
-    With ``out=None`` the states are a new float array in ``x``'s memory
-    order and ``x`` is untouched; else they are written to the float array
-    ``out``, which may be ``x`` itself.  Column-major is the fast path.
+    ``x`` is a float (M, N) batch of M orbits of N sites; its rows become
+    the next states, and the M emitted excesses are returned.  Elementwise
+    over orbits, so the result does not depend on how a larger batch is
+    split into blocks.  An int batch raises before any site is written.
 
     Each site column takes six ufunc calls on two length-M temporaries:
     ``s = 4 x``, ``x = 1 - x``, ``s *= x``, ``s += carry``,
-    ``x = min(s, c1)``, ``carry = s - x``.  At every finite ``s``,
-    ``s - min(s, c1)`` is ``max(s - c1, 0.0)`` bit for bit (the same
-    subtraction above ``c1``, ``+0.0`` at or below it), so the result
-    matches :func:`step` for every state in [0, 1].  It differs only where
-    an image is ``-inf``, from a state with ``|x| > 1e154``.
+    ``x = min(s, c1)``, ``carry = s - x``.  As in :func:`cascade_batch`,
+    ``s - min(s, c1)`` is ``max(s - c1, 0.0)`` at every finite ``s``, so
+    the result matches :func:`step` for every state in [0, 1].  It differs
+    only where an image is ``-inf``, from a state with ``|x| > 1e154``.
     """
-    if out is None:
-        out = np.array(x, dtype=float, order="K")
-    elif out is not x:
-        np.copyto(out, x)
     c1 = t.c1
-    s = np.empty(out.shape[0])
-    carry = np.zeros(out.shape[0])
-    for i in range(out.shape[1]):
-        col = out[:, i]
+    s = np.empty(x.shape[0])
+    carry = np.zeros(x.shape[0])
+    for i in range(x.shape[1]):
+        col = x[:, i]
         np.multiply(col, 4.0, out=s)
         np.subtract(1.0, col, out=col)
         s *= col
         s += carry
         np.minimum(s, c1, out=col)
         np.subtract(s, col, out=carry)
-    return out, carry
+    return carry
 
 
 def cascade_batch(
     y: np.ndarray, c1: float, carry: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised cascade sweep over rows of ``y`` (shape (M, N)).
+) -> np.ndarray:
+    """One lattice step from the logistic images ``y`` (shape (M, N)), in place.
 
-    Copies ``y`` once and sweeps its site columns in place: ``min(yh, c1)``
-    is the clipped value and ``max(yh - c1, 0)`` the carry.  For finite
-    input this is bit-identical to the branching sweep of :func:`step`:
-    ``yh - c1 > 0`` exactly when ``yh > c1`` (gradual underflow), and
-    ``yh == c1`` carries ``+0.0``.
-    ``carry`` holds the M carries into the first column, zero if ``None``:
-    the excesses of a sweep of the sites to the left, so that sweeping a
-    row's sites in two batches, the second given the first's excesses, is
-    bit-identical to sweeping them in one.  It is swept in place and
-    returned as the excesses.
-    ``y`` itself is not modified.  The copy keeps ``y``'s memory order, so
-    any order is accepted and kept; with column-major ``y`` each swept
-    column is contiguous, which is the fast path.
+    Per site column: ``yh = y + carry``, ``x = min(yh, c1)``,
+    ``carry = yh - x``, ``y = (4 x)(1 - x)``, on one length-M temporary,
+    so ``y`` becomes the next step's images; returns the M excesses.  At
+    every finite ``yh``, ``yh - min(yh, c1)`` is ``max(yh - c1, 0.0)`` bit
+    for bit (the same subtraction above ``c1``, ``yh - yh = +0.0`` at or
+    below it), so the sweep is the branching one of :func:`step`, ties
+    and their ``+0.0`` carries included.  ``carry`` holds the M carries
+    into the first column, zero if ``None``: the excesses of a sweep of the
+    sites to the left, so that stepping a row's sites in two batches, the
+    second given the first's excesses, is bit-identical to stepping them
+    in one.  It is swept in place and returned.
     """
-    out = y.copy(order="K")
+    x = np.empty(y.shape[0])
     if carry is None:
         carry = np.zeros(y.shape[0])
     for i in range(y.shape[1]):
-        yh = out[:, i]
-        np.add(yh, carry, out=yh)
-        np.subtract(yh, c1, out=carry)
-        np.maximum(carry, 0.0, out=carry)
-        np.minimum(yh, c1, out=yh)
-    return out, carry
+        yh = y[:, i]
+        yh += carry
+        np.minimum(yh, c1, out=x)
+        np.subtract(yh, x, out=carry)
+        np.multiply(x, 4.0, out=yh)
+        np.subtract(1.0, x, out=x)
+        yh *= x
+    return carry
 
 
 #: Odd multiplier of the row hash of :func:`_distinct_rows` (the 64-bit

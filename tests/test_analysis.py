@@ -517,16 +517,18 @@ ORACLE_TOLS = [0.0, 1e-9]
 
 def _recurrences_oracle(t, x, transient, max_period, tol=0.0):
     # The row-major recurrence search the census was first written with:
-    # (M, N) batches in C order and a (max_period + 1, M, N) history.
+    # (M, N) batches in C order and a (max_period + 1, M, N) history.  A
+    # private copy of ``x`` is stepped.
     if max_period < 1:
         raise ParameterError("max_period must be >= 1")
+    x = np.array(x, dtype=float, order="C")
     for _ in range(transient):
-        x, _ = cm.step_batch(x, t)
+        cm.step_batch(x, t)
     history = np.empty((max_period + 1,) + x.shape)
     history[0] = x
     periods = np.zeros(x.shape[0], dtype=int)
     for p in range(1, max_period + 1):
-        x, _ = cm.step_batch(x, t)
+        cm.step_batch(x, t)
         history[p] = x
         hit = (periods == 0) & (np.max(np.abs(x - history[0]), axis=1) <= tol)
         periods[hit] = p

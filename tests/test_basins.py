@@ -12,7 +12,6 @@ import cascade_maps as cm
 from cascade_maps import analysis, basins
 from cascade_maps.basins import _bucket_fingerprints
 from cascade_maps.errors import ParameterError
-from cascade_maps.lattice import cascade_batch
 
 T84 = cm.Threshold(0.84)
 T80 = cm.Threshold(0.80)
@@ -170,19 +169,35 @@ def test_slice_fingerprints_mirror_symmetric_along_the_unit_axis(t):
     assert f[:, ::-1].tobytes() != f.tobytes()
 
 
+def _sweep(y, c1):
+    # The cascade sweep of a copy of the images ``y``, column by column:
+    # min(yh, c1) is the clipped value and max(yh - c1, 0) the carry.
+    x = y.copy()
+    carry = np.zeros(y.shape[0])
+    for i in range(y.shape[1]):
+        yh = x[:, i]
+        yh += carry
+        np.subtract(yh, c1, out=carry)
+        np.maximum(carry, 0.0, out=carry)
+        np.minimum(yh, c1, out=yh)
+    return x, carry
+
+
 def _direct_fingerprints(t, spec):
     # Oracle: every cell of the grid stepped as one block, none reflected
     # and none merged, with the window's excesses summed in step order.
+    # Each pin's offset is taken in the pin's own type, as Python does.
     r = spec.resolution
     u = np.empty((r * r, spec.n_sites))
     u[:, 0] = np.repeat(basins._axis_offsets(spec.x_range, r), r)
     u[:, 1] = np.tile(basins._axis_offsets(spec.y_range, r), r)
-    u[:, 2:] = np.subtract(spec.pinned_sites, 0.5)
-    x, e = cascade_batch(1.0 - 4.0 * (u * u), t.c1)
+    for k, pinned in enumerate(spec.pinned_sites):
+        u[:, 2 + k] = pinned - 0.5
+    x, e = _sweep(1.0 - 4.0 * (u * u), t.c1)
     total = np.zeros(r * r)
     for k in range(1, spec.transient + spec.window + 1):
         if k > 1:
-            x, e = cascade_batch(4.0 * x * (1.0 - x), t.c1)
+            x, e = _sweep(4.0 * x * (1.0 - x), t.c1)
         if k > spec.transient:
             total += e
     return total
@@ -215,6 +230,20 @@ def test_render_matches_direct_simulation_of_every_cell(monkeypatch, r, chunk):
                 want = _direct_fingerprints(t, spec).tobytes()
                 g = cm.render_basins(t, spec)
                 assert g.fingerprints.tobytes() == want, (t.c1, spec)
+
+
+@pytest.mark.parametrize("pins", [(np.float32(0.1),), (1,), (0.3, np.float32(0.7), 0)])
+@pytest.mark.parametrize("t", [T84, T95, T98])
+def test_render_with_int_and_float32_pins_matches_direct_simulation(t, pins):
+    # A pin's offset is ``pin - 0.5`` in the pin's own type: it rounds to
+    # float32 for an np.float32 pin, which differs from its float64 value.
+    assert np.float64(np.float32(0.1) - 0.5) != float(np.float32(0.1)) - 0.5
+    for spec in (
+        cm.GridSpec(resolution=31, pinned_sites=pins, transient=40),
+        cm.GridSpec(resolution=32, y_range=(0.2, 0.7), pinned_sites=pins, transient=9),
+    ):
+        want = _direct_fingerprints(t, spec).tobytes()
+        assert cm.render_basins(t, spec).fingerprints.tobytes() == want, (t.c1, spec)
 
 
 @pytest.mark.parametrize("transient", [0, 3, 9])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -226,21 +228,24 @@ def test_step_tie_example_meets_threshold_exactly():
 def test_step_batch_matches_scalar_step_bitwise():
     rng = np.random.default_rng(21)
     x = rng.random((200, 3))
-    bx, be = step_batch(x, T84)
+    bx = x.copy()
+    be = step_batch(bx, T84)
     for i in range(200):
         s = cm.step(cm.LatticeState(sites=x[i]), T84)
-        assert np.array_equal(s.sites, bx[i])
-        assert s.last_excess == be[i]
+        assert s.sites.tobytes() == bx[i].tobytes()
+        assert np.float64(s.last_excess).tobytes() == be[i].tobytes()
 
 
 def test_batch_result_independent_of_block_split():
     rng = np.random.default_rng(22)
     x = rng.random((101, 2))
-    full, fe = step_batch(x, T90)
-    top, te = step_batch(x[:37], T90)
-    bot, be = step_batch(x[37:], T90)
-    assert np.array_equal(full, np.vstack([top, bot]))
-    assert np.array_equal(fe, np.concatenate([te, be]))
+    full = x.copy()
+    fe = step_batch(full, T90)
+    split = x.copy()
+    te = step_batch(split[:37], T90)
+    be = step_batch(split[37:], T90)
+    assert split.tobytes() == full.tobytes()
+    assert np.concatenate([te, be]).tobytes() == fe.tobytes()
 
 
 def test_decoupled_sites_follow_independent_scalar_orbits():
@@ -275,7 +280,7 @@ def test_lattice_absorbed_into_product_interval():
     x = rng.uniform(1e-6, 1 - 1e-6, (2_000, 3))
     entered = np.zeros(len(x), dtype=bool)
     for _ in range(200):
-        x, _ = step_batch(x, T90)
+        step_batch(x, T90)
         in_a = np.all((x >= lo_a) & (x <= hi_a), axis=1)
         assert not np.any(entered & ~in_a)
         entered |= in_a
@@ -320,14 +325,36 @@ def test_window_sum_phase_invariant_for_even_window():
 # ------------------------------------------------- vectorised cascade kernel
 
 
+def _logistic(x):
+    return 4.0 * x * (1.0 - x)
+
+
+def _next_rows(kernel, y, t):
+    """What one call of ``kernel`` leaves in each row of ``y`` and the row's
+    excess, from the scalar sweep: ``cascade_batch`` leaves the logistic
+    images of ``_cascade_oracle``'s sites, ``step_batch`` the states of
+    :func:`cm.step`."""
+    rows, excesses = [], []
+    for row in y:
+        if kernel == "cascade_batch":
+            x, e = _cascade_oracle(row, t)
+            rows.append(_logistic(x))
+        else:
+            s = cm.step(cm.LatticeState(sites=row), t)
+            rows.append(s.sites)
+            e = s.last_excess
+        excesses.append(e)
+    return np.array(rows), np.array(excesses)
+
+
 def test_cascade_batch_matches_scalar_cascade():
     rng = np.random.default_rng(31)
     y = rng.random((300, 4))
-    bx, be = cascade_batch(y, T84.c1)
-    for i in range(300):
-        x, e = _cascade_oracle(y[i], T84)
-        assert np.array_equal(x, bx[i])
-        assert e == be[i]
+    b = y.copy()
+    be = cascade_batch(b, T84.c1)
+    want, want_e = _next_rows("cascade_batch", y, T84)
+    assert b.tobytes() == want.tobytes()
+    assert be.tobytes() == want_e.tobytes()
 
 
 @given(
@@ -342,13 +369,11 @@ def test_cascade_batch_is_bitwise_scalar_cascade_at_exact_ties(grid):
     t = cm.Threshold(0.875)
     y = np.array(grid, dtype=float) / 64.0
     y[0] = [1.0, 0.75, t.c1]  # ties with and without an incoming carry
-    before = y.copy()
-    bx, be = cascade_batch(y, t.c1)
-    assert y.tobytes() == before.tobytes()
-    for i in range(y.shape[0]):
-        x, e = _cascade_oracle(y[i], t)
-        assert x.tobytes() == bx[i].tobytes()
-        assert np.float64(e).tobytes() == be[i].tobytes()
+    b = y.copy()
+    be = cascade_batch(b, t.c1)
+    want, want_e = _next_rows("cascade_batch", y, t)
+    assert b.tobytes() == want.tobytes()
+    assert be.tobytes() == want_e.tobytes()
 
 
 @given(
@@ -363,11 +388,12 @@ def test_cascade_batch_continues_a_sweep_from_its_carry(grid, split):
     t = cm.Threshold(0.875)
     y = np.array(grid, dtype=float) / 64.0
     y[0] = [1.0, 0.75, t.c1]
-    want_x, want_e = cascade_batch(y, t.c1)
-    head_x, head_e = cascade_batch(y[:, :split], t.c1)
-    tail_x, tail_e = cascade_batch(y[:, split:], t.c1, head_e)
+    want, want_e = _next_rows("cascade_batch", y, t)
+    b = y.copy()
+    head_e = cascade_batch(b[:, :split], t.c1)
+    tail_e = cascade_batch(b[:, split:], t.c1, head_e)
     assert tail_e is head_e
-    assert np.hstack((head_x, tail_x)).tobytes() == want_x.tobytes()
+    assert b.tobytes() == want.tobytes()
     assert tail_e.tobytes() == want_e.tobytes()
 
 
@@ -392,7 +418,8 @@ def _layouts(y):
 )
 def test_batch_kernels_do_not_depend_on_memory_order(grid, kernel):
     # Dyadic values make ties yh == c1 common (see the test above), so the
-    # sign of every zero carry is compared too.
+    # sign of every zero carry is compared too.  Each layout is a fresh
+    # batch (``_layouts`` may return its input itself), stepped in place.
     t = cm.Threshold(0.875)
     y = np.array(grid, dtype=float) / 64.0
     y[0] = [1.0, 0.75, t.c1]
@@ -400,55 +427,39 @@ def test_batch_kernels_do_not_depend_on_memory_order(grid, kernel):
         "cascade_batch": lambda a: cascade_batch(a, t.c1),
         "step_batch": lambda a: step_batch(a, t),
     }[kernel]
-    want_x, want_e = run(np.ascontiguousarray(y))
-    for name, a in _layouts(y).items():
-        before = a.tobytes()
-        x, e = run(a)
-        assert a.tobytes() == before, name
-        assert x.shape == y.shape
-        assert x.tobytes() == want_x.tobytes(), name
+    want, want_e = _next_rows(kernel, y, t)
+    for name in ("C", "F", "strided"):
+        a = _layouts(y.copy())[name]
+        e = run(a)
+        assert a.tobytes() == want.tobytes(), name
         assert e.tobytes() == want_e.tobytes(), name
-        if name == "F":
-            assert x.flags.f_contiguous
-        if name == "C":
-            assert x.flags.c_contiguous
-        if kernel == "step_batch":
-            # In place on a fresh batch of the same layout (``_layouts``
-            # may return ``y`` itself): the same bits, carries included,
-            # written into the batch itself.
-            b = _layouts(y.copy())[name]
-            x, e = step_batch(b, t, b)
-            assert x is b
-            assert b.tobytes() == want_x.tobytes(), name
-            assert e.tobytes() == want_e.tobytes(), name
 
 
-def test_step_batch_writes_a_separate_out_and_leaves_the_input():
-    # The dyadic grid of the tests above, where ties yh == c1 are common.
-    t = cm.Threshold(0.875)
-    y = np.array([[k, (3 * k) % 65, (7 * k) % 65] for k in range(65)]) / 64.0
-    y[0] = [1.0, 0.75, t.c1]
-    before = y.tobytes()
-    want_x, want_e = step_batch(y, t)
-    assert y.tobytes() == before
-    for order in "CF":
-        out = np.full(y.shape, np.nan, order=order)
-        x, e = step_batch(y, t, out)
-        assert x is out
-        assert y.tobytes() == before
-        assert out.tobytes() == want_x.tobytes()
-        assert e.tobytes() == want_e.tobytes()
-
-
-def test_step_batch_of_an_int_batch_is_float():
+def test_step_batch_rejects_an_int_batch_and_leaves_it():
     t = cm.Threshold(0.875)
     ints = np.array([[0, 1, 1], [1, 0, 0]])
-    x, e = step_batch(ints, t)
-    assert x.dtype == np.float64 and e.dtype == np.float64
-    want_x, want_e = step_batch(ints.astype(float), t)
-    assert x.tobytes() == want_x.tobytes()
-    assert e.tobytes() == want_e.tobytes()
+    with pytest.raises(TypeError):
+        step_batch(ints, t)
     assert ints.tolist() == [[0, 1, 1], [1, 0, 0]]
+
+
+@pytest.mark.parametrize("kernel", ["cascade_batch", "step_batch"])
+def test_a_kernel_call_works_in_memory_linear_in_the_rows(kernel):
+    # Both kernels step the batch in place on length-M temporaries: a copy
+    # of the (M, N) batch would take 8 M N bytes, twice the bound at N = 8.
+    m = 16384
+    y = np.asfortranarray(np.random.default_rng(5).random((m, 8)))
+    run = {
+        "cascade_batch": lambda a: cascade_batch(a, 0.875),
+        "step_batch": lambda a: step_batch(a, cm.Threshold(0.875)),
+    }[kernel]
+    tracemalloc.start()
+    try:
+        run(y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * m
 
 
 _STATE = st.floats(-1e150, 1e150) | st.integers(0, 64).map(lambda k: k / 64)
@@ -462,13 +473,22 @@ _STATE = st.floats(-1e150, 1e150) | st.integers(0, 64).map(lambda k: k / 64)
 def test_step_batch_is_the_logistic_image_swept_by_cascade_batch(rows):
     # The fused carry s - min(s, c1) equals max(s - c1, 0) bit for bit at
     # every finite s, so any state whose images stay finite (here |x| <=
-    # 1e150, images above -5e300) steps as the unfused form does.
+    # 1e150, images above -5e300) steps as the scalar sweep of its images;
+    # and cascade_batch, given those images, leaves the images of its
+    # states (which may overflow, in both alike).
     t = cm.Threshold(0.875)
     x = np.array(rows, dtype=float)
-    want_x, want_e = cascade_batch(4.0 * x * (1.0 - x), t.c1)
-    got_x, got_e = step_batch(x, t)
+    images = _logistic(x)
+    swept = [_cascade_oracle(row, t) for row in images]
+    want_x = np.array([row for row, _ in swept])
+    want_e = np.array([e for _, e in swept])
+    got_x = x.copy()
+    got_e = step_batch(got_x, t)
     assert got_x.tobytes() == want_x.tobytes()
     assert got_e.tobytes() == want_e.tobytes()
+    with np.errstate(over="ignore"):
+        assert cascade_batch(images, t.c1).tobytes() == want_e.tobytes()
+        assert images.tobytes() == _logistic(got_x).tobytes()
 
 
 def _spy(monkeypatch, module, name, batches):
