@@ -9,9 +9,9 @@ finite-resolution proxy for basin components accumulating at the corners
 and at interior points: :func:`corner_accumulation` its corner boxes, and
 :func:`interior_accumulation` its disks.  Each driver selects and checks
 its own regions.  The drivers build neither the fingerprint grid nor the
-class grid: they label the class map strip by strip of whole rows, rebuilt
-from the simulated quadrant, and keep across strips only the components
-open on the last row (see :func:`_strip_counts`).
+class grid: they label the class map strip by strip of whole rows, and keep
+across strips only the components open on the last row (see
+:func:`_strip_counts`).
 
 Mirror symmetry is preserved exactly: on the default unit square the cell
 centres are stored as offsets ``u`` from 1/2 with ``u`` exactly
@@ -23,12 +23,16 @@ on its own.
 
 So each axis is folded on its own: on an axis that spans the unit interval
 only its first ``(r + 1) // 2`` cells are simulated, any other axis is
-simulated whole, and the grid is rebuilt by reflecting along each folded
-axis.  The unit square simulates one quadrant.  Simulated cells are
-numbered ``k = i*hy + j``, with ``hy`` the simulated cells of the y axis.
-Batches are column-major (m, N), or in the head one site-0 row per x-row
-and (m, N - 1) of the other sites, so the cascade sweep reads each site
-column as one contiguous run (the fast path of
+simulated whole.  The unit square simulates one quadrant.  With ``hx`` and
+``hy`` the simulated cells of the x and y axes, grid row ``i >= hx`` is row
+``r - 1 - i`` and column ``j >= hy`` is column ``r - 1 - j``, and
+:func:`_unfold` rebuilds every grid row that is output by these
+reflections: the whole grids of :func:`render_basins` and the strips of
+the drivers.  The reflected cells hold bit-identical values, so the
+quadrant's values are bucketed alone.  Simulated cells are numbered
+``k = i*hy + j``.  Batches are column-major (m, N), or in the head one
+site-0 row per x-row and (m, N - 1) of the other sites, so the cascade
+sweep reads each site column as one contiguous run (the fast path of
 :func:`cascade_maps.lattice.cascade_batch`).
 
 A clip sets a site to exactly ``c1``, so cells fall onto few exact float
@@ -40,23 +44,28 @@ agree bit for bit merge.  This is exact at any step: the kernel is
 elementwise over rows, and step k+1 and every step after it, excesses
 included, depend on ``y_{k+1}`` alone.  The head runs each chunk of whole
 x-rows, at most ``_CHUNK_CELLS`` cells (small enough to stay in cache) and
-at least one x-row, for ``min(8, transient)`` steps.  The array is
-uni-directional, so site 0 is driven by nothing and its orbit depends on
-the cell's x offset alone: the head sweeps it once per x-row and sweeps
+at least one x-row, on its own for ``min(8, transient)`` steps.  The array
+is uni-directional, so site 0 is driven by nothing and its orbit depends
+on the cell's x offset alone: the head sweeps it once per x-row and sweeps
 sites 1..N-1 of every cell with that x-row's excess as their incoming
-carry.  It then assembles the chunk's (m, N) rows and compacts them to the
-distinct ones; an ``int32`` owner map of 4 B per cell records each cell's
-row.  The tail gathers every chunk's rows into one batch, compacts it
-across chunks and runs the rest of the transient once per grid, compacting
-again at steps 16, 32, 64, ... and at ``transient``.  The window then sums
-each row's excesses from zero, in step order, with no compaction in it.
+carry, which is bit-identical to sweeping all N sites at once.  It then
+assembles the chunk's (m, N) rows and compacts them to the distinct ones;
+an ``int32`` owner map of 4 B per cell records each cell's row.  The tail
+gathers every chunk's rows into one batch, compacts it across chunks
+(unless there was one chunk, which its head has just compacted) and runs
+the rest of the transient once per grid, compacting again at steps 16,
+32, 64, ... and at ``transient``.  The window then sums each row's
+excesses from zero, in step order, with no compaction in it.
+
 The render's working set is the owner map plus one chunk, or the merged
-batch if larger: at c1=0.95 it peaks at 1.16 MB traced at r=499 and 16.8 MB
-at r=1999, where the merged batch holds 147,006 rows.
-:func:`render_basins` then holds its two grids, 12 B per cell, and
-:func:`label_components` its labels next to them.  The accumulation drivers
-hold instead the classes of the simulated quadrant, 4 B per simulated cell,
-and one strip of at most ``_STRIP_CELLS`` cells.
+batch if larger.  A chunk's head peaks at 0.82 MB traced (c1=0.95, the
+first 65 x 250 cells of r=499, while compacting at step 8), less than half
+of what labelling the r=499 grid needs next to it.  At c1=0.95 the render
+peaks at 1.16 MB traced at r=499 and 16.8 MB at r=1999, where the merged
+batch holds 147,006 rows.  :func:`render_basins` then holds its two grids,
+12 B per cell, and :func:`label_components` its labels next to them.  The
+accumulation drivers hold instead the classes of the simulated quadrant,
+4 B per simulated cell, and one strip of at most ``_STRIP_CELLS`` cells.
 """
 
 from __future__ import annotations
@@ -211,15 +220,9 @@ def _chunk_head(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The first ``steps`` steps of the cells on x offsets ``ux`` by ``uy``.
 
-    The images of step 1 are ``1 - 4u**2`` (the symmetric form of the
-    logistic map at ``1/2 + u``), taken once per offset; a pin's offset is
-    ``pin - 0.5`` in the pin's own type.  Site 0 is driven by nothing, so its
-    orbit depends on the cell's x offset alone: each step sweeps it once
-    per x offset, as a (len(ux), 1) batch, and then sites 1..N-1 of every
-    cell with its x-row's excess as their incoming carry, which is
-    bit-identical to sweeping all N sites at once.  The drive's images fill
-    column 0 only once the steps are done.  Returns the distinct (m, N)
-    images of step ``steps + 1`` and each cell's row.
+    Returns the distinct (m, N) images of step ``steps + 1`` and each
+    cell's row.  A pin's offset is ``pin - 0.5`` in the pin's own type, so
+    that the pinned site runs a direct simulation's orbit bit for bit.
     """
     rows, hy = ux.size, uy.size
     drive = (1.0 - 4.0 * (ux * ux))[:, None]
@@ -240,30 +243,8 @@ def _window_sums(
     t: Threshold, spec: GridSpec, ux: np.ndarray, uy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Window sums of the cells on axis offsets ``ux`` by ``uy``: per-row
-    sums and each cell's row.
-
-    The render passes each unit axis folded to its first ``(r + 1) // 2``
-    offsets: they are exactly antisymmetric, and step 1 is ``1 - 4u**2``, so
-    the other half of the axis runs the same orbits bit for bit.  The
-    fingerprint of cell ``(i, j)`` is ``sums[owner[i*len(uy) + j]]``.  A
-    batch row holds the logistic images ``y`` that the next step starts
-    from; one :func:`cascade_batch` call, allocating nothing of the batch's
-    size, turns them into the next step's.  That step and every later one,
-    excesses included, are functions of ``y`` alone, so rows whose images
-    agree bit for bit can merge at any step without changing a bit.  Each
-    chunk of whole x-rows, at most ``_CHUNK_CELLS`` cells and at least one
-    x-row, runs its head (:func:`_chunk_head`, which steps site 0 once per
-    x-row) on its own, to step ``min(_FIRST_COMPACTION, transient)``; the
-    chunks' distinct rows are then gathered into one column-major batch,
-    which runs the rest of the transient once, compacted across chunks at
-    the end of the head (unless there was one chunk, which its head has just
-    compacted), at steps 16, 32, ... and at ``transient``.  The window then
-    runs on that batch from zero sums, with no compaction in it, so each
-    cell's excesses are summed in step order.
-
-    ``owner`` is ``int32``, 4 B per cell.  A chunk's head peaks at about
-    0.69 MB traced (c1 = 0.95, while compacting at step 8), less than half
-    of what labelling the r = 499 grid needs next to it.
+    sums and each cell's ``int32`` row, so that the fingerprint of cell
+    ``(i, j)`` is ``sums[owner[i*len(uy) + j]]``.
     """
     hx, hy = ux.size, uy.size
     transient = spec.transient
@@ -319,37 +300,39 @@ def _render_rows(
     return sums, row_classes, class_table, owner.reshape(ux.size, uy.size)
 
 
+def _unfold(quadrant: np.ndarray, r: int, i0: int, i1: int) -> np.ndarray:
+    """Grid rows ``i0 .. i1 - 1`` of an ``r`` by ``r`` grid, rebuilt from its
+    simulated quadrant: an axis of ``r`` quadrant cells is whole, any other
+    is folded.
+
+    Columns are mirrored from the quadrant's rows, never within the output:
+    an overlapping copy would make numpy buffer it.
+    """
+    hx, hy = quadrant.shape
+    mid = min(max(i0, hx), i1)
+    out = np.empty((i1 - i0, r), dtype=quadrant.dtype)
+    for rows, source in (
+        (out[: mid - i0], quadrant[i0:mid]),
+        (out[mid - i0 :], quadrant[r - i1 : r - mid][::-1]),
+    ):
+        rows[:, :hy] = source
+        rows[:, hy:] = source[:, : r - hy][:, ::-1]
+    return out
+
+
 def render_basins(t: Threshold, spec: GridSpec) -> BasinGrid:
     """Render the fingerprint grid and bucket it into classes.
 
-    Deterministic: cells are pure functions of their centre.  Each step
-    passes its logistic images to the next, and merging cells whose images
-    agree bit for bit changes no bit, since a step's images alone fix every
-    later step (see :func:`_window_sums`).  Each axis is folded on its own:
-    on an axis that spans the unit interval only the first ``(r + 1) // 2``
-    cells are simulated, and the rest are the mirror images of the first
-    ``r // 2``; any other axis is simulated whole.  The fold is exact,
-    because the unit axis offsets are exactly antisymmetric and step 1
-    depends on ``u**2`` alone.  The output is allocated once the orbits are
-    done (:func:`_render_rows`), and then filled by reflection.  The per-row
+    Deterministic: cells are pure functions of their centre.  The per-row
     window sums hold every value the cells hold, so they are bucketed alone
-    and each cell takes its row's class; the reflected cells hold
-    bit-identical values, so the classes and the class table are those of
-    the whole grid.
+    and each cell takes its row's class.
     """
     r = spec.resolution
     sums, row_classes, class_table, owner = _render_rows(t, spec)
-    hx, hy = owner.shape
-    grids = np.empty((r, r)), np.empty((r, r), dtype=np.int32)
-    for grid, per_row in zip(grids, (sums, row_classes)):
-        simulated = per_row[owner]
-        grid[:hx, :hy] = simulated
-        grid[:hx, hy:] = simulated[:, : r - hy][:, ::-1]
-        grid[hx:] = grid[: r - hx][::-1]
-        # Free the fingerprints' gather before the classes' is made.
-        del simulated
+    # Fingerprints first: their 8-B quadrant is freed before the class grid is made.
+    fingerprints, classes = (_unfold(v[owner], r, 0, r) for v in (sums, row_classes))
     return BasinGrid(
-        spec=spec, fingerprints=grids[0], classes=grids[1], class_table=class_table
+        spec=spec, fingerprints=fingerprints, classes=classes, class_table=class_table
     )
 
 
@@ -465,24 +448,6 @@ def label_components(g: BasinGrid) -> ComponentStats:
 _STRIP_CELLS = 65536
 
 
-def _class_strips(quadrant: np.ndarray, r: int):
-    """The class map of ``r`` by ``r`` cells, from the top row down, as strips
-    of whole grid rows, at most ``_STRIP_CELLS`` cells and at least one row
-    each: yields each strip's slice of grid rows and its ``int32`` classes.
-    Each strip is rebuilt from the classes of the simulated quadrant by the
-    reflections of :func:`render_basins`: grid row ``i >= hx`` is row
-    ``r - 1 - i``, and column ``j >= hy`` is column ``r - 1 - j``.
-    """
-    hx, hy = quadrant.shape
-    step = max(1, _STRIP_CELLS // r)
-    for i0 in range(0, r, step):
-        i = np.arange(i0, min(i0 + step, r))
-        strip = np.empty((i.size, r), dtype=np.int32)
-        strip[:, :hy] = quadrant[np.where(i < hx, i, r - 1 - i)]
-        strip[:, hy:] = strip[:, : r - hy][:, ::-1]
-        yield slice(i0, i0 + i.size), strip
-
-
 def _strip_counts(strips) -> list[int]:
     """Distinct 4-connected components that meet each region of a class map
     given strip by strip (row-by-row cluster labelling, as in Hoshen and
@@ -544,8 +509,10 @@ def _region_counts(t: Threshold, spec: GridSpec, regions) -> list[int]:
     _, row_classes, _, owner = _render_rows(t, spec)
     quadrant = row_classes[owner]
     del owner
-    strips = _class_strips(quadrant, spec.resolution)
-    return _strip_counts((c, regions(rows)) for rows, c in strips)
+    r = spec.resolution
+    step = max(1, _STRIP_CELLS // r)
+    strips = (slice(i0, min(i0 + step, r)) for i0 in range(0, r, step))
+    return _strip_counts((_unfold(quadrant, r, s.start, s.stop), regions(s)) for s in strips)
 
 
 def _box_sides(centres: np.ndarray, eps: float) -> tuple[tuple[int, int], tuple[int, int]]:

@@ -181,21 +181,20 @@ def _palette(n_classes: int) -> np.ndarray:
 def write_image(grid: BasinGrid, path: str, image_format: str) -> None:
     """Write a basin grid as a PGM ("pgm", class ids scaled onto 0..255) or
     PPM ("ppm", the class palette) image file, top row the largest y."""
-    img = grid.classes.T[::-1, :]
-    if img.size and not 0 <= img.min() <= img.max() < grid.n_classes:
-        raise ValueError(f"class ids must lie in [0, {grid.n_classes})")
+    img, n = grid.classes.T[::-1, :], grid.n_classes
+    if img.size and not 0 <= img.min() <= img.max() < n:
+        raise ValueError(f"class ids must lie in [0, {n})")
     if image_format == "pgm":
-        magic = "P5"
-        pixels = np.rint(img * (255.0 / max(grid.n_classes - 1, 1))).astype(np.uint8)
+        magic, table = "P5", np.rint(np.arange(n) * (255.0 / max(n - 1, 1))).astype(np.uint8)
     elif image_format == "ppm":
-        magic = "P6"
-        pixels = _palette(grid.n_classes)[img]
+        magic, table = "P6", _palette(n)
     else:
         raise ValueError(f"unknown image format {image_format!r}")
+    pixels = table[img]
     h, w = img.shape
-    payload = f"{magic}\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes()
     try:
         with open(path, "wb") as fh:
-            fh.write(payload)
+            fh.write(f"{magic}\n{w} {h}\n255\n".encode("ascii"))
+            fh.write(pixels.tobytes())
     except OSError as exc:
         raise OSError(f"cannot write image to {path!r}: {exc}") from exc

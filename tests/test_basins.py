@@ -483,6 +483,65 @@ def test_refinement_does_not_lose_components():
     assert c128.total_components >= c64.total_components
 
 
+# ----------------------------------------------------------------- unfolding
+
+
+def _index_map_unfold(quadrant, r, i0, i1):
+    # Grid row i >= hx is quadrant row r - 1 - i, and column j >= hy is
+    # quadrant column r - 1 - j.
+    hx, hy = quadrant.shape
+    i, j = np.arange(i0, i1), np.arange(r)
+    return quadrant[np.where(i < hx, i, r - 1 - i)][:, np.where(j < hy, j, r - 1 - j)]
+
+
+_FOLDS = {"both": (True, True), "x": (True, False), "y": (False, True), "none": (False, False)}
+
+
+def _quadrant(r, fold, dtype):
+    rng = np.random.default_rng(r)
+    shape = tuple((r + 1) // 2 if folded else r for folded in _FOLDS[fold])
+    if dtype == np.int32:
+        return rng.integers(-(2**31), 2**31, shape, dtype=np.int32)
+    return rng.standard_normal(shape)
+
+
+def _assert_unfolds_alike(quadrant, r, i0, i1):
+    got = basins._unfold(quadrant, r, i0, i1)
+    expect = _index_map_unfold(quadrant, r, i0, i1)
+    assert got.dtype == quadrant.dtype and got.shape == (i1 - i0, r)
+    assert got.tobytes() == expect.tobytes(), (r, i0, i1)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int32], ids=["f64", "i32"])
+@pytest.mark.parametrize("fold", list(_FOLDS))
+@pytest.mark.parametrize("r", [2, 3, 64, 65])
+def test_unfold_of_a_whole_grid_matches_the_index_map(r, fold, dtype):
+    _assert_unfolds_alike(_quadrant(r, fold, dtype), r, 0, r)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int32], ids=["f64", "i32"])
+@pytest.mark.parametrize("fold", list(_FOLDS))
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_unfold_of_every_strip_of_a_small_grid_matches_the_index_map(r, fold, dtype):
+    quadrant = _quadrant(r, fold, dtype)
+    for i0 in range(r + 1):
+        for i1 in range(i0, r + 1):
+            _assert_unfolds_alike(quadrant, r, i0, i1)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int32], ids=["f64", "i32"])
+@pytest.mark.parametrize("fold", list(_FOLDS))
+@pytest.mark.parametrize("r", [64, 65])
+def test_unfold_of_one_row_strips_and_strips_across_the_fold(r, fold, dtype):
+    # r = 64 folds to 32 rows with no middle row; r = 65 to 33, row 32 the middle.
+    quadrant = _quadrant(r, fold, dtype)
+    h = (r + 1) // 2
+    for i in range(r):
+        _assert_unfolds_alike(quadrant, r, i, i + 1)
+    for i0, i1 in [(h - 1, h + 1), (h - 3, h + 5), (0, h + 1), (h - 1, r), (h - 2, h), (h, h + 3)]:
+        _assert_unfolds_alike(quadrant, r, i0, i1)
+
+
 # ---------------------------------------------------------------- bucketing
 
 

@@ -1,3 +1,4 @@
+import colorsys
 import csv
 import hashlib
 import io
@@ -239,6 +240,57 @@ def test_write_image_rejects_a_class_id_outside_the_table(tmp_path, image_format
     with pytest.raises(ValueError, match=r"^class ids must lie in \[0, 2\)$"):
         _written_image(tmp_path, [[0, 1], [1, 300]], 2, image_format)
     assert list(tmp_path.iterdir()) == []
+
+
+def _oracle_palette(n_classes):
+    # The class palette, entry by entry: hues from 240 deg down to 0 deg,
+    # each rounded to a 30 deg step.
+    colors = []
+    for k in range(max(n_classes, 1)):
+        frac = k / (n_classes - 1) if n_classes > 1 else 0.0
+        hue = round(240.0 * (1.0 - frac) / 30.0) * 30 % 360
+        rgb = colorsys.hsv_to_rgb(hue / 360.0, 1.0, 1.0)
+        colors.append([round(c * 255) for c in rgb])
+    return np.array(colors, dtype=np.uint8)
+
+
+def _oracle_image(classes, n_classes, image_format):
+    # The image file as encoded cell by cell: a PGM scales each class id in
+    # float64 and rounds it, a PPM indexes the palette.
+    img = classes.T[::-1, :]
+    if image_format == "pgm":
+        magic = "P5"
+        pixels = np.rint(img * (255.0 / max(n_classes - 1, 1))).astype(np.uint8)
+    else:
+        magic = "P6"
+        pixels = _oracle_palette(n_classes)[img]
+    h, w = img.shape
+    return f"{magic}\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes()
+
+
+@pytest.mark.parametrize("image_format", ["pgm", "ppm"])
+@pytest.mark.parametrize("n_classes", [1, 2, 7, 300])
+def test_write_image_matches_the_per_cell_encoder(tmp_path, n_classes, image_format):
+    # 340 cells, so that every one of 300 classes appears.
+    rng = np.random.default_rng(n_classes)
+    classes = rng.permutation(np.arange(20 * 17) % n_classes).reshape(20, 17).astype(np.int32)
+    payload = _written_image(tmp_path, classes, n_classes, image_format)
+    assert payload == _oracle_image(classes, n_classes, image_format)
+
+
+@pytest.mark.parametrize("image_format, bytes_per_cell", [("pgm", 3), ("ppm", 7)])
+def test_write_image_peak_is_the_pixels_and_their_bytes(tmp_path, image_format, bytes_per_cell):
+    # A PGM holds 1 B per cell of pixels and 1 B of their bytes, a PPM 3 B
+    # of each; a per-cell float64 temporary would take 8 B more.
+    grid = cm.render_basins(cm.Threshold(0.95), cm.GridSpec(resolution=499))
+    path = str(tmp_path / f"grid.{image_format}")
+    tracemalloc.start()
+    try:
+        cio.write_image(grid, path, image_format)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bytes_per_cell * grid.classes.size
 
 
 def test_write_image_rejects_unknown_format(tmp_path):
